@@ -46,6 +46,8 @@ class SupportFunction:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, float)
+        if self.lmax < 0:
+            raise ValueError("lmax must be nonnegative")
         if self.coeffs.shape != ((self.lmax + 1) ** 2,):
             raise ValueError("coefficient length does not match lmax")
         if not np.all(np.isfinite(self.coeffs)):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import node_tables, entries_det, entries_eigmin, _point_jet_arrays
+from .sphere import node_tables, entries_det, entries_eigmin, _solid_jets, _phi_table
 from .body import certify_convex, NotConvexError
 
 _DEGENERATE_AREA = 1e-14
@@ -43,12 +43,8 @@ class BodyMesh:
 
 def _phi_at(h, pts):
     """phi = h u + grad h at arbitrary unit points via the solid basis."""
-    basis = h.basis
     pts = np.atleast_2d(np.asarray(pts, float))
-    vals, grads, _ = _point_jet_arrays(basis, pts)
-    one_minus_l = (1.0 - basis.degrees)[None, :]
-    phi_tab = grads + one_minus_l[:, None, :] * vals[:, None, :] * pts[:, :, None]
-    return phi_tab @ h.coeffs
+    return _phi_table(h.basis, _solid_jets(pts, h.lmax), pts) @ h.coeffs
 
 
 def inverse_gauss(h, grid):

@@ -8,7 +8,8 @@ randomness flows through the --seed flag.
 
 WIDTHBRIGHT_THREADS caps BLAS parallelism; the package's __init__ applies
 it before numpy loads, since every way into this module imports the
-package first.
+package first. That __init__ imports every module of the package, so the
+commands' imports below are all made once, at module level.
 """
 
 import argparse
@@ -16,6 +17,21 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+
+import numpy as np
+
+from .body import (
+    NotConvexError, SupportFunction, body_from_spec, body_to_spec,
+    certify_convex, volume, width,
+)
+from .boundary import export_mesh, export_obj, inverse_gauss
+from .brightness import brightness_profile, profile_to_csv
+from .generators import constant_width_body, random_odd, resolve_recipe
+from .lab import (
+    minimize_brightness_variance, parity_decomposition_check,
+    parity_report_to_json, trace_to_csv,
+)
+from .sphere import make_grid
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -50,8 +66,13 @@ class RunConfig:
     def __post_init__(self):
         if self.n_phi % 2 != 0:
             raise InputError("grid n_phi must be even")
-        if self.n_theta < self.lmax + 1:
-            raise InputError("grid too coarse for lmax: need n_theta >= lmax + 1")
+        self.require_lmax(self.lmax)
+
+    def require_lmax(self, lmax):
+        """Refuse a body of degree lmax that the grid cannot resolve."""
+        if self.n_theta < lmax + 1:
+            raise InputError("grid too coarse for lmax %d: need n_theta >= %d"
+                             % (lmax, lmax + 1))
 
 
 def _parse_grid(text):
@@ -157,18 +178,16 @@ def _write_json(obj, path):
 
 
 def cmd_gen(cfg):
-    from . import body as bodymod
-    from . import generators
-
     grid = _grid(cfg)
     recipe = _load_json(cfg.body_path)
     try:
-        resolved = generators.resolve_recipe(recipe, grid)
+        resolved = resolve_recipe(recipe, grid)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     h = resolved.resolved
-    cert = bodymod.certify_convex(h, grid, cfg.tolerances["psd"])
-    spec = bodymod.body_to_spec(h)
+    cfg.require_lmax(h.lmax)
+    cert = certify_convex(h, grid, cfg.tolerances["psd"])
+    spec = body_to_spec(h)
     spec["normalization"] = ("orthonormal real spherical harmonics, "
                              "Y_00 = 1/(2 sqrt(pi)); a ball of radius r has "
                              "single l=0 coefficient 2 sqrt(pi) r")
@@ -199,24 +218,19 @@ def _cert_dict(cert):
 
 
 def _grid(cfg):
-    from .sphere import make_grid
     return make_grid(cfg.n_theta, cfg.n_phi)
 
 
 def _load_body(cfg):
-    from .body import body_from_spec
     try:
-        return body_from_spec(_load_json(cfg.body_path))
+        h = body_from_spec(_load_json(cfg.body_path))
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    cfg.require_lmax(h.lmax)
+    return h
 
 
 def cmd_analyze(cfg):
-    import numpy as np
-    from .body import certify_convex, width, volume
-    from .brightness import brightness_profile, profile_to_csv
-    from .lab import parity_decomposition_check, parity_report_to_json
-
     grid = _grid(cfg)
     h = _load_body(cfg)
     cert = certify_convex(h, grid, cfg.tolerances["psd"])
@@ -264,14 +278,14 @@ def cmd_analyze(cfg):
 
 
 def cmd_verify_theorem(cfg):
-    from .body import SupportFunction
-    from .generators import random_odd, constant_width_body
-    from .lab import minimize_brightness_variance, trace_to_csv
-
     grid = _grid(cfg)
     gauge = _load_body(cfg)
     # seeded start, scaled into the convexity region like the generators do
-    start = random_odd(cfg.seed, degrees=cfg.degrees, scale=1.0)
+    try:
+        start = random_odd(cfg.seed, degrees=cfg.degrees, scale=1.0)
+    except ValueError as exc:
+        raise InputError("--degrees: %s" % exc) from None
+    cfg.require_lmax(start.lmax)
     try:
         recipe = constant_width_body(gauge, start, float("inf"), grid)
     except ValueError as exc:
@@ -295,8 +309,6 @@ def cmd_verify_theorem(cfg):
 
 
 def cmd_export(cfg):
-    from .boundary import inverse_gauss, export_mesh, export_obj
-
     grid = _grid(cfg)
     h = _load_body(cfg)
     field = inverse_gauss(h, grid)
@@ -329,15 +341,12 @@ def main(argv=None):
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:
-        from .body import NotConvexError
-        if isinstance(exc, NotConvexError):
-            print("infeasible: %s" % exc, file=sys.stderr)
-            return EXIT_INFEASIBLE
-        if isinstance(exc, (ArithmeticError, ValueError)):
-            print("numerical failure: %s" % exc, file=sys.stderr)
-            return EXIT_NUMERICAL
-        raise
+    except NotConvexError as exc:
+        print("infeasible: %s" % exc, file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (ArithmeticError, ValueError) as exc:
+        print("numerical failure: %s" % exc, file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .sphere import make_grid, make_basis, basis_index, node_tables, \
     entries_eigmin, entries_eigmax, matrix_entries
-from .body import SupportFunction, certify_convex, body_from_spec
+from .body import SupportFunction, certify_convex, body_from_spec, _padded
 
 _MIN_EIG_TARGET = 0.1
 _MAX_HALVINGS = 60
@@ -67,12 +67,6 @@ def ellipsoid(a, b, c, lmax=12, grid=None):
                            truncation_tol=trunc)
 
 
-def _padded_to(coeffs, lmax_from, lmax_to):
-    out = np.zeros((lmax_to + 1) ** 2)
-    out[:(lmax_from + 1) ** 2] = coeffs
-    return out
-
-
 def constant_width_body(gauge, p, eps_request, grid):
     """Body gauge + eps p with the same width function as the gauge.
 
@@ -106,8 +100,8 @@ def constant_width_body(gauge, p, eps_request, grid):
         eps = min(float(eps_request), _EPS_SAFETY * margin / rho)
 
     lmax = max(gauge.lmax, p.lmax)
-    coeffs = _padded_to(gauge.coeffs, gauge.lmax, lmax) \
-        + eps * _padded_to(p.coeffs, p.lmax, lmax)
+    coeffs = _padded(gauge.coeffs, gauge.lmax, lmax) \
+        + eps * _padded(p.coeffs, p.lmax, lmax)
     body = SupportFunction(coeffs, lmax,
                            label="constant_width(%s + %g*%s)"
                            % (gauge.label or "gauge", eps, p.label or "odd"))
@@ -195,10 +189,14 @@ def resolve_recipe(recipe, grid):
             return constant_width_body(gauge, p, eps_request, grid)
     except KeyError as exc:
         raise ValueError("recipe is missing field %s" % exc) from None
+    except TypeError as exc:
+        raise ValueError("recipe field has the wrong type: %s" % exc) from None
     raise ValueError("unknown recipe kind: %r" % kind)
 
 
 def _resolve_part(part, grid):
+    if not isinstance(part, dict):
+        raise ValueError("recipe part must be an object, got %r" % (part,))
     if "kind" in part:
         return resolve_recipe(part, grid).resolved
     if "harmonics" in part:

@@ -4,9 +4,9 @@ Everything downstream integrates over an antipodally closed product grid
 (Gauss-Legendre in cos(theta) times uniform azimuth). Basis functions are
 orthonormal real spherical harmonics handled through their solid harmonic
 forms: each Y_{l,m} restricted to the sphere extends to a homogeneous
-harmonic polynomial R_{l,m}(x,y,z) of degree l, so values, Cartesian
-gradients and Hessians are exact polynomial evaluations, never finite
-differences. The degree-1 homogeneous extension of a coefficient field p is
+harmonic polynomial R_{l,m}(x,y,z) of degree l. One recurrence
+(_solid_jets) builds the R values and carries their Cartesian gradients and
+Hessians along by the product rule, never by finite differences. The degree-1 homogeneous extension of a coefficient field p is
 p~(x) = |x| p(x/|x|) = sum_q c_q R_q(x) |x|^(1-l_q), and the tangential jet
 of p at |u| = 1 comes from R alone:
 
@@ -23,7 +23,6 @@ from functools import lru_cache
 from weakref import WeakKeyDictionary
 
 import numpy as np
-import sympy as sp
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -129,73 +128,20 @@ def integrate(grid, f):
 
 
 # ---------------------------------------------------------------------------
-# real solid harmonics (exact monomial tables via sympy, generated once per l)
-
-def _monomials(expr, syms):
-    poly = sp.Poly(sp.expand(expr), *syms)
-    exps = []
-    coeffs = []
-    for mono, coeff in poly.terms():
-        exps.append(mono)
-        coeffs.append(float(coeff))
-    return np.array(exps, dtype=np.int64).reshape(len(exps), 3), np.array(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _solid_harmonic(l, m):
-    """Monomial table of the orthonormal real solid harmonic R_{l,m}.
-
-    R_{l,m} is homogeneous of degree l and equals Y_{l,m} on |x| = 1, with
-    the L2(S^2)-orthonormal normalization (Y_00 = 1/(2 sqrt(pi)), m > 0
-    cosine sector, m < 0 sine sector, no Condon-Shortley sign).
-    """
-    x, y, z, t = sp.symbols("x y z t", real=True)
-    am = abs(m)
-    dP = sp.diff(sp.legendre(l, t), t, am)
-    # homogenize: t^k -> z^k (x^2+y^2+z^2)^((l-am-k)/2); parity of dP makes
-    # the exponent even
-    r2 = x * x + y * y + z * z
-    poly_t = sp.Poly(dP, t)
-    body = sp.Integer(0)
-    for (k,), c in poly_t.terms():
-        body += c * z**k * r2 ** ((l - am - k) // 2)
-    if m > 0:
-        ang = sp.re(sp.expand((x + sp.I * y) ** am))
-    elif m < 0:
-        ang = sp.im(sp.expand((x + sp.I * y) ** am))
-    else:
-        ang = sp.Integer(1)
-    norm = sp.sqrt(sp.Rational(2 * l + 1, 4) / sp.pi
-                   * sp.factorial(l - am) / sp.factorial(l + am))
-    if m != 0:
-        norm = norm * sp.sqrt(2)
-    return _monomials(norm * body * ang, (x, y, z))
-
-
-def _diff_poly(exps, coeffs, axis):
-    keep = exps[:, axis] > 0
-    if not np.any(keep):
-        return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
-    e = exps[keep].copy()
-    c = coeffs[keep] * e[:, axis]
-    e[:, axis] -= 1
-    return e, c
-
+# real solid harmonics
 
 @dataclass(eq=False)
 class HarmonicBasis:
-    """Real spherical harmonics up to degree lmax with exact derivative tables.
+    """Real spherical harmonics up to degree lmax.
 
     Basis index q runs over (l, m) in lexicographic order, l ascending and
-    m from -l to l, so q = l^2 + l + m.
+    m from -l to l, so q = l^2 + l + m. The functions are L2(S^2)
+    orthonormal with Y_00 = 1/(2 sqrt(pi)), m > 0 the cosine sector, m < 0
+    the sine sector and no Condon-Shortley sign; _solid_jets evaluates them.
     """
 
     lmax: int
     degrees: np.ndarray  # (B,)
-    orders: np.ndarray   # (B,)
-    _val: tuple          # per q: (exps, coeffs) of R_q
-    _grad: tuple         # per q: 3 monomial tables (dR/dx, dR/dy, dR/dz)
-    _hess: tuple         # per q: 6 tables (xx, xy, xz, yy, yz, zz)
 
     @property
     def size(self):
@@ -211,57 +157,112 @@ def basis_index(l, m):
 
 @lru_cache(maxsize=None)
 def make_basis(lmax):
+    """The basis up to degree lmax: one shared object per lmax, since node
+    tables are cached per (grid, basis) object."""
     lmax = int(lmax)
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
-    degrees, orders, vals, grads, hesses = [], [], [], [], []
-    for l in range(lmax + 1):
-        for m in range(-l, l + 1):
-            exps, coeffs = _solid_harmonic(l, m)
-            g = tuple(_diff_poly(exps, coeffs, a) for a in range(3))
-            h = tuple(_diff_poly(*g[a], b)
-                      for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
-            degrees.append(l)
-            orders.append(m)
-            vals.append((exps, coeffs))
-            grads.append(g)
-            hesses.append(h)
-    return HarmonicBasis(
-        lmax=lmax,
-        degrees=_freeze(np.array(degrees, dtype=np.int64)),
-        orders=_freeze(np.array(orders, dtype=np.int64)),
-        _val=tuple(vals),
-        _grad=tuple(grads),
-        _hess=tuple(hesses),
-    )
+    degrees = np.repeat(np.arange(lmax + 1), 2 * np.arange(lmax + 1) + 1)
+    return HarmonicBasis(lmax=lmax, degrees=_freeze(degrees))
 
 
-def _power_table(v, nmax):
-    # cumulative products keep (-v)^k == -(v^k) bitwise for odd k
-    out = np.ones((v.size, nmax + 1))
-    for k in range(1, nmax + 1):
-        out[:, k] = out[:, k - 1] * v
+# Hessian rows of a jet, in the order (xx, xy, xz, yy, yz, zz)
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _times_coord(x, a, t):
+    """Jet of x_a * t by the product rule.
+
+    A jet stacks the value, three Cartesian gradient rows and six Hessian
+    rows along axis 0; t is (10, k, N) and x is (3, 1, N).
+    """
+    out = x[a] * t
+    out[1 + a] += t[0]
+    for k, (b, c) in enumerate(_PAIRS):
+        if b == a:
+            out[4 + k] += t[1 + c]
+        if c == a:
+            out[4 + k] += t[1 + b]
     return out
 
 
-def _eval_tables(polys, pts, nmax):
-    pts = np.asarray(pts, float)
-    px = _power_table(pts[:, 0], nmax)
-    py = _power_table(pts[:, 1], nmax)
-    pz = _power_table(pts[:, 2], nmax)
-    out = np.empty((pts.shape[0], len(polys)))
-    for q, (exps, coeffs) in enumerate(polys):
-        if exps.shape[0] == 0:
-            out[:, q] = 0.0
-        else:
-            out[:, q] = (px[:, exps[:, 0]] * py[:, exps[:, 1]]
-                         * pz[:, exps[:, 2]]) @ coeffs
+def _times_r2(x, r2, t):
+    """Jet of r^2 * t by the product rule."""
+    out = r2 * t
+    for a in range(3):
+        out[1 + a] += 2 * x[a] * t[0]
+    for k, (a, b) in enumerate(_PAIRS):
+        out[4 + k] += 2 * (x[a] * t[1 + b] + x[b] * t[1 + a])
+        if a == b:
+            out[4 + k] += 2 * t[0]
     return out
+
+
+def _solid_jets(pts, lmax):
+    """Value, gradient and Hessian of every solid harmonic R_q at points x.
+
+    Returns J of shape (10, (lmax+1)^2, N): J[0, q, i] = R_q(x_i), J[1:4]
+    the Cartesian gradient, J[4:] the Hessian rows (xx, xy, xz, yy, yz,
+    zz). R_q is the degree-l_q homogeneous polynomial equal to Y_q on the
+    unit sphere, so x need not be a unit vector. Works in the dtype of pts
+    (float64, or longdouble for reference computations).
+
+    The normalized Cartesian recurrences (Helgaker, Jorgensen & Olsen,
+    Molecular Electronic-Structure Theory, sec. 6.4), with C_l = R_{l,l},
+    S_l = R_{l,-l} and r^2 = x^2 + y^2 + z^2:
+
+        R_00 = 1 / (2 sqrt(pi))
+        C_l  = s_l (x C_{l-1} - y S_{l-1}),  S_l = s_l (y C_{l-1} + x S_{l-1})
+        R_lm = a_lm z R_{l-1,m} - b_lm r^2 R_{l-2,m}              (|m| < l)
+
+    with s_1 = sqrt(3) (S_0 = 0), s_l = sqrt((2l+1)/(2l)), a_lm =
+    sqrt((4l^2-1)/(l^2-m^2)) and b_lm = sqrt((2l+1)((l-1)^2-m^2) /
+    ((2l-3)(l^2-m^2))). Every step multiplies by x, y, z, r^2 or a constant
+    and adds, and IEEE rounding is sign-symmetric, so R_q(-x) = (-1)^l_q
+    R_q(x) holds bitwise, and likewise for the derivative rows.
+    """
+    pts = np.asarray(pts)
+    dtype = np.result_type(pts.dtype, float)
+    x = pts.T.astype(dtype)[:, None, :]  # (3, 1, N)
+    r2 = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    J = np.zeros((10, (lmax + 1) ** 2, pts.shape[0]), dtype)
+    J[0, 0] = 1 / (2 * np.sqrt(np.arccos(dtype.type(-1))))
+    for l in range(1, lmax + 1):
+        below = J[:, (l - 1) ** 2:l * l]  # degree l - 1, m = 1-l .. l-1
+        m = np.arange(1 - l, l)
+        den = (l * l - m * m).astype(dtype)
+        a = np.sqrt((4 * l * l - 1) / den)[:, None]
+        new = a * _times_coord(x, 2, below)
+        if l >= 2:
+            b = np.sqrt((2 * l + 1) * ((l - 1) ** 2 - m[1:-1] ** 2)
+                        / ((2 * l - 3) * den[1:-1]))[:, None]
+            new[:, 1:-1] -= b * _times_r2(x, r2, J[:, (l - 2) ** 2:(l - 1) ** 2])
+        J[:, l * l + 1:(l + 1) ** 2 - 1] = new
+
+        sc = below[:, [0, -1]]  # (S_{l-1}, C_{l-1}); a copy
+        if l == 1:
+            sc[:, 0] = 0.0
+        xs = _times_coord(x, 0, sc)
+        ys = _times_coord(x, 1, sc)
+        # the m = 0 -> 1 step also carries the sqrt(2) of m != 0
+        s = np.sqrt(dtype.type(3) if l == 1 else dtype.type(2 * l + 1) / (2 * l))
+        J[:, l * l] = s * (xs[:, 0] + ys[:, 1])
+        J[:, (l + 1) ** 2 - 1] = s * (xs[:, 1] - ys[:, 0])
+    return J
+
+
+def _phi_table(basis, jets, pts):
+    """PHI[i, :, q] = dR_q(u_i) + (1 - l_q) R_q(u_i) u_i at unit points u_i,
+    from their _solid_jets, as an (N, 3, B) view; phi = h u + grad h is
+    PHI @ c."""
+    one_minus_l = (1.0 - basis.degrees)[:, None]
+    phi = jets[1:4] + (one_minus_l * jets[0]) * pts.T[:, None, :]
+    return phi.transpose(2, 0, 1)
 
 
 def basis_values(basis, pts):
     """Values of every basis function at the given unit points, shape (N, B)."""
-    return _eval_tables(basis._val, np.atleast_2d(pts), basis.lmax)
+    return np.ascontiguousarray(_solid_jets(np.atleast_2d(pts), basis.lmax)[0].T)
 
 
 def evaluate(basis, coeffs, pts):
@@ -277,7 +278,7 @@ def eval_homogeneous(basis, coeffs, xs):
     coeffs = np.asarray(coeffs, float)
     xs = np.atleast_2d(np.asarray(xs, float))
     r = np.linalg.norm(xs, axis=1)
-    vals = _eval_tables(basis._val, xs, basis.lmax)
+    vals = _solid_jets(xs, basis.lmax)[0].T
     # R_q is homogeneous of degree l_q, so p~ = sum c_q R_q(x) r^(1-l_q)
     scale = r[:, None] ** (1.0 - basis.degrees[None, :])
     return (vals * scale) @ coeffs
@@ -295,17 +296,6 @@ class Jet2:
     hess: np.ndarray  # (2, 2) symmetric
 
 
-def _point_jet_arrays(basis, pts):
-    nmax = basis.lmax
-    vals = _eval_tables(basis._val, pts, nmax)
-    grads = np.stack(
-        [_eval_tables([g[a] for g in basis._grad], pts, nmax) for a in range(3)],
-        axis=1,
-    )  # (N, 3, B)
-    hcomp = [_eval_tables([h[k] for h in basis._hess], pts, nmax) for k in range(6)]
-    return vals, grads, hcomp
-
-
 def jet(basis, coeffs, u, frame):
     """Jet2 of the coefficient field at unit vector u in the given tangent frame.
 
@@ -318,15 +308,15 @@ def jet(basis, coeffs, u, frame):
         raise ValueError("coefficient length does not match basis size")
     u = np.asarray(u, float)
     frame = np.asarray(frame, float)
-    vals, grads, hcomp = _point_jet_arrays(basis, u[None, :])
-    value = float(vals[0] @ coeffs)
-    g3 = grads[0] @ coeffs  # Cartesian gradient of the solid form, (3,)
+    J = _solid_jets(u[None, :], basis.lmax)[:, :, 0]  # (10, B)
+    value = float(J[0] @ coeffs)
+    g3 = J[1:4] @ coeffs  # Cartesian gradient of the solid form, (3,)
     e1, e2 = frame[0], frame[1]
     grad = np.array([e1 @ g3, e2 @ g3])
     # assemble the symmetric 3x3 Hessian of the solid form
-    hxx, hxy, hxz, hyy, hyz, hzz = (float(h[0] @ coeffs) for h in hcomp)
+    hxx, hxy, hxz, hyy, hyz, hzz = J[4:] @ coeffs
     H = np.array([[hxx, hxy, hxz], [hxy, hyy, hyz], [hxz, hyz, hzz]])
-    lv = float(vals[0] @ (coeffs * basis.degrees))
+    lv = float(J[0] @ (coeffs * basis.degrees))
     hess = np.array([
         [e1 @ H @ e1 - lv, e1 @ H @ e2],
         [e1 @ H @ e2, e2 @ H @ e2 - lv],
@@ -362,27 +352,25 @@ def node_tables(grid, basis):
         return tab
 
     pts = grid.nodes
-    vals, grads, hcomp = _point_jet_arrays(basis, pts)
-    one_minus_l = (1.0 - basis.degrees)[None, :]
+    jets = _solid_jets(pts, basis.lmax)
+    # the jets are laid out (component, q, node); every table is copied out
+    # in node-major order, so the cache does not keep the jet stack alive
+    vals = np.ascontiguousarray(jets[0].T)
+    phi = np.ascontiguousarray(_phi_table(basis, jets, pts))
+    one_minus_l = (1.0 - basis.degrees)[:, None]
 
-    phi = grads + one_minus_l[:, None, :] * vals[:, None, :] * pts[:, :, None]
-
-    e1 = grid.frame[:, 0, :]
-    e2 = grid.frame[:, 1, :]
-    hxx, hxy, hxz, hyy, hyz, hzz = hcomp
+    e1 = grid.frame[:, 0, :].T
+    e2 = grid.frame[:, 1, :].T
 
     def quad_form(a, b):
-        return (a[:, 0, None] * b[:, 0, None] * hxx
-                + (a[:, 0, None] * b[:, 1, None] + a[:, 1, None] * b[:, 0, None]) * hxy
-                + (a[:, 0, None] * b[:, 2, None] + a[:, 2, None] * b[:, 0, None]) * hxz
-                + a[:, 1, None] * b[:, 1, None] * hyy
-                + (a[:, 1, None] * b[:, 2, None] + a[:, 2, None] * b[:, 1, None]) * hyz
-                + a[:, 2, None] * b[:, 2, None] * hzz)
+        # a^T H b summed over the six Hessian rows
+        return sum((a[c] * b[d] + a[d] * b[c] if c != d else a[c] * b[c]) * h
+                   for (c, d), h in zip(_PAIRS, jets[4:]))
 
     m = np.empty((pts.shape[0], 3, basis.size))
-    m[:, 0, :] = quad_form(e1, e1) + one_minus_l * vals
-    m[:, 1, :] = quad_form(e1, e2)
-    m[:, 2, :] = quad_form(e2, e2) + one_minus_l * vals
+    m[:, 0, :] = (quad_form(e1, e1) + one_minus_l * jets[0]).T
+    m[:, 1, :] = quad_form(e1, e2).T
+    m[:, 2, :] = (quad_form(e2, e2) + one_minus_l * jets[0]).T
 
     tab = NodeTables(V=_freeze(vals), PHI=_freeze(phi), M=_freeze(m))
     per_grid[basis] = tab

@@ -155,6 +155,12 @@ def test_verify_theorem_infeasible_start(tmp_path):
         == EXIT_INFEASIBLE
 
 
+def test_verify_theorem_rejects_even_degrees(tmp_path, capsys):
+    body = write_json(tmp_path / "ball.json", ball_spec())
+    assert main(["verify-theorem", body, "--degrees", "2,4"]) == EXIT_INPUT
+    assert "input error: --degrees" in capsys.readouterr().err
+
+
 def test_verify_theorem_needs_even_gauge(tmp_path):
     spec = nonconvex_spec()
     body = write_json(tmp_path / "spiky.json", spec)
@@ -190,6 +196,40 @@ def test_grid_flag_validation(tmp_path):
     assert main(["analyze", body, "--grid", "8,16", "--lmax", "12"]) \
         == EXIT_INPUT
     assert main(["analyze", body, "--grid", "banana"]) == EXIT_INPUT
+
+
+def test_grid_guard_reads_the_body_lmax(tmp_path):
+    # an lmax-12 body on 8 rings used to pass on the strength of --lmax 7
+    # and report brightness min 3.495 against 3.167 at 32x64
+    recipe = write_json(tmp_path / "e.json",
+                        {"kind": "ellipsoid", "axes": [1, 1, 2], "lmax": 12})
+    assert main(["gen", recipe]) == EXIT_OK
+    body = str(tmp_path / "e.body.json")
+    assert main(["analyze", body, "--grid", "8,16", "--lmax", "7"]) \
+        == EXIT_INPUT
+    assert not (tmp_path / "e.body.report.json").exists()
+
+
+def test_gen_rejects_mistyped_recipe_fields(tmp_path, capsys):
+    odd = {"harmonics": [[3, 0, 1.0]]}
+    for recipe in (
+            {"kind": "constant_width", "gauge": 5, "odd": odd},
+            {"kind": "constant_width", "gauge": {"kind": "ball", "r": 1.0},
+             "odd": {"harmonics": 5}},
+            {"kind": "ellipsoid", "axes": 5},
+            {"kind": "ball", "r": [1.0]},
+            {"kind": "random_convex", "seed": "x"}):
+        path = write_json(tmp_path / "bad.json", recipe)
+        assert main(["gen", path, "--grid", "16,32", "--lmax", "8"]) \
+            == EXIT_INPUT, recipe
+        assert "input error" in capsys.readouterr().err
+
+
+def test_negative_lmax_spec_is_input_error(tmp_path, capsys):
+    body = write_json(tmp_path / "neg.json",
+                      {"basis": "real-sph-harm", "lmax": -1, "coeffs": []})
+    assert main(["analyze", body]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
 
 
 def test_tolerance_flag_validation(tmp_path):
@@ -262,3 +302,22 @@ def test_thread_cap_precedes_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # capped where unset, an explicit setting left alone
     assert proc.stdout.split() == ["1", "2"]
+
+
+def test_commands_run_without_sympy(tmp_path):
+    # sympy is a test-only oracle; the library and every command avoid it
+    ball = write_json(tmp_path / "ball.json", ball_spec())
+    recipe = write_json(tmp_path / "recipe.json", {"kind": "ball", "r": 1.0})
+    probe = (
+        "import sys\n"
+        "from widthbright.cli import main\n"
+        "assert 'sympy' not in sys.modules, 'import'\n"
+        "for argv in (['gen', %r], ['analyze', %r], ['export', %r],\n"
+        "             ['verify-theorem', %r, '--max-iter', '5']):\n"
+        "    assert main(argv + ['--grid', '16,32', '--lmax', '8']) == 0, argv\n"
+        "    assert 'sympy' not in sys.modules, argv[0]\n"
+        % (recipe, ball, ball, ball))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=child_env(WIDTHBRIGHT_THREADS="1"),
+                          cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr

@@ -15,7 +15,7 @@ import sympy as sp
 from widthbright import make_grid, make_basis, basis_index, integrate, jet
 from widthbright.sphere import (
     basis_values, evaluate, eval_homogeneous, node_tables, matrix_entries,
-    entries_det, entries_eigmin, entries_eigmax,
+    entries_det, entries_eigmin, entries_eigmax, _solid_jets,
 )
 from conftest import unit_vectors
 
@@ -141,6 +141,30 @@ def test_addition_theorem():
         assert np.abs(lhs - rhs).max() < 1e-11
 
 
+def test_basis_matches_closed_forms():
+    # pins the sign and the sine/cosine sector of m != 0, which stored specs
+    # and seeded random_odd starts depend on and the addition theorem
+    # cannot see
+    basis = make_basis(3)
+    pts = unit_vectors(41, 25)
+    x, y, z = pts.T
+    V = basis_values(basis, pts)
+    c1 = math.sqrt(3.0 / FOUR_PI)
+    c2 = math.sqrt(15.0 / FOUR_PI)
+    c3 = 0.25 * math.sqrt(35.0 / (2.0 * math.pi))
+    want = {
+        (0, 0): np.full_like(x, 1.0 / math.sqrt(FOUR_PI)),
+        (1, -1): c1 * y, (1, 0): c1 * z, (1, 1): c1 * x,
+        (2, -2): c2 * x * y, (2, -1): c2 * y * z, (2, 1): c2 * x * z,
+        (2, 2): 0.5 * c2 * (x * x - y * y),
+        (3, -3): c3 * (3.0 * x * x * y - y ** 3),
+        (3, 3): c3 * (x ** 3 - 3.0 * x * y * y),
+    }
+    for (l, m), ref in want.items():
+        np.testing.assert_allclose(V[:, basis_index(l, m)], ref,
+                                   rtol=0, atol=1e-15, err_msg=str((l, m)))
+
+
 def test_odd_degree_parity_is_bitwise(grid16):
     g = grid16
     V = node_tables(g, make_basis(7)).V
@@ -200,29 +224,17 @@ def test_jet_of_degree_one_has_hess_minus_value():
 
 def _extension_values_ld(basis, xs):
     """Degree-1 homogeneous extension of every basis function, evaluated in
-    80-bit arithmetic from the basis's own monomial value tables.
+    80-bit arithmetic from the value rows of the solid-harmonic recurrence.
 
-    The derivative tables under test come from a separate symbolic
-    differentiation path; this reuses only the value polynomials, so the
-    finite-difference quotients below are an independent check of the
-    gradient and Hessian tables, with roundoff pushed far below the
-    truncation error of the stencil.
+    The derivative rows under test are carried along by the product rule;
+    this reads only the value rows, so the finite-difference quotients below
+    are an independent check of the gradient and Hessian tables, with
+    roundoff pushed far below the truncation error of the stencil.
     """
     xs = np.asarray(xs, dtype=np.longdouble)
     r = np.sqrt(np.sum(xs * xs, axis=1))
-    u = xs / r[:, None]
-    pows = []
-    for a in range(3):
-        p = np.ones((xs.shape[0], basis.lmax + 1), dtype=np.longdouble)
-        for k in range(1, basis.lmax + 1):
-            p[:, k] = p[:, k - 1] * u[:, a]
-        pows.append(p)
-    px, py, pz = pows
-    vals = np.zeros((xs.shape[0], basis.size), dtype=np.longdouble)
-    for q, (exps, coeffs) in enumerate(basis._val):
-        if exps.shape[0]:
-            vals[:, q] = (px[:, exps[:, 0]] * py[:, exps[:, 1]]
-                          * pz[:, exps[:, 2]]) @ coeffs.astype(np.longdouble)
+    vals = _solid_jets(xs / r[:, None], basis.lmax)[0].T
+    assert vals.dtype == np.longdouble
     return r[:, None] * vals
 
 
