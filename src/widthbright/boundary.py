@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphere import node_tables, entries_det, entries_eigmin, _solid_jets, _phi_table
-from .body import certify_convex, NotConvexError
+from .body import TOL_PSD, certify_convex, NotConvexError
 
 _DEGENERATE_AREA = 1e-14
 
@@ -75,7 +75,7 @@ def even_phi_check(p, grid):
     return float(np.abs(phi - phi[grid.antipode_index]).max())
 
 
-def export_mesh(field, grid, tol_psd=1e-9):
+def export_mesh(field, grid, tol_psd=TOL_PSD):
     """Triangulate the phi image: lattice quads plus two pole fans.
 
     Vertices are the per-node phi values followed by the north and south

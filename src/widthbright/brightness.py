@@ -16,11 +16,11 @@ transform path.
 
 import math
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
+from functools import lru_cache
 
 import numpy as np
 
-from .body import certify_convex, NotConvexError
+from .body import TOL_PSD, certify_convex, NotConvexError
 from .boundary import inverse_gauss, export_mesh
 from .sphere import make_grid
 
@@ -64,8 +64,10 @@ def _legendre_table(t, lmax):
     return P
 
 
-def _kernel_matrix(grid, directions, lmax):
-    """Rows K[a, i] with sum_i K[a,i] w_i f_i = (Cf)(a) for bandlimited f."""
+def _kernel_matrix(grid, directions):
+    """Rows K[a, i] with sum_i K[a,i] w_i f_i = (Cf)(a) for bandlimited f;
+    the kernel's Legendre series stops at degree n_theta - 1."""
+    lmax = grid.n_theta - 1
     lam = cosine_multipliers(lmax)
     dots = np.clip(directions @ grid.nodes.T, -1.0, 1.0)
     out = np.zeros_like(dots)
@@ -79,38 +81,28 @@ def _kernel_matrix(grid, directions, lmax):
     return out
 
 
-_CT_OPERATORS = WeakKeyDictionary()
-
-
-def _cosine_operator(grid, lmax=None):
+@lru_cache(maxsize=None)
+def _cosine_operator(grid):
     """Dense transform matrix for directions = grid nodes, cached per grid."""
-    if lmax is None:
-        lmax = grid.n_theta - 1
-    per_grid = _CT_OPERATORS.setdefault(grid, {})
-    op = per_grid.get(lmax)
-    if op is None:
-        op = _kernel_matrix(grid, grid.nodes, lmax) * grid.weights[None, :]
-        op.flags.writeable = False
-        per_grid[lmax] = op
+    op = _kernel_matrix(grid, grid.nodes) * grid.weights[None, :]
+    op.flags.writeable = False
     return op
 
 
-def cosine_transform(f, grid, directions, lmax=None):
+def cosine_transform(f, grid, directions):
     """(Cf)(a) = int f(u) |<a,u>| du at each direction a.
 
-    lmax is the kernel's Legendre truncation degree; the default
-    n_theta - 1 makes the transform exact (to roundoff) for any f the grid
-    can integrate exactly, and exactly annihilates odd f.
+    Exact (to roundoff) for any f the grid integrates exactly, and exactly
+    zero for odd f. Directions that are the grid's own node array use the
+    cached per-grid operator; any other directions build their kernel rows.
     """
     f = np.asarray(f, float)
     if f.shape != (grid.n_nodes,):
         raise ValueError("value sequence length does not match node count")
-    if lmax is None:
-        lmax = grid.n_theta - 1
     directions = np.atleast_2d(np.asarray(directions, float))
     if directions is grid.nodes:
-        return _cosine_operator(grid, lmax) @ f
-    return _kernel_matrix(grid, directions, lmax) @ (grid.weights * f)
+        return _cosine_operator(grid) @ f
+    return _kernel_matrix(grid, directions) @ (grid.weights * f)
 
 
 def _cosine_transform_direct(f, grid, directions):
@@ -121,7 +113,7 @@ def _cosine_transform_direct(f, grid, directions):
 
 
 def brightness_profile(h, grid, directions=None, method="support_formula",
-                       tol_psd=1e-9):
+                       tol_psd=TOL_PSD):
     """Shadow area V2(K | a-perp) for each direction a.
 
     support_formula: half the cosine transform of the curvature determinant.

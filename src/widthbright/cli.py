@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import (
-    NotConvexError, SupportFunction, body_from_spec, body_to_spec,
+    TOL_PSD, NotConvexError, SupportFunction, body_from_spec, body_to_spec,
     certify_convex, volume, width,
 )
 from .boundary import export_mesh, export_obj, inverse_gauss
@@ -39,9 +39,7 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
 _DEFAULT_TOLS = {
-    "quadrature": 1e-8,   # grid integration sanity
-    "psd": 1e-9,          # convexity certificate eigenvalue tolerance
-    "oracle": 0.01,       # formula vs mesh-shadow relative agreement
+    "psd": TOL_PSD,       # convexity certificate eigenvalue tolerance
 }
 
 
@@ -104,31 +102,30 @@ def _build_parser():
                     "constant-width rigidity checks for convex bodies.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, body_help):
+    def command(name, help, body_help, tol=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("body", help=body_help)
         p.add_argument("--grid", default="32,64", metavar="T,P",
                        help="n_theta,n_phi quadrature grid (default 32,64)")
         p.add_argument("--lmax", type=int, default=12)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--tol", action="append", metavar="KEY=VAL",
-                       help="override a tolerance (%s)"
-                            % ", ".join(sorted(_DEFAULT_TOLS)))
+        if tol:
+            p.add_argument("--tol", action="append", metavar="KEY=VAL",
+                           help="override a tolerance (%s)"
+                                % ", ".join(sorted(_DEFAULT_TOLS)))
+        return p
 
-    common(sub.add_parser("gen", help="resolve a recipe JSON into a body spec"),
-           "recipe JSON file")
-    common(sub.add_parser("analyze", help="width/convexity/brightness report"),
-           "body spec JSON file")
-    pv = sub.add_parser("verify-theorem",
-                        help="run the rigidity probe against a gauge body")
-    common(pv, "gauge body spec JSON file (even, certified convex)")
+    command("gen", "resolve a recipe JSON into a body spec", "recipe JSON file")
+    command("analyze", "width/convexity/brightness report", "body spec JSON file")
+    pv = command("verify-theorem", "run the rigidity probe against a gauge body",
+                 "gauge body spec JSON file (even, certified convex)", tol=False)
+    pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--max-iter", type=int, default=500)
     pv.add_argument("--degrees", default="3,5",
                     help="odd variable degrees, comma separated (default 3,5)")
     pv.add_argument("--start-scale", type=float, default=0.5,
                     help="seeded start size as a fraction of the convexity bound")
-    common(sub.add_parser("export", help="write the boundary mesh as OBJ"),
-           "body spec JSON file")
+    command("export", "write the boundary mesh as OBJ", "body spec JSON file")
     return ap
 
 
@@ -140,11 +137,11 @@ def _config(args):
         n_theta=n_theta,
         n_phi=n_phi,
         lmax=args.lmax,
-        seed=args.seed,
         out=args.out,
-        tolerances=_parse_tols(args.tol),
+        tolerances=_parse_tols(getattr(args, "tol", None)),
     )
     if args.command == "verify-theorem":
+        cfg.seed = args.seed
         cfg.max_iter = args.max_iter
         try:
             cfg.degrees = tuple(int(d) for d in args.degrees.split(","))
@@ -222,8 +219,14 @@ def _grid(cfg):
 
 
 def _load_body(cfg):
+    spec = _load_json(cfg.body_path)
+    # guard before body_from_spec, whose closed-form check builds node
+    # tables at the spec's lmax; the guard after it covers lmax written as
+    # a float or a string
+    if isinstance(spec, dict) and isinstance(spec.get("lmax"), int):
+        cfg.require_lmax(spec["lmax"])
     try:
-        h = body_from_spec(_load_json(cfg.body_path))
+        h = body_from_spec(spec)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     cfg.require_lmax(h.lmax)

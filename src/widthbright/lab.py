@@ -11,12 +11,13 @@ curvature determinant turns this into the proportional-brightness relation.
 The sign obstruction (for odd p, det M_p cannot be negative everywhere) is
 what makes constant width + constant brightness rigid; the optimizer checks
 the rigidity numerically by descending the brightness variance of
-constant-width bodies gauge + p back to the gauge.
+constant-width bodies gauge + p back to the gauge. That variance is an exact
+quartic in the odd coefficients, and the descent uses its exact gradient.
 """
 
 import math
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .sphere import make_basis, basis_index, node_tables, matrix_entries, \
 from .body import SupportFunction, certify_convex, NotConvexError
 from .brightness import _cosine_operator
 
-_FD_STEP = 1e-5
 _MIN_EIG_FLOOR = 0.01
 _NORM_TOL = 1e-3
 _VAR_TOL = 1e-10
@@ -164,10 +164,17 @@ def _variable_indices(basis, degrees):
     return np.array(idx, dtype=np.int64)
 
 
-_GAUGE_TABLES = WeakKeyDictionary()
-
-
 def _gauge_tables(gauge, grid, degrees):
+    """_quadratic_model of the gauge, keyed by its coefficient values rather
+    than the object, so a gauge changed in place gets fresh tables."""
+    return _quadratic_model(grid, tuple(int(d) for d in degrees), gauge.lmax,
+                            gauge.coeffs.tobytes())
+
+
+# room for two gauges at least: a probe sequence may alternate between them,
+# and each rebuild costs a GEMM with the N x N cosine operator
+@lru_cache(maxsize=4)
+def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     """Quadratic-in-c model of the relative brightness profile.
 
     brightness areas of gauge + p_c are exactly quadratic in the odd
@@ -176,17 +183,10 @@ def _gauge_tables(gauge, grid, degrees):
     and the cosine transform is linear. The tables push that through the
     transform once, so objective evaluations cost O(N nv^2).
     """
-    per_gauge = _GAUGE_TABLES.setdefault(gauge, {})
-    key = (id(grid), tuple(degrees))
-    tab = per_gauge.get(key)
-    if tab is not None:
-        return tab
-
-    lmax = max(gauge.lmax, max(degrees))
-    basis = make_basis(lmax)
+    basis = make_basis(max(gauge_lmax, max(degrees)))
     idx = _variable_indices(basis, degrees)
     cg = np.zeros(basis.size)
-    cg[:gauge.coeffs.size] = gauge.coeffs
+    cg[:(gauge_lmax + 1) ** 2] = np.frombuffer(gauge_bytes)
 
     M = node_tables(grid, basis).M
     M0 = M @ cg                   # (N, 3)
@@ -209,9 +209,7 @@ def _gauge_tables(gauge, grid, degrees):
     RL = BL / b0[:, None]
     RQ = BQ / b0[:, None, None]
     wn = grid.weights / (4.0 * math.pi)
-    tab = (idx, cg, basis, M0, MJ, RL, RQ.reshape(n, nv * nv), wn)
-    per_gauge[key] = tab
-    return tab
+    return idx, cg, basis, M0, MJ, RL, RQ.reshape(n, nv * nv), wn
 
 
 def _variance(RL, RQflat, wn, c):
@@ -221,33 +219,43 @@ def _variance(RL, RQflat, wn, c):
     return float(wn @ (d * d))
 
 
-def _feasible(M0, MJ, c, floor):
-    ent = M0 + MJ @ c
-    return float(entries_eigmin(ent).min()) >= floor
+def _variance_gradient(RL, RQflat, wn, c):
+    """Exact gradient of _variance at c.
+
+    With d = r - wn.r and v = wn (d - wn.d), dF/dr = 2 v, and RQ is
+    symmetric per node, so grad F = 2 v RL + 4 (v RQ as nv x nv) c.
+    """
+    r = RL @ c + RQflat @ np.outer(c, c).ravel()
+    d = r - wn @ r
+    v = wn * (d - wn @ d)
+    return 2.0 * (v @ RL) + 4.0 * (v @ RQflat).reshape(c.size, c.size) @ c
 
 
 def _min_eig(M0, MJ, c):
     return float(entries_eigmin(M0 + MJ @ c).min())
 
 
+def _feasible(M0, MJ, c):
+    return _min_eig(M0, MJ, c) >= _MIN_EIG_FLOOR
+
+
 def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
-                                 max_iter=500, fd_step=_FD_STEP,
-                                 min_eig_floor=_MIN_EIG_FLOOR,
-                                 norm_tol=_NORM_TOL, var_tol=_VAR_TOL):
+                                 max_iter=500):
     """Descend F(c) = weighted variance of brightness(gauge + p_c)/brightness(gauge).
 
     Variables are the odd coefficients of the given degrees (degree 1 is
-    excluded: it is a pure translation). Gradient by central differences
-    (step fd_step), Barzilai-Borwein step seeding, monotone backtracking,
-    and projection to the convexity region by step halving (min eigenvalue
-    of the support matrix kept at or above min_eig_floor). Terminal states:
-    converged_to_gauge (||c|| < norm_tol and F < var_tol), stalled,
-    infeasible (init outside the convexity region).
+    excluded: it is a pure translation). F is a quartic polynomial in c and
+    its gradient is exact (_variance_gradient); Barzilai-Borwein step
+    seeding, monotone backtracking, and projection to the convexity region
+    by step halving (min eigenvalue of the support matrix kept at or above
+    _MIN_EIG_FLOOR). Terminal states: converged_to_gauge (||c|| < _NORM_TOL
+    and F < _VAR_TOL), stalled, infeasible (init outside the convexity
+    region).
     """
     if any(int(d) % 2 == 0 or int(d) < 3 for d in degrees):
         raise ValueError("variable degrees must be odd and >= 3")
     cert = certify_convex(gauge, grid)
-    if not cert.convex or cert.min_eigenvalue <= min_eig_floor:
+    if not cert.convex or cert.min_eigenvalue <= _MIN_EIG_FLOOR:
         raise ValueError("gauge must be certified convex with margin above the floor")
     if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
         raise ValueError("gauge must be even")
@@ -269,16 +277,8 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     def F(cv):
         return _variance(RL, RQflat, wn, cv)
 
-    def grad(cv):
-        g = np.empty(cv.size)
-        for j in range(cv.size):
-            e = np.zeros(cv.size)
-            e[j] = fd_step
-            g[j] = (F(cv + e) - F(cv - e)) / (2.0 * fd_step)
-        return g
-
     trace = []
-    if not _feasible(M0, MJ, c, min_eig_floor):
+    if not _feasible(M0, MJ, c):
         return OptimizerTrace(iterations=trace, terminal_status="infeasible",
                               degrees=tuple(degrees), final_coeffs=c,
                               gauge_label=gauge.label)
@@ -291,10 +291,10 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     alpha = None
 
     for _ in range(max_iter):
-        if np.linalg.norm(c) < norm_tol and Fc < var_tol:
+        if np.linalg.norm(c) < _NORM_TOL and Fc < _VAR_TOL:
             status = "converged_to_gauge"
             break
-        g = grad(c)
+        g = _variance_gradient(RL, RQflat, wn, c)
         gn = float(np.linalg.norm(g))
         if gn == 0.0:
             break
@@ -306,12 +306,12 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
                 alpha *= 2.0
         if alpha is None:
             # first step: conservative scale from the gradient itself
-            alpha = min(1.0, 0.1 * max(np.linalg.norm(c), norm_tol) / gn)
+            alpha = min(1.0, 0.1 * max(np.linalg.norm(c), _NORM_TOL) / gn)
         step = alpha
         accepted = False
         for _ in range(_MAX_BACKTRACK):
             c_try = c - step * g
-            if _feasible(M0, MJ, c_try, min_eig_floor):
+            if _feasible(M0, MJ, c_try):
                 F_try = F(c_try)
                 if F_try <= Fc:
                     accepted = True
@@ -324,10 +324,8 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         c = c_try
         Fc = F_try
         trace.append((float(np.linalg.norm(c)), Fc, _min_eig(M0, MJ, c), step))
-    else:
-        status = "stalled"
 
-    if np.linalg.norm(c) < norm_tol and Fc < var_tol:
+    if np.linalg.norm(c) < _NORM_TOL and Fc < _VAR_TOL:
         status = "converged_to_gauge"
 
     return OptimizerTrace(iterations=trace, terminal_status=status,

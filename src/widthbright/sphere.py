@@ -20,7 +20,6 @@ which is the tangential part of d2p~(u) minus p(u) I.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -342,15 +341,9 @@ class NodeTables:
     M: np.ndarray    # (N, 3, B)
 
 
-_NODE_TABLES = WeakKeyDictionary()
-
-
+@lru_cache(maxsize=None)
 def node_tables(grid, basis):
-    per_grid = _NODE_TABLES.setdefault(grid, WeakKeyDictionary())
-    tab = per_grid.get(basis)
-    if tab is not None:
-        return tab
-
+    """NodeTables of the basis on the grid, one shared object per pair."""
     pts = grid.nodes
     jets = _solid_jets(pts, basis.lmax)
     # the jets are laid out (component, q, node); every table is copied out
@@ -372,9 +365,7 @@ def node_tables(grid, basis):
     m[:, 1, :] = quad_form(e1, e2).T
     m[:, 2, :] = (quad_form(e2, e2) + one_minus_l * jets[0]).T
 
-    tab = NodeTables(V=_freeze(vals), PHI=_freeze(phi), M=_freeze(m))
-    per_grid[basis] = tab
-    return tab
+    return NodeTables(V=_freeze(vals), PHI=_freeze(phi), M=_freeze(m))
 
 
 def matrix_entries(grid, basis, coeffs):

@@ -16,6 +16,7 @@ import pytest
 
 import widthbright
 from widthbright.cli import main, EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE
+from widthbright.sphere import node_tables
 
 # Absolute directory holding the widthbright package under test. A child
 # process gets it first on its PYTHONPATH, so it imports this same tree from
@@ -210,6 +211,18 @@ def test_grid_guard_reads_the_body_lmax(tmp_path):
     assert not (tmp_path / "e.body.report.json").exists()
 
 
+def test_grid_guard_runs_before_any_table(tmp_path):
+    # the closed-form check of an lmax-60 spec used to build 16x32 tables
+    # at lmax 60 (307 MiB peak) before the guard refused it
+    spec = ball_spec()
+    spec["lmax"] = 60
+    spec["coeffs"] += [0.0] * (61 ** 2 - 1)
+    body = write_json(tmp_path / "big.json", spec)
+    misses = node_tables.cache_info().misses
+    assert main(["analyze", body, "--grid", "16,32"]) == EXIT_INPUT
+    assert node_tables.cache_info().misses == misses
+
+
 def test_gen_rejects_mistyped_recipe_fields(tmp_path, capsys):
     odd = {"harmonics": [[3, 0, 1.0]]}
     for recipe in (
@@ -237,6 +250,16 @@ def test_tolerance_flag_validation(tmp_path):
     assert main(["analyze", body, "--tol", "psd=1e-8"]) == EXIT_OK
     assert main(["analyze", body, "--tol", "shininess=1"]) == EXIT_INPUT
     assert main(["analyze", body, "--tol", "psd=soft"]) == EXIT_INPUT
+    assert main(["analyze", body, "--tol", "quadrature=1"]) == EXIT_INPUT
+    assert main(["analyze", body, "--tol", "oracle=1"]) == EXIT_INPUT
+
+
+def test_flags_a_command_does_not_read_are_input_errors(tmp_path):
+    body = write_json(tmp_path / "ball.json", ball_spec())
+    assert main(["analyze", body, "--seed", "1"]) == EXIT_INPUT
+    assert main(["export", body, "--seed", "1"]) == EXIT_INPUT
+    assert main(["verify-theorem", body, "--tol", "psd=1e-8"]) == EXIT_INPUT
+    assert not (tmp_path / "ball.report.json").exists()
 
 
 def test_unknown_command_is_input_error():

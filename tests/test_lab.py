@@ -12,8 +12,13 @@ from widthbright import (
     odd_sign_obstruction, minimize_brightness_variance, trace_to_csv,
     trace_body,
 )
+from widthbright import lab
 from widthbright.body import scale
-from widthbright.lab import _gauge_tables, _variance, _sigma_entries
+from widthbright.brightness import _cosine_operator
+from widthbright.lab import (
+    _gauge_tables, _variance, _variance_gradient, _sigma_entries,
+)
+from widthbright.sphere import make_grid
 
 
 def pure_harmonic(l, m, coeff=1.0):
@@ -224,6 +229,46 @@ def test_variance_valley_is_quartic_for_even_gauges(grid32):
     f1 = _variance(RL, RQflat, wn, c)
     f2 = _variance(RL, RQflat, wn, 2.0 * c)
     assert abs(f2 / f1 - 16.0) < 1e-3
+
+
+def test_variance_gradient_matches_central_differences(grid32):
+    rng = np.random.default_rng(11)
+    step = 1e-5
+    for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
+        _, _, _, _, _, RL, RQflat, wn = _gauge_tables(gauge, grid32, (3, 5))
+        for _ in range(3):
+            c = 0.05 * rng.standard_normal(RL.shape[1])
+            fd = np.array([
+                (_variance(RL, RQflat, wn, c + step * e)
+                 - _variance(RL, RQflat, wn, c - step * e)) / (2.0 * step)
+                for e in np.eye(c.size)])
+            g = _variance_gradient(RL, RQflat, wn, c)
+            assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_gauge_tables_follow_coefficient_changes(grid32):
+    # tables keyed by the gauge object kept serving the radius-1 model
+    # after the coefficients changed in place
+    init = random_odd(0, degrees=(3, 5), scale=0.01)
+    gauge = ball(1.0)
+    minimize_brightness_variance(gauge, init, grid32, max_iter=0)
+    gauge.coeffs[0] *= 2.0
+    mutated = minimize_brightness_variance(gauge, init, grid32, max_iter=0)
+    fresh = minimize_brightness_variance(
+        SupportFunction(gauge.coeffs.copy(), gauge.lmax), init, grid32,
+        max_iter=0)
+    assert mutated.iterations == fresh.iterations
+
+
+def test_one_cosine_operator_per_grid():
+    # the on-grid transform and the gauge tables share one dense operator
+    grid = make_grid(12, 24)
+    _cosine_operator.cache_clear()
+    lab._quadratic_model.cache_clear()
+    brightness_profile(ball(1.0), grid)
+    minimize_brightness_variance(ball(1.0), np.zeros(18), grid)
+    info = _cosine_operator.cache_info()
+    assert info.hits >= 1 and info.currsize == 1
 
 
 def test_trace_outputs(tmp_path, grid32):
