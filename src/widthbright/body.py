@@ -21,6 +21,9 @@ from .sphere import (
 )
 
 TOL_PSD = 1e-9
+# the eigenvalues of a ring that symmetry ties at the minimum spread over
+# ~110 ulps from roundoff (ellipsoid (1,1,2), lmax 12, 32x64)
+_TIE_ULPS = 256
 
 
 class NotConvexError(RuntimeError):
@@ -155,16 +158,21 @@ def certify_convex(h, grid, tol_psd=TOL_PSD):
     Convex iff the global minimum eigenvalue is >= -tol_psd. The minimum
     determinant is recorded too (it lower-bounds reciprocal Gauss
     curvature, which Minkowski summands can only increase).
+
+    node_of_min is the lowest node whose eigenvalue exceeds the minimum by
+    at most _TIE_ULPS ulps of the largest |eigenvalue|, so a minimum that
+    symmetry ties along a ring reports the same node whatever the roundoff.
     """
     ent = matrix_entries(grid, h.basis, h.coeffs)
     eigmin = entries_eigmin(ent)
     dets = entries_det(ent)
-    i = int(np.argmin(eigmin))
+    low = float(eigmin.min())
+    tie = _TIE_ULPS * np.finfo(float).eps * float(np.abs(eigmin).max())
     return ConvexityCertificate(
-        min_eigenvalue=float(eigmin[i]),
+        min_eigenvalue=low,
         det_min=float(dets.min()),
-        node_of_min=i,
-        convex=bool(eigmin[i] >= -tol_psd),
+        node_of_min=int(np.flatnonzero(eigmin <= low + tie)[0]),
+        convex=bool(low >= -tol_psd),
         tol_psd=tol_psd,
     )
 

@@ -91,23 +91,18 @@ def export_mesh(field, grid, tol_psd=TOL_PSD):
     i_north = nt * npx
     i_south = nt * npx + 1
 
-    def node(i, j):
-        return i * npx + j % npx
-
-    tris = []
-    # node ring i=0 is the southernmost (cos theta ascending)
-    for i in range(nt - 1):
-        for j in range(npx):
-            a = node(i, j)
-            b = node(i, j + 1)
-            c = node(i + 1, j + 1)
-            d = node(i + 1, j)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    for j in range(npx):
-        tris.append((i_south, node(0, j + 1), node(0, j)))
-        tris.append((i_north, node(nt - 1, j), node(nt - 1, j + 1)))
-    tris = np.array(tris, dtype=np.int64)
+    # node ring i=0 is the southernmost (cos theta ascending); node (i, j)
+    # is i * npx + j % npx, and each lattice quad (a, b, c, d) gives the
+    # triangles (a, b, c) and (a, c, d), ring by ring, then the pole fans
+    j = np.arange(npx, dtype=np.int64)
+    j1 = (j + 1) % npx
+    a = (np.arange(nt - 1, dtype=np.int64) * npx)[:, None] + j
+    b = a - j + j1
+    quads = np.stack([a, b, b + npx, a, b + npx, a + npx], axis=-1)
+    top = (nt - 1) * npx
+    fans = np.stack([np.full(npx, i_south), j1, j,
+                     np.full(npx, i_north), top + j, top + j1], axis=-1)
+    tris = np.vstack([quads.reshape(-1, 3), fans.reshape(-1, 3)])
 
     v0 = verts[tris[:, 0]]
     cross = np.cross(verts[tris[:, 1]] - v0, verts[tris[:, 2]] - v0)

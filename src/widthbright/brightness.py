@@ -169,13 +169,49 @@ def _plane_basis(a):
     return b1, b2
 
 
+def _octagon_interior(pts):
+    """Mask of points that cannot be hull vertices (Akl & Toussaint 1978).
+
+    The extreme points in x, y, x + y and x - y span a convex octagon inside
+    the hull, and a point strictly inside it is interior to the hull. The
+    chain takes a cross product up to its collinearity tolerance, or within
+    rounding of it, for a straight turn, so a point is dropped only when it
+    lies 2**20 times that reach over the cloud's span inside every edge;
+    nearer points could still sway the chain's choices. A degenerate octagon
+    (fewer than 3 distinct extreme points) has no interior.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    span = max(float(np.ptp(x)), float(np.ptp(y))) if len(pts) else 0.0
+    if not span > 0.0:  # one distinct point, or NaN coordinates
+        return np.zeros(len(pts), bool)
+    reach = _HULL_COLLINEAR_TOL + 16.0 * np.finfo(float).eps * span * span
+    margin = 2.0 ** 20 * reach / span
+    s, d = x + y, x - y
+    ext = pts[[np.argmin(x), np.argmin(s), np.argmin(y), np.argmax(d),
+               np.argmax(x), np.argmax(s), np.argmax(y), np.argmin(d)]]
+    inside = np.ones(len(pts), bool)
+    for e0, e1 in zip(ext, np.roll(ext, -1, axis=0)):
+        ex, ey = e1 - e0
+        if ex == 0.0 and ey == 0.0:
+            continue
+        # twice the area of (e0, e1, p): the edge length times p's distance left of it
+        inside &= ex * (y - e0[1]) - ey * (x - e0[0]) > margin * math.hypot(ex, ey)
+    return inside
+
+
 def _hull_area(pts):
-    """Monotone-chain hull area of 2D points (shoelace on the hull)."""
+    """Monotone-chain hull area of 2D points (shoelace on the hull).
+
+    Points inside the extreme-point octagon are dropped first; the chain
+    then walks the survivors as Python floats, which are the same IEEE
+    doubles, so the area is the one the chain over every point gives.
+    """
+    pts = pts[~_octagon_interior(pts)]
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
     keep = np.ones(len(pts), bool)
     keep[1:] = np.any(np.diff(pts, axis=0) != 0.0, axis=1)
-    pts = pts[keep]
+    pts = pts[keep].tolist()
     if len(pts) < 3:
         raise ValueError("degenerate shadow: fewer than 3 distinct points")
 

@@ -177,6 +177,7 @@ def _write_json(obj, path):
 def cmd_gen(cfg):
     grid = _grid(cfg)
     recipe = _load_json(cfg.body_path)
+    _require_declared_lmax(cfg, recipe)
     try:
         resolved = resolve_recipe(recipe, grid)
     except ValueError as exc:
@@ -218,13 +219,23 @@ def _grid(cfg):
     return make_grid(cfg.n_theta, cfg.n_phi)
 
 
+def _require_declared_lmax(cfg, obj):
+    """Guard every integer lmax that a spec or recipe declares, also in a
+    constant-width recipe's parts, before anything builds tables at it; the
+    guard on the loaded body covers lmax written as a float or a string, or
+    left to a recipe's default."""
+    if not isinstance(obj, dict):
+        return
+    if isinstance(obj.get("lmax"), int):
+        cfg.require_lmax(obj["lmax"])
+    for part in ("gauge", "odd"):
+        _require_declared_lmax(cfg, obj.get(part))
+
+
 def _load_body(cfg):
     spec = _load_json(cfg.body_path)
-    # guard before body_from_spec, whose closed-form check builds node
-    # tables at the spec's lmax; the guard after it covers lmax written as
-    # a float or a string
-    if isinstance(spec, dict) and isinstance(spec.get("lmax"), int):
-        cfg.require_lmax(spec["lmax"])
+    # body_from_spec's closed-form check builds node tables at the spec's lmax
+    _require_declared_lmax(cfg, spec)
     try:
         h = body_from_spec(spec)
     except ValueError as exc:

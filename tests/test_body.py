@@ -16,7 +16,7 @@ import pytest
 import widthbright as wb
 from widthbright import (
     SupportFunction, NotConvexError,
-    ball, basis_index, make_basis, width, central_symmetral, odd_part,
+    ball, ellipsoid, basis_index, make_basis, width, central_symmetral, odd_part,
     minkowski_sum, certify_convex, volume, homothety_fit,
 )
 from widthbright.body import support_values, scale, body_to_spec, body_from_spec
@@ -161,6 +161,17 @@ def test_large_odd_perturbation_is_not_convex(grid32):
     assert cert.min_eigenvalue < 0.0
     assert abs(cert.min_eigenvalue - (-17.65346217525563)) < 1e-9
     assert 0 <= cert.node_of_min < grid32.n_nodes
+
+
+def test_node_of_min_ignores_last_bit_roundoff(grid32):
+    # the spheroid's minimum is tied along a ring; argmin moved with the
+    # last bit of the coefficients
+    h = ellipsoid(1, 1, 2, lmax=12)
+    cert = certify_convex(h, grid32)
+    for factor in (1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53):
+        again = certify_convex(SupportFunction(h.coeffs * factor, 12), grid32)
+        assert again.node_of_min == cert.node_of_min
+    assert cert.node_of_min % grid32.n_phi == 0
 
 
 def test_zonal_oracle_matrix_entries(grid32):

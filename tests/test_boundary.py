@@ -143,6 +143,35 @@ def test_export_mesh_refuses_non_convex(grid32):
         export_mesh(field, grid32)
 
 
+def _loop_topology(nt, npx):
+    # the double loop export_mesh used to build its triangles with
+    def node(i, j):
+        return i * npx + j % npx
+
+    tris = []
+    for i in range(nt - 1):
+        for j in range(npx):
+            a, b = node(i, j), node(i, j + 1)
+            c, d = node(i + 1, j + 1), node(i + 1, j)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    for j in range(npx):
+        tris.append((nt * npx + 1, node(0, j + 1), node(0, j)))
+        tris.append((nt * npx, node(nt - 1, j), node(nt - 1, j + 1)))
+    return np.array(tris, dtype=np.int64)
+
+
+def test_mesh_topology_matches_loop_reference():
+    # the OBJ faces of export depend on this array row for row
+    grid = make_grid(4, 8)
+    mesh = export_mesh(inverse_gauss(ellipsoid(1, 1, 2, lmax=3), grid), grid)
+    ref = _loop_topology(4, 8)
+    assert mesh.triangles.dtype == np.int64
+    assert mesh.triangles.shape == ref.shape
+    assert np.array_equal(mesh.triangles, ref)
+    assert mesh_is_closed(mesh)
+
+
 def test_export_mesh_reports_collapsed_triangles(grid16):
     # the zero body maps every node to the origin
     field = inverse_gauss(SupportFunction(np.zeros(1), 0), grid16)

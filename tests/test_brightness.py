@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import unit_vectors
 from widthbright import (
@@ -19,9 +20,11 @@ from widthbright import (
     mesh_shadow, proportional_brightness_residual, profile_to_csv,
     constant_width_body, central_symmetral,
 )
-from widthbright.brightness import _cosine_transform_direct
+from widthbright.brightness import (
+    _cosine_transform_direct, _hull_area, _plane_basis, _HULL_COLLINEAR_TOL,
+)
 from widthbright.boundary import BodyMesh, inverse_gauss, export_mesh
-from widthbright.sphere import make_basis, basis_values
+from widthbright.sphere import make_basis, make_grid, basis_values
 
 EXACT_MULTIPLIERS = [
     6.283185307179586, 0.0, 1.5707963267948966, 0.0, -0.26179938779914946,
@@ -136,6 +139,107 @@ def test_mesh_shadow_rejects_collinear_projection():
     mesh = BodyMesh(vertices=verts, triangles=np.array([[0, 1, 2]]))
     with pytest.raises(ValueError):
         mesh_shadow(mesh, np.array([0.0, 0.0, 1.0]))
+
+
+def _reference_hull_area(pts):
+    # the monotone chain over every point, on numpy rows, that the oracle ran
+    # before its extreme-point prefilter; areas must match it bit for bit
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    pts = pts[order]
+    keep = np.ones(len(pts), bool)
+    keep[1:] = np.any(np.diff(pts, axis=0) != 0.0, axis=1)
+    pts = pts[keep]
+    if len(pts) < 3:
+        raise ValueError("degenerate shadow: fewer than 3 distinct points")
+
+    def chain(points):
+        out = []
+        for p in points:
+            while len(out) >= 2:
+                o, q = out[-2], out[-1]
+                if (q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0]) \
+                        <= _HULL_COLLINEAR_TOL:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = chain(pts)
+    upper = chain(pts[::-1])
+    hull = np.array(lower[:-1] + upper[:-1])
+    if len(hull) < 3:
+        raise ValueError("degenerate shadow: collinear projection")
+    x, y = hull[:, 0], hull[:, 1]
+    return 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
+
+
+def _outcome(hull_area, pts):
+    try:
+        return "area", hull_area(pts)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def clouds(draw):
+    """2D point clouds: Gaussian, integer lattices, polygons with collinear
+    runs along their edges, and circles with near-coincident hull points,
+    each with interior points, optional duplicates, scale 1e-6 to 1e6."""
+    kind = draw(st.sampled_from(["normal", "lattice", "edges", "close"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 120))
+    inner = rng.uniform(-0.6, 0.6, (n, 2))
+    if kind == "normal":
+        pts = rng.standard_normal((n, 2))
+    elif kind == "lattice":
+        m = draw(st.integers(1, 10))
+        pts = rng.integers(-m, m + 1, (n, 2)).astype(float)
+    elif kind == "edges":
+        k = draw(st.integers(3, 8))
+        ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, k))
+        corners = np.column_stack([np.cos(ang), np.sin(ang)])
+        e = rng.integers(0, k, n)
+        t = rng.integers(0, 8, n)[:, None] / 8.0
+        pts = np.vstack([corners, (1 - t) * corners[e] + t * corners[(e + 1) % k],
+                         inner])
+    else:
+        ang = rng.uniform(0.0, 2.0 * math.pi, n)
+        rim = np.column_stack([np.cos(ang), np.sin(ang)])
+        near = rim + rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-14, -4, (n, 1))
+        pts = np.vstack([rim, near, inner])
+    if draw(st.booleans()):
+        pts = np.vstack([pts, pts[rng.integers(0, len(pts), len(pts) // 2 + 1)]])
+    return rng.permutation(pts) * 10.0 ** draw(st.floats(-6.0, 6.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clouds())
+def test_hull_area_matches_reference_chain(pts):
+    assert _outcome(_hull_area, pts) == _outcome(_reference_hull_area, pts)
+
+
+def test_hull_area_degenerate_inputs_raise():
+    line = np.column_stack([np.arange(50.0), 3.0 * np.arange(50.0) - 2.0])
+    for pts, message in ((line, "collinear"),
+                         (np.array([[0.0, 0.0], [1.0, 1.0]]), "fewer than 3"),
+                         (np.array([[0.0, 0.0], [1.0, 1.0]] * 20), "fewer than 3")):
+        with pytest.raises(ValueError, match=message):
+            _hull_area(pts)
+
+
+def test_mesh_shadow_areas_match_reference_chain(grid16):
+    # the oracle of criterion 3 on the 2x refined mesh, at a quarter of its size
+    fine = make_grid(32, 64)
+    dirs = unit_vectors(1000, 10)
+    for h in (ball(1.0), ellipsoid(1, 1, 2)):
+        areas = brightness_profile(h, grid16, directions=dirs,
+                                   method="mesh_shadow").areas
+        verts = export_mesh(inverse_gauss(h, fine), fine).vertices
+        for a, area in zip(dirs, areas):
+            b1, b2 = _plane_basis(a)
+            pts = np.column_stack([verts @ b1, verts @ b2])
+            assert area == _reference_hull_area(pts)
 
 
 def test_formula_matches_oracle_for_ellipsoid(grid32):

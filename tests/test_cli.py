@@ -223,6 +223,18 @@ def test_grid_guard_runs_before_any_table(tmp_path):
     assert node_tables.cache_info().misses == misses
 
 
+def test_gen_guard_runs_before_any_table(tmp_path):
+    # resolving the recipe projected the ellipsoid at lmax 20 on its own
+    # 48x96 grid (327 MiB peak) before the guard refused it
+    big = {"kind": "ellipsoid", "axes": [1, 1, 2], "lmax": 20}
+    for recipe in (big, {"kind": "constant_width", "gauge": big,
+                         "odd": {"harmonics": [[3, 0, 1.0]]}}):
+        path = write_json(tmp_path / "big.json", recipe)
+        misses = node_tables.cache_info().misses
+        assert main(["gen", path, "--grid", "16,32"]) == EXIT_INPUT
+        assert node_tables.cache_info().misses == misses
+
+
 def test_gen_rejects_mistyped_recipe_fields(tmp_path, capsys):
     odd = {"harmonics": [[3, 0, 1.0]]}
     for recipe in (
