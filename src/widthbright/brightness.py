@@ -8,6 +8,12 @@ The implementation expands the kernel |<a,u>| in Legendre polynomials of the
 dot product, which for bandlimited integrands reproduces the transform to
 roundoff; naive quadrature of the kinked kernel would stall at O(n^-2)
 accuracy and is kept only as a cross-check (_cosine_transform_direct).
+Between the grid's own nodes the kernel depends only on the two rings and
+the azimuth difference, so the on-grid transform is an azimuthal
+convolution (Driscoll & Healy 1994): an rfft along azimuth, one
+n_theta x n_theta product per Fourier mode and an irfft, through a per-grid
+ring table of n_theta^2 (n_phi/2 + 1) numbers rather than a dense N x N
+operator.
 
 The mesh-shadow oracle (project vertices, 2D hull, shoelace) is the
 independent second route to the same areas and shares no code with the
@@ -64,16 +70,13 @@ def _legendre_table(t, lmax):
     return P
 
 
-def _kernel_matrix(grid, directions):
-    """Rows K[a, i] with sum_i K[a,i] w_i f_i = (Cf)(a) for bandlimited f;
-    the kernel's Legendre series stops at degree n_theta - 1."""
-    lmax = grid.n_theta - 1
+def _kernel_from_dots(dots, lmax):
+    """The cosine kernel |t| at t = dots as its Legendre series to degree
+    lmax, scaled so that its quadrature against f gives (Cf)."""
     lam = cosine_multipliers(lmax)
-    dots = np.clip(directions @ grid.nodes.T, -1.0, 1.0)
-    out = np.zeros_like(dots)
+    out = np.full_like(dots, lam[0] * (1.0 / (4.0 * math.pi)))
     Pm1 = np.ones_like(dots)
     Pl = dots
-    out += lam[0] * (1.0 / (4.0 * math.pi)) * Pm1
     for l in range(1, lmax + 1):
         if lam[l] != 0.0:
             out += lam[l] * ((2 * l + 1) / (4.0 * math.pi)) * Pl
@@ -81,28 +84,60 @@ def _kernel_matrix(grid, directions):
     return out
 
 
+def _kernel_matrix(grid, directions):
+    """Rows K[a, i] with sum_i K[a,i] w_i f_i = (Cf)(a) for bandlimited f;
+    the kernel's Legendre series stops at degree n_theta - 1."""
+    dots = np.clip(directions @ grid.nodes.T, -1.0, 1.0)
+    return _kernel_from_dots(dots, grid.n_theta - 1)
+
+
 @lru_cache(maxsize=None)
 def _cosine_operator(grid):
-    """Dense transform matrix for directions = grid nodes, cached per grid."""
-    op = _kernel_matrix(grid, grid.nodes) * grid.weights[None, :]
-    op.flags.writeable = False
-    return op
+    """Ring table Khat[q, i, k] of the transform for directions = grid nodes.
+
+    Between a node on ring i and one on ring k the kernel depends only on
+    their azimuth difference m, so the on-grid operator is block-circulant
+    and an rfft over m diagonalises it: Khat[q] is the n_theta x n_theta
+    block of azimuthal mode q, ring weights included. The cosine table is
+    even in m by construction, so each Khat is real (its imaginary part is
+    roundoff of zero and is dropped).
+    """
+    n_phi = grid.n_phi
+    st = grid.nodes[::n_phi, 0]   # azimuth 0: (sin theta, 0, cos theta) per ring
+    ct = grid.nodes[::n_phi, 2]
+    m = np.arange(n_phi)
+    cos_m = np.cos(2.0 * math.pi * np.minimum(m, n_phi - m) / n_phi)
+    dots = np.clip(np.multiply.outer(ct, ct)[:, :, None]
+                   + np.multiply.outer(st, st)[:, :, None] * cos_m, -1.0, 1.0)
+    g = _kernel_from_dots(dots, grid.n_theta - 1) * grid.weights[::n_phi, None]
+    table = np.ascontiguousarray(np.fft.rfft(g, axis=2).real.transpose(2, 0, 1))
+    table.flags.writeable = False
+    return table
 
 
 def cosine_transform(f, grid, directions):
     """(Cf)(a) = int f(u) |<a,u>| du at each direction a.
 
-    Exact (to roundoff) for any f the grid integrates exactly, and exactly
-    zero for odd f. Directions that are the grid's own node array use the
-    cached per-grid operator; any other directions build their kernel rows.
+    f holds node values, shape (N,), or one field per column, (N, k). Exact
+    (to roundoff) for any f the grid integrates exactly, and exactly zero
+    for odd f. Directions that are the grid's own node array use the cached
+    per-grid ring table: an rfft of f along azimuth, one real n_theta x
+    n_theta product per mode on the real and imaginary parts, and an irfft.
+    Any other directions build their kernel rows.
     """
     f = np.asarray(f, float)
-    if f.shape != (grid.n_nodes,):
+    if f.ndim not in (1, 2) or f.shape[0] != grid.n_nodes:
         raise ValueError("value sequence length does not match node count")
     directions = np.atleast_2d(np.asarray(directions, float))
     if directions is grid.nodes:
-        return _cosine_operator(grid) @ f
-    return _kernel_matrix(grid, directions) @ (grid.weights * f)
+        n_theta, n_phi = grid.n_theta, grid.n_phi
+        rings = np.fft.rfft(f.reshape(n_theta, n_phi, -1), axis=1)
+        modes = np.ascontiguousarray(rings.transpose(1, 0, 2))  # (mode, ring, column)
+        # a real matrix acts on the interleaved real and imaginary parts alike
+        out = (_cosine_operator(grid) @ modes.view(float)).view(complex)
+        return np.fft.irfft(out.transpose(1, 0, 2), n=n_phi, axis=1).reshape(f.shape)
+    weights = grid.weights if f.ndim == 1 else grid.weights[:, None]
+    return _kernel_matrix(grid, directions) @ (weights * f)
 
 
 def _cosine_transform_direct(f, grid, directions):
@@ -142,10 +177,14 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
     if np.any(areas <= 0.0):
         raise ArithmeticError("non-positive shadow area for a convex body")
     if on_grid:
-        sym = np.abs(areas - areas[grid.antipode_index]).max()
+        anti = grid.antipode_index
+        sym = np.abs(areas - areas[anti]).max()
         if sym > _SYMMETRY_TOL:
             raise ArithmeticError(
                 "shadow symmetry area(a) = area(-a) violated by %.3e" % sym)
+        # checked on the values as computed; the area is even in a, so each
+        # antipodal pair takes the value of its lower-indexed node
+        areas = np.where(np.arange(areas.size) <= anti, areas, areas[anti])
     return BrightnessProfile(directions=directions, areas=areas, method=method)
 
 

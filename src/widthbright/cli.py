@@ -221,13 +221,20 @@ def _grid(cfg):
 
 def _require_declared_lmax(cfg, obj):
     """Guard every integer lmax that a spec or recipe declares, also in a
-    constant-width recipe's parts, before anything builds tables at it; the
-    guard on the loaded body covers lmax written as a float or a string, or
-    left to a recipe's default."""
+    constant-width recipe's parts and as the largest integer l of a part's
+    harmonics terms, before anything builds tables at it; the guard on the
+    loaded body covers lmax written as a float or a string, or left to a
+    recipe's default, and resolving reports malformed terms."""
     if not isinstance(obj, dict):
         return
     if isinstance(obj.get("lmax"), int):
         cfg.require_lmax(obj["lmax"])
+    terms = obj.get("harmonics")
+    if isinstance(terms, list):
+        degrees = [t[0] for t in terms
+                   if isinstance(t, list) and t and isinstance(t[0], int)]
+        if degrees:
+            cfg.require_lmax(max(degrees))
     for part in ("gauge", "odd"):
         _require_declared_lmax(cfg, obj.get(part))
 

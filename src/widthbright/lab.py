@@ -24,7 +24,7 @@ import numpy as np
 from .sphere import make_basis, basis_index, node_tables, matrix_entries, \
     entries_det, entries_eigmin
 from .body import SupportFunction, certify_convex, NotConvexError
-from .brightness import _cosine_operator
+from .brightness import cosine_transform
 
 _MIN_EIG_FLOOR = 0.01
 _NORM_TOL = 1e-3
@@ -172,7 +172,7 @@ def _gauge_tables(gauge, grid, degrees):
 
 
 # room for two gauges at least: a probe sequence may alternate between them,
-# and each rebuild costs a GEMM with the N x N cosine operator
+# and each rebuild builds the O(N nv^2) sigma tables and transforms them
 @lru_cache(maxsize=4)
 def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     """Quadratic-in-c model of the relative brightness profile.
@@ -198,18 +198,17 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
                   + np.einsum("nj,nk->njk", MJ[:, 2, :], MJ[:, 0, :])) \
         - np.einsum("nj,nk->njk", MJ[:, 1, :], MJ[:, 1, :])  # sigma(Mj, Mk)
 
-    O = _cosine_operator(grid)
     n, nv = lin.shape
-    b0 = 0.5 * (O @ d0)           # gauge brightness areas
+    areas = 0.5 * cosine_transform(
+        np.column_stack([d0, lin, quad.reshape(n, nv * nv)]), grid, grid.nodes)
+    b0 = areas[:, 0]              # gauge brightness areas
     if np.any(b0 <= 0.0):
         raise NotConvexError("gauge brightness must be positive")
-    BL = 0.5 * (O @ lin)
-    BQ = (0.5 * (O @ quad.reshape(n, nv * nv))).reshape(n, nv, nv)
     # relative-brightness form: r(c) = areas(c)/areas_gauge = 1 + RL c + c RQ c
-    RL = BL / b0[:, None]
-    RQ = BQ / b0[:, None, None]
+    RL = areas[:, 1:1 + nv] / b0[:, None]
+    RQflat = areas[:, 1 + nv:] / b0[:, None]
     wn = grid.weights / (4.0 * math.pi)
-    return idx, cg, basis, M0, MJ, RL, RQ.reshape(n, nv * nv), wn
+    return idx, cg, basis, M0, MJ, RL, RQflat, wn
 
 
 def _variance(RL, RQflat, wn, c):

@@ -8,6 +8,7 @@ pi/32, -pi/64, 7pi/768, -3pi/512 for l = 0, 2, ..., 12.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from widthbright import (
     constant_width_body, central_symmetral,
 )
 from widthbright.brightness import (
-    _cosine_transform_direct, _hull_area, _plane_basis, _HULL_COLLINEAR_TOL,
+    _cosine_operator, _cosine_transform_direct, _hull_area, _kernel_matrix,
+    _plane_basis, _HULL_COLLINEAR_TOL,
 )
 from widthbright.boundary import BodyMesh, inverse_gauss, export_mesh
 from widthbright.sphere import make_basis, make_grid, basis_values
@@ -76,6 +78,56 @@ def test_transform_rejects_length_mismatch(grid32):
         cosine_transform(np.ones(10), grid32, [[0.0, 0.0, 1.0]])
 
 
+@pytest.mark.parametrize("shape", [(12, 24), (13, 26), (32, 64)],
+                         ids=lambda s: "%dx%d" % s)
+def test_on_grid_transform_matches_kernel_rows(shape):
+    # the ring-table route against the dense kernel rows on the same nodes;
+    # 13 rings put the equator ring on its own antipodal ring
+    grid = make_grid(*shape)
+    rng = np.random.default_rng(shape[0])
+    f = rng.standard_normal((grid.n_nodes, 50))
+    rows = _kernel_matrix(grid, grid.nodes)
+    for block in (f[:, 0], f):
+        got = cosine_transform(block, grid, grid.nodes)
+        weights = grid.weights if block.ndim == 1 else grid.weights[:, None]
+        ref = rows @ (weights * block)
+        assert got.shape == block.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shape", [(12, 24), (13, 26), (32, 64)],
+                         ids=lambda s: "%dx%d" % s)
+def test_on_grid_transform_scales_harmonics_by_multipliers(shape):
+    # every degree the grid resolves maps to lambda_l Y; roundoff is measured
+    # against the transform's norm lambda_0 = 2 pi, since the high even
+    # multipliers are small
+    grid = make_grid(*shape)
+    lmax = grid.n_theta - 1
+    Y = basis_values(make_basis(lmax), grid.nodes)
+    lam = cosine_multipliers(lmax)[[l for l in range(lmax + 1)
+                                    for _ in range(2 * l + 1)]]
+    err = np.abs(cosine_transform(Y, grid, grid.nodes) - lam * Y)
+    assert err.max() <= 1e-13 * 2.0 * math.pi * np.abs(Y).max()
+    assert err[:, lam == 0.0].max() <= 1e-13
+
+
+def test_on_grid_operator_is_a_ring_table():
+    # the dense N x N operator held 162 MiB at 48x96; the ring table holds
+    # n_theta^2 (n_phi/2 + 1) doubles, and building it allocates no N x N array
+    grid = make_grid(48, 96)
+    _cosine_operator.cache_clear()
+    tracemalloc.start()
+    try:
+        brightness_profile(ball(1.0), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = _cosine_operator(grid)
+    assert table.base is None
+    assert table.nbytes <= 8 * 48 ** 2 * (96 // 2 + 1) < 2 ** 20
+    assert peak < 8 * grid.n_nodes ** 2 / 4
+
+
 def test_transform_agrees_with_direct_quadrature(grid32):
     # the kinked-kernel quadrature converges at O(n^-2); at 32 rings it
     # should sit within half a percent of the spectral route
@@ -101,6 +153,13 @@ def test_brightness_antipodal_symmetry_is_exact(grid32):
     h = random_convex(9, 8, grid32)
     areas = brightness_profile(h, grid32).areas
     assert np.array_equal(areas, areas[grid32.antipode_index])
+
+
+def test_brightness_antipodal_symmetry_is_exact_with_odd_ring_count():
+    grid = make_grid(13, 26)
+    h = random_convex(9, 8, grid)
+    areas = brightness_profile(h, grid).areas
+    assert np.array_equal(areas, areas[grid.antipode_index])
 
 
 def test_brightness_refuses_non_convex(grid32):

@@ -235,6 +235,17 @@ def test_gen_guard_runs_before_any_table(tmp_path):
         assert node_tables.cache_info().misses == misses
 
 
+def test_gen_guards_degree_of_harmonics_terms(tmp_path):
+    # the terms imply lmax 41; resolving them built tables at that degree
+    # (162 MiB peak) before the guard on the resolved body refused it
+    recipe = {"kind": "constant_width", "gauge": {"kind": "ball", "r": 1.0},
+              "odd": {"harmonics": [[41, 0, 1.0]]}}
+    path = write_json(tmp_path / "high.json", recipe)
+    misses = node_tables.cache_info().misses
+    assert main(["gen", path, "--grid", "16,32"]) == EXIT_INPUT
+    assert node_tables.cache_info().misses == misses
+
+
 def test_gen_rejects_mistyped_recipe_fields(tmp_path, capsys):
     odd = {"harmonics": [[3, 0, 1.0]]}
     for recipe in (

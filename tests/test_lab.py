@@ -261,7 +261,7 @@ def test_gauge_tables_follow_coefficient_changes(grid32):
 
 
 def test_one_cosine_operator_per_grid():
-    # the on-grid transform and the gauge tables share one dense operator
+    # the on-grid transform and the gauge tables share one ring table
     grid = make_grid(12, 24)
     _cosine_operator.cache_clear()
     lab._quadratic_model.cache_clear()
