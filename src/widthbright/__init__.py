@@ -33,13 +33,13 @@ from .sphere import (
     make_grid, make_basis, basis_index, integrate, jet, evaluate,
 )
 from .body import (
-    SupportFunction, ConvexityCertificate, NotConvexError,
-    width, central_symmetral, odd_part, minkowski_sum, certify_convex,
-    volume, homothety_fit, body_to_spec, body_from_spec, save_body, load_body,
+    SupportFunction, ConvexityCertificate, NotConvexError, BoundaryField,
+    inverse_gauss, width, central_symmetral, odd_part, minkowski_sum,
+    certify_convex, volume, homothety_fit, body_to_spec, body_from_spec,
+    save_body, load_body,
 )
 from .boundary import (
-    BoundaryField, BodyMesh,
-    inverse_gauss, even_phi_check, export_mesh, mesh_volume, export_obj,
+    BodyMesh, even_phi_check, export_mesh, mesh_volume, export_obj,
 )
 from .brightness import (
     BrightnessProfile,
@@ -53,7 +53,7 @@ from .generators import (
 )
 from .lab import (
     ParityReport, OptimizerTrace,
-    sigma_form, parity_decomposition_check, det_p_identity_residual,
+    parity_decomposition_check, det_p_identity_residual,
     odd_sign_obstruction, minimize_brightness_variance, trace_to_csv,
     trace_body,
 )

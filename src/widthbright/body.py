@@ -7,17 +7,24 @@ symmetric), the odd part is the asymmetry, and Minkowski sum is coefficient
 addition. Convexity is certified by the least eigenvalue of the support
 matrix h I + hess h over the grid, whose determinant is the reciprocal
 Gauss curvature at the boundary point with outward normal u.
+
+inverse_gauss is the one place a body is evaluated on a grid: it returns a
+read-only BoundaryField (h, the support matrix, its least eigenvalue and
+determinant, and phi = h u + grad h at the nodes), cached per (grid, lmax,
+coefficient values). The certificate, width, volume, brightness, parity
+diagnostics and mesh export all read that record.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .sphere import (
-    make_basis, make_grid, integrate, evaluate,
-    node_tables, matrix_entries, entries_det, entries_eigmin,
+    make_basis, make_grid, integrate, node_tables, entries_det,
+    entries_eigmin, _freeze, _solid_jets, _phi_table,
 )
 
 TOL_PSD = 1e-9
@@ -60,9 +67,6 @@ class SupportFunction:
     def basis(self):
         return make_basis(self.lmax)
 
-    def values(self, pts):
-        return evaluate(self.basis, self.coeffs, pts)
-
 
 @dataclass(eq=False)
 class ConvexityCertificate:
@@ -90,9 +94,65 @@ def closed_form_values(tag, pts):
     raise ValueError("unknown closed form tag: %r" % tag)
 
 
+@dataclass(frozen=True, eq=False)
+class BoundaryField:
+    """One evaluation of a body on a grid; every array is read-only.
+
+    values and phi = h u + grad h are h and the boundary point at each
+    node; entries are the rows (m11, m12, m22) of the support matrix
+    h I + hess h in the node frame, eigmin and detfield its least
+    eigenvalue and determinant. pole_points holds phi at the north and
+    south poles (the grid itself has no pole nodes); min_eigenvalue is the
+    grid minimum of eigmin, the certificate value.
+    """
+
+    values: np.ndarray       # (N,)
+    entries: np.ndarray      # (N, 3)
+    eigmin: np.ndarray       # (N,)
+    detfield: np.ndarray     # (N,)
+    phi: np.ndarray          # (N, 3)
+    pole_points: np.ndarray  # (2, 3): north (+e3), south (-e3)
+    min_eigenvalue: float
+
+
+def inverse_gauss(h, grid):
+    """The BoundaryField of h on the grid, keyed by its coefficient values,
+    so a body changed in place gets a fresh record."""
+    return _field(grid, h.lmax, h.coeffs.tobytes())
+
+
+# room for a few bodies on two grids: an oracle pass alternates between a
+# grid and its 2x refinement, and a probe between its gauge and the starts
+@lru_cache(maxsize=8)
+def _field(grid, lmax, coeff_bytes):
+    c = np.frombuffer(coeff_bytes)
+    basis = make_basis(lmax)
+    tab = node_tables(grid, basis)
+    ent = tab.M @ c
+    eigmin = entries_eigmin(ent)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    return BoundaryField(
+        values=_freeze(tab.V @ c),
+        entries=_freeze(ent),
+        eigmin=_freeze(eigmin),
+        detfield=_freeze(entries_det(ent)),
+        phi=_freeze(tab.PHI @ c),
+        pole_points=_freeze(_phi_table(basis, _solid_jets(poles, lmax), poles) @ c),
+        min_eigenvalue=float(eigmin.min()),
+    )
+
+
+def require_convex(field, what, tol_psd=TOL_PSD):
+    """The field, or NotConvexError when its least eigenvalue is below -tol_psd."""
+    if not field.min_eigenvalue >= -tol_psd:
+        raise NotConvexError("%s needs a certified convex body (min eigenvalue %.3e)"
+                             % (what, field.min_eigenvalue))
+    return field
+
+
 def support_values(h, grid):
     """h at every grid node."""
-    return node_tables(grid, h.basis).V @ h.coeffs
+    return inverse_gauss(h, grid).values
 
 
 def width(h, grid):
@@ -163,14 +223,13 @@ def certify_convex(h, grid, tol_psd=TOL_PSD):
     at most _TIE_ULPS ulps of the largest |eigenvalue|, so a minimum that
     symmetry ties along a ring reports the same node whatever the roundoff.
     """
-    ent = matrix_entries(grid, h.basis, h.coeffs)
-    eigmin = entries_eigmin(ent)
-    dets = entries_det(ent)
-    low = float(eigmin.min())
+    field = inverse_gauss(h, grid)
+    eigmin = field.eigmin
+    low = field.min_eigenvalue
     tie = _TIE_ULPS * np.finfo(float).eps * float(np.abs(eigmin).max())
     return ConvexityCertificate(
         min_eigenvalue=low,
-        det_min=float(dets.min()),
+        det_min=float(field.detfield.min()),
         node_of_min=int(np.flatnonzero(eigmin <= low + tie)[0]),
         convex=bool(low >= -tol_psd),
         tol_psd=tol_psd,
@@ -179,14 +238,8 @@ def certify_convex(h, grid, tol_psd=TOL_PSD):
 
 def volume(h, grid, tol_psd=TOL_PSD):
     """Body volume (1/3) int h det(h I + hess h) dS. Refuses non-convex input."""
-    cert = certify_convex(h, grid, tol_psd)
-    if not cert.convex:
-        raise NotConvexError(
-            "volume needs a certified convex body "
-            "(min eigenvalue %.3e)" % cert.min_eigenvalue)
-    ent = matrix_entries(grid, h.basis, h.coeffs)
-    vals = support_values(h, grid)
-    return integrate(grid, vals * entries_det(ent)) / 3.0
+    field = require_convex(inverse_gauss(h, grid), "volume", tol_psd)
+    return integrate(grid, field.values * field.detfield) / 3.0
 
 
 def homothety_fit(h1, h2, grid):

@@ -1,10 +1,10 @@
-"""Inverse Gauss map, curvature determinant field, and boundary meshing.
+"""Boundary meshing of the inverse Gauss map image.
 
 phi(u) = h(u) u + grad h(u) sends an outward unit normal to the boundary
-point where it is attained; its tangential derivative is h I + hess h, whose
-determinant is the curvature determinant integrated by the brightness
-formula. The mesh built here is the input of the independent shadow oracle,
-so it deliberately shares nothing with the cosine-transform path beyond phi
+point where it is attained; body.inverse_gauss evaluates it, with the
+curvature determinant, at the grid nodes and the poles. The mesh built here
+from those points is the input of the independent shadow oracle, so it
+deliberately shares nothing with the cosine-transform path beyond phi
 itself.
 """
 
@@ -12,53 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import node_tables, entries_det, entries_eigmin, _solid_jets, _phi_table
-from .body import TOL_PSD, certify_convex, NotConvexError
+from .body import TOL_PSD, inverse_gauss, require_convex
 
 _DEGENERATE_AREA = 1e-14
-
-
-@dataclass(eq=False)
-class BoundaryField:
-    """phi and det(h I + hess h) sampled at the grid nodes.
-
-    pole_points holds phi at the north and south poles (the grid itself has
-    no pole nodes); min_eigenvalue carries the convexity certificate value
-    so mesh export can refuse non-convex sources.
-    """
-
-    phi: np.ndarray        # (N, 3)
-    detfield: np.ndarray   # (N,)
-    min_eigenvalue: float
-    pole_points: np.ndarray  # (2, 3): north (+e3), south (-e3)
-    source_label: str = ""
 
 
 @dataclass(eq=False)
 class BodyMesh:
     vertices: np.ndarray   # (M, 3)
     triangles: np.ndarray  # (T, 3) int, outward oriented
-    source_label: str = ""
-
-
-def _phi_at(h, pts):
-    """phi = h u + grad h at arbitrary unit points via the solid basis."""
-    pts = np.atleast_2d(np.asarray(pts, float))
-    return _phi_table(h.basis, _solid_jets(pts, h.lmax), pts) @ h.coeffs
-
-
-def inverse_gauss(h, grid):
-    """Boundary field of h: phi, curvature determinant, PSD margin, poles."""
-    tab = node_tables(grid, h.basis)
-    ent = tab.M @ h.coeffs
-    poles = _phi_at(h, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
-    return BoundaryField(
-        phi=tab.PHI @ h.coeffs,
-        detfield=entries_det(ent),
-        min_eigenvalue=float(entries_eigmin(ent).min()),
-        pole_points=poles,
-        source_label=h.label,
-    )
 
 
 def even_phi_check(p, grid):
@@ -82,10 +44,7 @@ def export_mesh(field, grid, tol_psd=TOL_PSD):
     pole points. Refuses non-convex sources (the lattice would
     self-intersect); reports degenerate (collapsed) triangles.
     """
-    if field.min_eigenvalue < -tol_psd:
-        raise NotConvexError(
-            "mesh export needs a convex source (min eigenvalue %.3e)"
-            % field.min_eigenvalue)
+    require_convex(field, "mesh export", tol_psd)
     nt, npx = grid.n_theta, grid.n_phi
     verts = np.vstack([field.phi, field.pole_points])
     i_north = nt * npx
@@ -111,8 +70,7 @@ def export_mesh(field, grid, tol_psd=TOL_PSD):
     if n_degenerate:
         raise ValueError("%d degenerate (collapsed) triangles in phi image"
                          % n_degenerate)
-    return BodyMesh(vertices=verts, triangles=tris,
-                    source_label=field.source_label)
+    return BodyMesh(vertices=verts, triangles=tris)
 
 
 def mesh_volume(mesh):

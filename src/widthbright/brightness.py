@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .body import TOL_PSD, certify_convex, NotConvexError
-from .boundary import inverse_gauss, export_mesh
+from .body import TOL_PSD, inverse_gauss, require_convex
+from .boundary import export_mesh
 from .sphere import make_grid
 
 _HULL_COLLINEAR_TOL = 1e-12
@@ -158,15 +158,10 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
     most of a 1% budget. Directions default to the grid nodes, where the
     profile's antipodal symmetry is asserted.
     """
-    cert = certify_convex(h, grid, tol_psd)
-    if not cert.convex:
-        raise NotConvexError(
-            "brightness needs a certified convex body (min eigenvalue %.3e)"
-            % cert.min_eigenvalue)
+    field = require_convex(inverse_gauss(h, grid), "brightness", tol_psd)
     on_grid = directions is None
     directions = grid.nodes if on_grid else np.atleast_2d(np.asarray(directions, float))
     if method == "support_formula":
-        field = inverse_gauss(h, grid)
         areas = 0.5 * cosine_transform(field.detfield, grid, directions)
     elif method == "mesh_shadow":
         fine = make_grid(2 * grid.n_theta, 2 * grid.n_phi)

@@ -22,9 +22,9 @@ import numpy as np
 
 from .body import (
     TOL_PSD, NotConvexError, SupportFunction, body_from_spec, body_to_spec,
-    certify_convex, volume, width,
+    certify_convex, inverse_gauss, volume, width,
 )
-from .boundary import export_mesh, export_obj, inverse_gauss
+from .boundary import export_mesh, export_obj
 from .brightness import brightness_profile, profile_to_csv
 from .generators import constant_width_body, random_odd, resolve_recipe
 from .lab import (
@@ -254,7 +254,8 @@ def _load_body(cfg):
 def cmd_analyze(cfg):
     grid = _grid(cfg)
     h = _load_body(cfg)
-    cert = certify_convex(h, grid, cfg.tolerances["psd"])
+    tol_psd = cfg.tolerances["psd"]
+    cert = certify_convex(h, grid, tol_psd)
     w = width(h, grid)
     wn = grid.weights
     report = {
@@ -269,10 +270,10 @@ def cmd_analyze(cfg):
         },
     }
     if cert.convex:
-        profile = brightness_profile(h, grid, tol_psd=cfg.tolerances["psd"])
+        profile = brightness_profile(h, grid, tol_psd=tol_psd)
         mean = float((wn @ profile.areas) / wn.sum())
         var = float((wn @ (profile.areas - mean) ** 2) / wn.sum())
-        report["volume"] = volume(h, grid, cfg.tolerances["psd"])
+        report["volume"] = volume(h, grid, tol_psd)
         report["brightness"] = {
             "min": float(profile.areas.min()),
             "max": float(profile.areas.max()),
@@ -280,13 +281,11 @@ def cmd_analyze(cfg):
             "variance": var,
             "variation": float(profile.areas.max() - profile.areas.min()),
         }
-        parity = parity_report_to_json(parity_decomposition_check(h, grid))
+        parity = parity_report_to_json(
+            parity_decomposition_check(h, grid, tol_psd))
         parity.pop("identity_residual")
         report["parity"] = parity
-        csv_path = _out_path(cfg, "_brightness.csv")
-        if cfg.out:
-            stem, ext = os.path.splitext(cfg.out)
-            csv_path = stem + "_brightness.csv"
+        csv_path = os.path.splitext(cfg.out or cfg.body_path)[0] + "_brightness.csv"
         profile_to_csv(profile, csv_path)
         report["brightness_csv"] = os.path.basename(csv_path)
     else:

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import make_grid, make_basis, basis_index, node_tables, \
-    entries_eigmin, entries_eigmax, matrix_entries
-from .body import SupportFunction, certify_convex, body_from_spec, _padded
+from .sphere import make_grid, make_basis, basis_index, basis_values, \
+    entries_eigmax
+from .body import SupportFunction, certify_convex, body_from_spec, \
+    inverse_gauss, _padded
 
 _MIN_EIG_TARGET = 0.1
 _MAX_HALVINGS = 60
@@ -55,7 +56,7 @@ def ellipsoid(a, b, c, lmax=12, grid=None):
     basis = make_basis(lmax)
     u = grid.nodes
     hv = np.sqrt((a * u[:, 0]) ** 2 + (b * u[:, 1]) ** 2 + (c * u[:, 2]) ** 2)
-    V = node_tables(grid, basis).V
+    V = basis_values(basis, u)
     coeffs = V.T @ (grid.weights * hv)
     # the closed form is even; make the parity exact instead of 1e-16 noise
     coeffs[basis.degrees % 2 == 1] = 0.0
@@ -87,9 +88,9 @@ def constant_width_body(gauge, p, eps_request, grid):
     if not cert.convex or margin <= 0.0:
         raise ValueError("gauge must be certified convex with positive margin")
 
-    ent = matrix_entries(grid, p.basis, p.coeffs)
-    rho = float(np.maximum(np.abs(entries_eigmin(ent)),
-                           np.abs(entries_eigmax(ent))).max())
+    field = inverse_gauss(p, grid)
+    rho = float(np.maximum(np.abs(field.eigmin),
+                           np.abs(entries_eigmax(field.entries))).max())
     if rho == 0.0:
         # degree-1 only: p is a translation, neutral for the support matrix
         if not math.isfinite(float(eps_request)):

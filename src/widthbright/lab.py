@@ -11,8 +11,9 @@ curvature determinant turns this into the proportional-brightness relation.
 The sign obstruction (for odd p, det M_p cannot be negative everywhere) is
 what makes constant width + constant brightness rigid; the optimizer checks
 the rigidity numerically by descending the brightness variance of
-constant-width bodies gauge + p back to the gauge. That variance is an exact
-quartic in the odd coefficients, and the descent uses its exact gradient.
+constant-width bodies gauge + p back to the gauge. That variance is a
+homogeneous quartic in the odd coefficients, and the descent uses its exact
+gradient.
 """
 
 import math
@@ -21,9 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sphere import make_basis, basis_index, node_tables, matrix_entries, \
-    entries_det, entries_eigmin
-from .body import SupportFunction, certify_convex, NotConvexError
+from .sphere import make_basis, basis_index, node_tables, entries_det, \
+    entries_eigmin
+from .body import (
+    TOL_PSD, SupportFunction, NotConvexError, inverse_gauss, require_convex,
+    _padded,
+)
 from .brightness import cosine_transform
 
 _MIN_EIG_FLOOR = 0.01
@@ -35,19 +39,10 @@ _MAX_BACKTRACK = 60
 # ---------------------------------------------------------------------------
 # determinant algebra
 
-def sigma_form(A, B):
-    """Polarization of det on symmetric 2x2 matrices:
-    sigma(A, B) = (tr A tr B - tr(AB)) / 2, so sigma(A, A) = det A."""
-    A = np.asarray(A, float)
-    B = np.asarray(B, float)
-    for M in (A, B):
-        if M.shape != (2, 2) or abs(M[0, 1] - M[1, 0]) > 1e-12:
-            raise ValueError("sigma_form needs symmetric 2x2 inputs")
-    return 0.5 * (np.trace(A) * np.trace(B) - np.trace(A @ B))
-
-
 def _sigma_entries(a, b):
-    # entry-row form (m11, m12, m22); same reduction as sigma_form
+    """Polarization of det on symmetric 2x2 matrices given as entry rows
+    (m11, m12, m22): sigma(A, B) = (tr A tr B - tr(AB)) / 2, so
+    sigma(A, A) = det A."""
     return 0.5 * (a[..., 0] * b[..., 2] + a[..., 2] * b[..., 0]) \
         - a[..., 1] * b[..., 1]
 
@@ -79,22 +74,18 @@ def parity_report_to_json(report):
     }
 
 
-def _split_entries(h, grid):
-    basis = h.basis
-    c_even = np.where(basis.degrees % 2 == 0, h.coeffs, 0.0)
-    c_odd = h.coeffs - c_even
-    M = node_tables(grid, basis).M
-    return M @ h.coeffs, M @ c_even, M @ c_odd
+def _parity_entries(h, grid):
+    """Support-matrix entries of the even part h0 and the odd part p of h."""
+    c_even = np.where(h.basis.degrees % 2 == 0, h.coeffs, 0.0)
+    M = node_tables(grid, h.basis).M
+    return M @ c_even, M @ (h.coeffs - c_even)
 
 
-def parity_decomposition_check(h, grid):
+def parity_decomposition_check(h, grid, tol_psd=TOL_PSD):
     """Check det M_h = det M_p + 2 sigma(M_p, M_h0) + det M_h0 nodewise,
     plus the parity of the two cross terms (det M_p even, sigma odd)."""
-    cert = certify_convex(h, grid)
-    if not cert.convex:
-        raise NotConvexError("parity check needs a certified convex body")
-    eh, e0, ep = _split_entries(h, grid)
-    Dh = entries_det(eh)
+    Dh = require_convex(inverse_gauss(h, grid), "parity check", tol_psd).detfield
+    e0, ep = _parity_entries(h, grid)
     D0 = entries_det(e0)
     Dp = entries_det(ep)
     S = _sigma_entries(ep, e0)
@@ -113,10 +104,8 @@ def det_p_identity_residual(h, beta, grid):
     the sign obstruction says that is impossible for non-ball bodies, so R
     measures how far the constant-brightness condition fails.
     """
-    cert = certify_convex(h, grid)
-    if not cert.convex:
-        raise NotConvexError("det-p identity needs a certified convex body")
-    _, e0, ep = _split_entries(h, grid)
+    require_convex(inverse_gauss(h, grid), "det-p identity")
+    e0, ep = _parity_entries(h, grid)
     return entries_det(ep) + (1.0 - beta) * entries_det(e0)
 
 
@@ -129,7 +118,7 @@ def odd_sign_obstruction(p, grid):
     even = p.basis.degrees % 2 == 0
     if np.any(p.coeffs[even] != 0.0):
         raise ValueError("odd_sign_obstruction needs an odd support function")
-    dets = entries_det(matrix_entries(grid, p.basis, p.coeffs))
+    dets = inverse_gauss(p, grid).detfield
     return float(dets.max()), float(dets.min())
 
 
@@ -177,57 +166,54 @@ def _gauge_tables(gauge, grid, degrees):
 def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     """Quadratic-in-c model of the relative brightness profile.
 
-    brightness areas of gauge + p_c are exactly quadratic in the odd
-    coefficients c because the curvature determinant is: per node,
-    det(M0 + sum c_j Mj) = det M0 + 2 sigma(M0, Mj) c_j + sigma(Mj, Mk) c_j c_k,
-    and the cosine transform is linear. The tables push that through the
-    transform once, so objective evaluations cost O(N nv^2).
+    Per node, det(M0 + sum c_j Mj) = det M0 + 2 sigma(M0, Mj) c_j
+    + sigma(Mj, Mk) c_j c_k. The gauge is even and each Mj has odd degree,
+    so sigma(M0, Mj) is odd and the cosine transform kills it: brightness
+    areas of gauge + p_c are the gauge's plus a quadratic form in the odd
+    coefficients c. The tables push sigma(Mj, Mk) through the transform
+    once, so objective evaluations cost O(N nv^2).
     """
     basis = make_basis(max(gauge_lmax, max(degrees)))
     idx = _variable_indices(basis, degrees)
-    cg = np.zeros(basis.size)
-    cg[:(gauge_lmax + 1) ** 2] = np.frombuffer(gauge_bytes)
+    cg = _padded(np.frombuffer(gauge_bytes), gauge_lmax, basis.lmax)
 
     M = node_tables(grid, basis).M
     M0 = M @ cg                   # (N, 3)
     MJ = M[:, :, idx]             # (N, 3, nv)
     d0 = entries_det(M0)
-    lin = (M0[:, 0, None] * MJ[:, 2, :] + M0[:, 2, None] * MJ[:, 0, :]
-           - 2.0 * M0[:, 1, None] * MJ[:, 1, :])          # 2 sigma(M0, Mj)
     quad = 0.5 * (np.einsum("nj,nk->njk", MJ[:, 0, :], MJ[:, 2, :])
                   + np.einsum("nj,nk->njk", MJ[:, 2, :], MJ[:, 0, :])) \
         - np.einsum("nj,nk->njk", MJ[:, 1, :], MJ[:, 1, :])  # sigma(Mj, Mk)
 
-    n, nv = lin.shape
+    n, _, nv = MJ.shape
     areas = 0.5 * cosine_transform(
-        np.column_stack([d0, lin, quad.reshape(n, nv * nv)]), grid, grid.nodes)
+        np.column_stack([d0, quad.reshape(n, nv * nv)]), grid, grid.nodes)
     b0 = areas[:, 0]              # gauge brightness areas
     if np.any(b0 <= 0.0):
         raise NotConvexError("gauge brightness must be positive")
-    # relative-brightness form: r(c) = areas(c)/areas_gauge = 1 + RL c + c RQ c
-    RL = areas[:, 1:1 + nv] / b0[:, None]
-    RQflat = areas[:, 1 + nv:] / b0[:, None]
+    # relative-brightness form: r(c) = areas(c)/areas_gauge = 1 + c RQ c
+    RQflat = areas[:, 1:] / b0[:, None]
     wn = grid.weights / (4.0 * math.pi)
-    return idx, cg, basis, M0, MJ, RL, RQflat, wn
+    return idx, cg, basis, M0, MJ, RQflat, wn
 
 
-def _variance(RL, RQflat, wn, c):
-    r = RL @ c + RQflat @ np.outer(c, c).ravel()  # r(c) - 1
+def _variance(RQflat, wn, c):
+    r = RQflat @ np.outer(c, c).ravel()  # r(c) - 1
     mean = wn @ r
     d = r - mean
     return float(wn @ (d * d))
 
 
-def _variance_gradient(RL, RQflat, wn, c):
+def _variance_gradient(RQflat, wn, c):
     """Exact gradient of _variance at c.
 
     With d = r - wn.r and v = wn (d - wn.d), dF/dr = 2 v, and RQ is
-    symmetric per node, so grad F = 2 v RL + 4 (v RQ as nv x nv) c.
+    symmetric per node, so grad F = 4 (v RQ as nv x nv) c.
     """
-    r = RL @ c + RQflat @ np.outer(c, c).ravel()
+    r = RQflat @ np.outer(c, c).ravel()
     d = r - wn @ r
     v = wn * (d - wn @ d)
-    return 2.0 * (v @ RL) + 4.0 * (v @ RQflat).reshape(c.size, c.size) @ c
+    return 4.0 * (v @ RQflat).reshape(c.size, c.size) @ c
 
 
 def _min_eig(M0, MJ, c):
@@ -243,7 +229,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     """Descend F(c) = weighted variance of brightness(gauge + p_c)/brightness(gauge).
 
     Variables are the odd coefficients of the given degrees (degree 1 is
-    excluded: it is a pure translation). F is a quartic polynomial in c and
+    excluded: it is a pure translation). F is a homogeneous quartic in c and
     its gradient is exact (_variance_gradient); Barzilai-Borwein step
     seeding, monotone backtracking, and projection to the convexity region
     by step halving (min eigenvalue of the support matrix kept at or above
@@ -253,18 +239,16 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     """
     if any(int(d) % 2 == 0 or int(d) < 3 for d in degrees):
         raise ValueError("variable degrees must be odd and >= 3")
-    cert = certify_convex(gauge, grid)
-    if not cert.convex or cert.min_eigenvalue <= _MIN_EIG_FLOOR:
+    if not inverse_gauss(gauge, grid).min_eigenvalue > _MIN_EIG_FLOOR:
         raise ValueError("gauge must be certified convex with margin above the floor")
     if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
         raise ValueError("gauge must be even")
 
-    idx, cg, basis, M0, MJ, RL, RQflat, wn = _gauge_tables(gauge, grid, degrees)
+    idx, cg, basis, M0, MJ, RQflat, wn = _gauge_tables(gauge, grid, degrees)
 
     if isinstance(init_odd, SupportFunction):
-        full = np.zeros(basis.size)
-        full[:init_odd.coeffs.size] = init_odd.coeffs
-        c = full[idx].copy()
+        full = _padded(init_odd.coeffs, init_odd.lmax, basis.lmax)
+        c = full[idx]
         full[idx] = 0.0
         if np.any(full != 0.0):
             raise ValueError("init_odd has support outside the variable degrees")
@@ -274,7 +258,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
             raise ValueError("init_odd length does not match the variable count")
 
     def F(cv):
-        return _variance(RL, RQflat, wn, cv)
+        return _variance(RQflat, wn, cv)
 
     trace = []
     if not _feasible(M0, MJ, c):
@@ -293,7 +277,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         if np.linalg.norm(c) < _NORM_TOL and Fc < _VAR_TOL:
             status = "converged_to_gauge"
             break
-        g = _variance_gradient(RL, RQflat, wn, c)
+        g = _variance_gradient(RQflat, wn, c)
         gn = float(np.linalg.norm(g))
         if gn == 0.0:
             break
@@ -335,8 +319,6 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
 def trace_body(gauge, trace):
     """SupportFunction of gauge + final odd coefficients of a trace."""
     lmax = max(gauge.lmax, max(trace.degrees))
-    basis = make_basis(lmax)
-    coeffs = np.zeros(basis.size)
-    coeffs[:gauge.coeffs.size] = gauge.coeffs
-    coeffs[_variable_indices(basis, trace.degrees)] += trace.final_coeffs
+    coeffs = _padded(gauge.coeffs, gauge.lmax, lmax)
+    coeffs[_variable_indices(make_basis(lmax), trace.degrees)] += trace.final_coeffs
     return SupportFunction(coeffs, lmax, label="optimized(%s)" % gauge.label)

@@ -368,12 +368,6 @@ def node_tables(grid, basis):
     return NodeTables(V=_freeze(vals), PHI=_freeze(phi), M=_freeze(m))
 
 
-def matrix_entries(grid, basis, coeffs):
-    """Entries (m11, m12, m22) of h I + hess h at every node, shape (N, 3)."""
-    coeffs = np.asarray(coeffs, float)
-    return node_tables(grid, basis).M @ coeffs
-
-
 def entries_det(e):
     """Determinant of symmetric 2x2 matrices given as (m11, m12, m22) rows."""
     return e[..., 0] * e[..., 2] - e[..., 1] * e[..., 1]

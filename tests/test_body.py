@@ -7,6 +7,7 @@ diag(h + h'', h + cot(theta) h'). The frozen constants were computed with
 sympy from that reduction (see the repeated values in test comments).
 """
 
+import dataclasses
 import json
 import math
 
@@ -19,7 +20,9 @@ from widthbright import (
     ball, ellipsoid, basis_index, make_basis, width, central_symmetral, odd_part,
     minkowski_sum, certify_convex, volume, homothety_fit,
 )
-from widthbright.body import support_values, scale, body_to_spec, body_from_spec
+from widthbright.body import (
+    support_values, scale, body_to_spec, body_from_spec, inverse_gauss,
+)
 from widthbright.sphere import basis_values
 
 FOUR_PI = 4.0 * math.pi
@@ -174,13 +177,38 @@ def test_node_of_min_ignores_last_bit_roundoff(grid32):
     assert cert.node_of_min % grid32.n_phi == 0
 
 
+def test_record_follows_coefficient_changes(grid32):
+    h = ball(1.0)
+    before = inverse_gauss(h, grid32)
+    assert abs(certify_convex(h, grid32).min_eigenvalue - 1.0) < 1e-12
+    h.coeffs[0] *= 2.0
+    after = inverse_gauss(h, grid32)
+    assert after is not before
+    assert abs(certify_convex(h, grid32).min_eigenvalue - 2.0) < 1e-12
+    np.testing.assert_allclose(after.values, 2.0 * before.values, rtol=1e-15)
+    np.testing.assert_allclose(after.detfield, 4.0 * before.detfield, rtol=1e-14)
+    # keyed by the coefficient values: an equal body shares the record
+    assert inverse_gauss(SupportFunction(h.coeffs.copy(), 0), grid32) is after
+
+
+def test_record_is_read_only(grid16):
+    field = inverse_gauss(harmonic(3, 1, 0.05), grid16)
+    arrays = [v for v in vars(field).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 6
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.values = np.zeros(grid16.n_nodes)
+
+
 def test_zonal_oracle_matrix_entries(grid32):
     # frozen from the zonal reduction of Y30 at the first ring of the
     # symmetrized 32-point Gauss-Legendre rule
-    from widthbright.sphere import matrix_entries
     c = np.zeros(16)
     c[basis_index(3, 0)] = 1.0
-    ent0 = matrix_entries(grid32, make_basis(3), c)[0]
+    ent0 = inverse_gauss(SupportFunction(c, 3), grid32).entries[0]
     np.testing.assert_allclose(
         ent0, [3.6402026920967785, 0.0, 3.7012152024465323], atol=1e-12)
 

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import widthbright
+from widthbright.body import _field, body_to_spec
 from widthbright.cli import main, EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE
-from widthbright.sphere import node_tables
+from widthbright.generators import random_convex
+from widthbright.sphere import make_grid, node_tables
 
 # Absolute directory holding the widthbright package under test. A child
 # process gets it first on its PYTHONPATH, so it imports this same tree from
@@ -123,6 +125,46 @@ def test_analyze_non_convex_body_still_reports(tmp_path):
     assert report["certificate"]["convex"] is False
     assert "note" in report
     assert "brightness" not in report
+
+
+def test_analyze_tolerance_governs_the_parity_check(tmp_path):
+    # 2e-4 short of convex: certificate, brightness and volume accepted the
+    # body under --tol psd=1e-3, then the parity block rechecked it at the
+    # default tolerance and exited 3 without a report
+    spec = nonconvex_spec()
+    spec["coeffs"][12] = 0.2681
+    body = write_json(tmp_path / "flat.json", spec)
+    assert main(["analyze", body, "--tol", "psd=1e-3"]) == EXIT_OK
+    report = json.loads((tmp_path / "flat.report.json").read_text())
+    assert -1e-3 < report["certificate"]["min_eigenvalue"] < -1e-4
+    assert report["certificate"]["convex"] is True
+    assert report["parity"]["identity_residual_max"] < 1e-12
+    assert main(["analyze", body]) == EXIT_OK
+    report = json.loads((tmp_path / "flat.report.json").read_text())
+    assert "parity" not in report
+
+
+def test_analyze_evaluates_the_body_once(tmp_path, monkeypatch):
+    # analyze read the run grid's support table nine times: four
+    # certificates, inverse_gauss, volume, and three products in the parity
+    # check, six of them on the same coefficients
+    spec = body_to_spec(random_convex(3, 6, make_grid(16, 32)))
+    body = write_json(tmp_path / "rc.json", spec)
+    reads = []
+
+    def counted(grid, basis):
+        reads.append((grid.n_theta, grid.n_phi))
+        return node_tables(grid, basis)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("widthbright") and getattr(mod, "node_tables", None) is node_tables:
+            monkeypatch.setattr(mod, "node_tables", counted)
+    _field.cache_clear()
+    assert main(["analyze", body]) == EXIT_OK
+    info = _field.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    # the record, then the even and odd parts of the parity check
+    assert reads == [(32, 64), (32, 64)]
 
 
 def test_analyze_respects_out_flag(tmp_path):

@@ -14,7 +14,9 @@ from widthbright import (
 )
 from widthbright.body import closed_form_values, support_values
 from widthbright.boundary import inverse_gauss
-from widthbright.sphere import matrix_entries, entries_eigmin, entries_eigmax
+from widthbright.sphere import (
+    make_basis, make_grid, entries_eigmin, entries_eigmax, node_tables,
+)
 
 
 def pure_harmonic(l, m, coeff=1.0):
@@ -50,6 +52,22 @@ def test_ellipsoid_projection_error(grid32):
     exact = closed_form_values(h.closed_form, grid32.nodes)
     dev = np.abs(support_values(h, grid32) - exact).max()
     assert dev < 1e-4
+
+
+def test_ellipsoid_builds_no_node_tables():
+    # the projection read only the values of full value, gradient and
+    # support-matrix tables that it built and cached on its own 48x96 grid
+    misses = node_tables.cache_info().misses
+    h = ellipsoid(1.0, 1.5, 2.0, lmax=9)
+    assert node_tables.cache_info().misses == misses
+    grid = make_grid(48, 96)
+    u = grid.nodes
+    hv = np.sqrt(u[:, 0] ** 2 + (1.5 * u[:, 1]) ** 2 + (2.0 * u[:, 2]) ** 2)
+    V = node_tables(grid, make_basis(9)).V
+    want = V.T @ (grid.weights * hv)
+    want[h.basis.degrees % 2 == 1] = 0.0
+    np.testing.assert_array_equal(h.coeffs, want)
+    assert h.truncation_tol == float(np.abs(V @ want - hv).max())
 
 
 def test_ellipsoid_has_no_odd_terms():
@@ -129,7 +147,7 @@ def test_odd_eigenvalues_flip_across_antipodes(grid32):
     # for odd p the support matrix at -u is minus a rotation of the one at
     # u, so the spectrum flips sign exactly
     p = random_odd(12, degrees=(3, 5, 7))
-    ent = matrix_entries(grid32, p.basis, p.coeffs)
+    ent = inverse_gauss(p, grid32).entries
     lo, hi = entries_eigmin(ent), entries_eigmax(ent)
     assert np.array_equal(lo[grid32.antipode_index], -hi)
 

@@ -8,13 +8,13 @@ import pytest
 from widthbright import (
     SupportFunction, ball, ellipsoid, basis_index, random_convex, random_odd,
     constant_width_body, proportional_brightness_residual, brightness_profile,
-    sigma_form, parity_decomposition_check, det_p_identity_residual,
+    parity_decomposition_check, det_p_identity_residual,
     odd_sign_obstruction, minimize_brightness_variance, trace_to_csv,
     trace_body,
 )
 from widthbright import lab
 from widthbright.body import scale
-from widthbright.brightness import _cosine_operator
+from widthbright.brightness import _cosine_operator, cosine_transform
 from widthbright.lab import (
     _gauge_tables, _variance, _variance_gradient, _sigma_entries,
 )
@@ -28,34 +28,30 @@ def pure_harmonic(l, m, coeff=1.0):
 
 
 # ---------------------------------------------------------------------------
-# sigma, the polarization of det
+# sigma, the polarization of det, on entry rows (m11, m12, m22)
+
+def rows(*matrices):
+    return np.array([[M[0, 0], M[0, 1], M[1, 1]] for M in matrices])
+
 
 def test_sigma_form_examples():
     I = np.eye(2)
-    assert abs(sigma_form(I, I) - 1.0) < 1e-15
     A = np.diag([2.0, 3.0])
-    assert abs(sigma_form(A, A) - 6.0) < 1e-15
-    assert abs(sigma_form(I, A) - 2.5) < 1e-15
+    got = _sigma_entries(rows(I, A, I), rows(I, A, A))
+    np.testing.assert_allclose(got, [1.0, 6.0, 2.5], rtol=0, atol=1e-15)
 
 
 def test_sigma_form_is_the_det_polarization():
     rng = np.random.default_rng(0)
-    for _ in range(1000):
-        A = rng.standard_normal((2, 2))
-        A = 0.5 * (A + A.T)
-        B = rng.standard_normal((2, 2))
-        B = 0.5 * (B + B.T)
-        want = 0.5 * (np.linalg.det(A + B) - np.linalg.det(A)
-                      - np.linalg.det(B))
-        assert abs(sigma_form(A, B) - want) < 1e-12
-
-
-def test_sigma_form_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        sigma_form(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
+    A = rng.standard_normal((1000, 3))
+    B = rng.standard_normal((1000, 3))
+    det = lambda e: e[:, 0] * e[:, 2] - e[:, 1] ** 2
+    want = 0.5 * (det(A + B) - det(A) - det(B))
+    assert np.abs(_sigma_entries(A, B) - want).max() < 1e-12
 
 
 def test_sigma_entries_match_matrix_form():
+    # the 2x2 trace formula sigma(A, B) = (tr A tr B - tr(AB)) / 2
     rng = np.random.default_rng(5)
     a = rng.standard_normal((50, 3))
     b = rng.standard_normal((50, 3))
@@ -63,7 +59,8 @@ def test_sigma_entries_match_matrix_form():
     for k in range(50):
         A = np.array([[a[k, 0], a[k, 1]], [a[k, 1], a[k, 2]]])
         B = np.array([[b[k, 0], b[k, 1]], [b[k, 1], b[k, 2]]])
-        assert abs(got[k] - sigma_form(A, B)) < 1e-12
+        want = 0.5 * (np.trace(A) * np.trace(B) - np.trace(A @ B))
+        assert abs(got[k] - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +205,10 @@ def test_optimizer_input_validation(grid32):
 
 
 def test_variance_fast_path_matches_brightness_profiles(grid32):
-    idx, cg, basis, M0, MJ, RL, RQflat, wn = _gauge_tables(
+    idx, cg, basis, M0, MJ, RQflat, wn = _gauge_tables(
         ball(1.0), grid32, (3, 5))
     c = random_odd(4, degrees=(3, 5), scale=0.02).coeffs[idx]
-    r = RL @ c + RQflat @ np.outer(c, c).ravel()
+    r = RQflat @ np.outer(c, c).ravel()
     coeffs = np.zeros(basis.size)
     coeffs[0] = 2.0 * math.sqrt(math.pi)
     coeffs[idx] = c
@@ -224,25 +221,36 @@ def test_variance_fast_path_matches_brightness_profiles(grid32):
 def test_variance_valley_is_quartic_for_even_gauges(grid32):
     # odd perturbations of an even gauge change brightness at second order,
     # so the variance is quartic near the bottom: F(2c) ~ 16 F(c)
-    idx, _, _, _, _, RL, RQflat, wn = _gauge_tables(ball(1.0), grid32, (3, 5))
+    idx, _, _, _, _, RQflat, wn = _gauge_tables(ball(1.0), grid32, (3, 5))
     c = random_odd(6, degrees=(3, 5), scale=1e-3).coeffs[idx]
-    f1 = _variance(RL, RQflat, wn, c)
-    f2 = _variance(RL, RQflat, wn, 2.0 * c)
+    f1 = _variance(RQflat, wn, c)
+    f2 = _variance(RQflat, wn, 2.0 * c)
     assert abs(f2 / f1 - 16.0) < 1e-3
+
+
+def test_linear_brightness_term_of_an_even_gauge_is_roundoff(grid32):
+    # the model keeps no linear table: for an even gauge, 2 sigma(M0, Mj) is
+    # odd and the cosine transform kills it, leaving roundoff against RQ
+    for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
+        _, _, _, M0, MJ, RQflat, _ = _gauge_tables(gauge, grid32, (3, 5))
+        lin = 2.0 * _sigma_entries(M0[:, None, :], MJ.transpose(0, 2, 1))
+        b0 = brightness_profile(gauge, grid32).areas
+        RL = 0.5 * cosine_transform(lin, grid32, grid32.nodes) / b0[:, None]
+        assert np.abs(RL).max() <= 1e-13 * np.abs(RQflat).max()
 
 
 def test_variance_gradient_matches_central_differences(grid32):
     rng = np.random.default_rng(11)
     step = 1e-5
     for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
-        _, _, _, _, _, RL, RQflat, wn = _gauge_tables(gauge, grid32, (3, 5))
+        _, _, _, _, MJ, RQflat, wn = _gauge_tables(gauge, grid32, (3, 5))
         for _ in range(3):
-            c = 0.05 * rng.standard_normal(RL.shape[1])
+            c = 0.05 * rng.standard_normal(MJ.shape[2])
             fd = np.array([
-                (_variance(RL, RQflat, wn, c + step * e)
-                 - _variance(RL, RQflat, wn, c - step * e)) / (2.0 * step)
+                (_variance(RQflat, wn, c + step * e)
+                 - _variance(RQflat, wn, c - step * e)) / (2.0 * step)
                 for e in np.eye(c.size)])
-            g = _variance_gradient(RL, RQflat, wn, c)
+            g = _variance_gradient(RQflat, wn, c)
             assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
 
 

@@ -14,7 +14,7 @@ import sympy as sp
 
 from widthbright import make_grid, make_basis, basis_index, integrate, jet
 from widthbright.sphere import (
-    basis_values, evaluate, eval_homogeneous, node_tables, matrix_entries,
+    basis_values, evaluate, eval_homogeneous, node_tables,
     entries_det, entries_eigmin, entries_eigmax, _solid_jets,
 )
 from conftest import unit_vectors
@@ -347,7 +347,7 @@ def test_matrix_entries_match_jets(grid16):
     basis = make_basis(4)
     rng = np.random.default_rng(31)
     coeffs = rng.standard_normal(basis.size)
-    ent = matrix_entries(grid16, basis, coeffs)
+    ent = node_tables(grid16, basis).M @ coeffs
     for i in rng.integers(0, grid16.n_nodes, 6):
         j = jet(basis, coeffs, grid16.nodes[i], grid16.frame[i])
         m = np.array([j.value + j.hess[0, 0], j.hess[0, 1],
