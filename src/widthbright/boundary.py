@@ -81,17 +81,6 @@ def mesh_volume(mesh):
                            np.cross(v[t[:, 1]], v[t[:, 2]])).sum() / 6.0)
 
 
-def mesh_is_closed(mesh):
-    """True when every edge is shared by exactly two triangles, once per direction."""
-    edges = {}
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            edges[(int(a), int(b))] = edges.get((int(a), int(b)), 0) + 1
-    if any(n != 1 for n in edges.values()):
-        return False
-    return all((b, a) in edges for (a, b) in edges)
-
-
 def export_obj(mesh, path):
     """Write Wavefront OBJ: 'v x y z' lines then 1-based 'f i j k' lines."""
     lines = []

@@ -7,7 +7,7 @@ exactly and scales even degree l by lambda_l = 2 pi int_{-1}^{1} |t| P_l(t) dt.
 The implementation expands the kernel |<a,u>| in Legendre polynomials of the
 dot product, which for bandlimited integrands reproduces the transform to
 roundoff; naive quadrature of the kinked kernel would stall at O(n^-2)
-accuracy and is kept only as a cross-check (_cosine_transform_direct).
+accuracy, and only the tests keep it, as a cross-check.
 Between the grid's own nodes the kernel depends only on the two rings and
 the azimuth difference, so the on-grid transform is an azimuthal
 convolution (Driscoll & Healy 1994): an rfft along azimuth, one
@@ -138,13 +138,6 @@ def cosine_transform(f, grid, directions):
         return np.fft.irfft(out.transpose(1, 0, 2), n=n_phi, axis=1).reshape(f.shape)
     weights = grid.weights if f.ndim == 1 else grid.weights[:, None]
     return _kernel_matrix(grid, directions) @ (weights * f)
-
-
-def _cosine_transform_direct(f, grid, directions):
-    # literal quadrature of the kinked kernel; O(n_theta^-2), test cross-check only
-    f = np.asarray(f, float)
-    directions = np.atleast_2d(np.asarray(directions, float))
-    return np.abs(directions @ grid.nodes.T) @ (grid.weights * f)
 
 
 def brightness_profile(h, grid, directions=None, method="support_formula",

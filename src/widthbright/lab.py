@@ -12,8 +12,9 @@ The sign obstruction (for odd p, det M_p cannot be negative everywhere) is
 what makes constant width + constant brightness rigid; the optimizer checks
 the rigidity numerically by descending the brightness variance of
 constant-width bodies gauge + p back to the gauge. That variance is a
-homogeneous quartic in the odd coefficients, and the descent uses its exact
-gradient.
+homogeneous quartic in the odd coefficients: with z = vec(c c^T) it is
+z^T G z for a Gram matrix G built once per gauge, so the objective and its
+exact gradient cost O(nv^4) per call, whatever the grid.
 """
 
 import math
@@ -161,67 +162,58 @@ def _gauge_tables(gauge, grid, degrees):
 
 
 # room for two gauges at least: a probe sequence may alternate between them,
-# and each rebuild builds the O(N nv^2) sigma tables and transforms them
+# and each rebuild transforms the O(N nv^2) sigma tables and forms their
+# O(N nv^4) Gram product
 @lru_cache(maxsize=4)
 def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
-    """Quadratic-in-c model of the relative brightness profile.
+    """Gram matrix of the brightness variance, a quartic in c.
 
     Per node, det(M0 + sum c_j Mj) = det M0 + 2 sigma(M0, Mj) c_j
     + sigma(Mj, Mk) c_j c_k. The gauge is even and each Mj has odd degree,
-    so sigma(M0, Mj) is odd and the cosine transform kills it: brightness
-    areas of gauge + p_c are the gauge's plus a quadratic form in the odd
-    coefficients c. The tables push sigma(Mj, Mk) through the transform
-    once, so objective evaluations cost O(N nv^2).
+    so sigma(M0, Mj) is odd and the cosine transform kills it: the relative
+    brightness of gauge + p_c is 1 + RQ z per node, with z = vec(c c^T).
+    Centring RQ on its weighted mean turns the weighted variance into
+    F(c) = z^T G z with G = RQc^T diag(wn) RQc, an nv^2 x nv^2 matrix, so
+    F and grad F = 4 (G z as nv x nv) c cost O(nv^4) per call. The support
+    matrices are kept entry-major, M0 (3, N) and MJ (3, N, nv).
     """
     basis = make_basis(max(gauge_lmax, max(degrees)))
     idx = _variable_indices(basis, degrees)
     cg = _padded(np.frombuffer(gauge_bytes), gauge_lmax, basis.lmax)
 
     M = node_tables(grid, basis).M
-    M0 = M @ cg                   # (N, 3)
-    MJ = M[:, :, idx]             # (N, 3, nv)
-    d0 = entries_det(M0)
-    quad = 0.5 * (np.einsum("nj,nk->njk", MJ[:, 0, :], MJ[:, 2, :])
-                  + np.einsum("nj,nk->njk", MJ[:, 2, :], MJ[:, 0, :])) \
-        - np.einsum("nj,nk->njk", MJ[:, 1, :], MJ[:, 1, :])  # sigma(Mj, Mk)
+    M0 = np.ascontiguousarray((M @ cg).T)                       # (3, N)
+    MJ = np.ascontiguousarray(M[:, :, idx].transpose(1, 0, 2))  # (3, N, nv)
+    rows = MJ.transpose(1, 2, 0)                                # (N, nv, 3)
+    quad = _sigma_entries(rows[:, :, None, :], rows[:, None, :, :])  # sigma(Mj, Mk)
 
-    n, _, nv = MJ.shape
+    _, n, nv = MJ.shape
     areas = 0.5 * cosine_transform(
-        np.column_stack([d0, quad.reshape(n, nv * nv)]), grid, grid.nodes)
+        np.column_stack([entries_det(M0.T), quad.reshape(n, nv * nv)]),
+        grid, grid.nodes)
     b0 = areas[:, 0]              # gauge brightness areas
     if np.any(b0 <= 0.0):
         raise NotConvexError("gauge brightness must be positive")
-    # relative-brightness form: r(c) = areas(c)/areas_gauge = 1 + c RQ c
-    RQflat = areas[:, 1:] / b0[:, None]
     wn = grid.weights / (4.0 * math.pi)
-    return idx, cg, basis, M0, MJ, RQflat, wn
+    RQc = areas[:, 1:] / b0[:, None]
+    RQc -= wn @ RQc
+    S = np.sqrt(wn)[:, None] * RQc
+    return idx, basis, M0, MJ, S.T @ S  # numpy's syrk: exactly symmetric
 
 
-def _variance(RQflat, wn, c):
-    r = RQflat @ np.outer(c, c).ravel()  # r(c) - 1
-    mean = wn @ r
-    d = r - mean
-    return float(wn @ (d * d))
+def _variance(G, c):
+    z = np.outer(c, c).ravel()
+    return float(z @ (G @ z))
 
 
-def _variance_gradient(RQflat, wn, c):
-    """Exact gradient of _variance at c.
-
-    With d = r - wn.r and v = wn (d - wn.d), dF/dr = 2 v, and RQ is
-    symmetric per node, so grad F = 4 (v RQ as nv x nv) c.
-    """
-    r = RQflat @ np.outer(c, c).ravel()
-    d = r - wn @ r
-    v = wn * (d - wn @ d)
-    return 4.0 * (v @ RQflat).reshape(c.size, c.size) @ c
+def _variance_gradient(G, c):
+    """Exact gradient of _variance at c: G is symmetric and so is each node's
+    sigma(Mj, Mk) in (j, k), so grad F = 4 (G z as nv x nv) c."""
+    return 4.0 * (G @ np.outer(c, c).ravel()).reshape(c.size, c.size) @ c
 
 
 def _min_eig(M0, MJ, c):
-    return float(entries_eigmin(M0 + MJ @ c).min())
-
-
-def _feasible(M0, MJ, c):
-    return _min_eig(M0, MJ, c) >= _MIN_EIG_FLOOR
+    return float(entries_eigmin((M0 + MJ @ c).T).min())
 
 
 def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
@@ -229,10 +221,11 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     """Descend F(c) = weighted variance of brightness(gauge + p_c)/brightness(gauge).
 
     Variables are the odd coefficients of the given degrees (degree 1 is
-    excluded: it is a pure translation). F is a homogeneous quartic in c and
-    its gradient is exact (_variance_gradient); Barzilai-Borwein step
-    seeding, monotone backtracking, and projection to the convexity region
-    by step halving (min eigenvalue of the support matrix kept at or above
+    excluded: it is a pure translation). F is a homogeneous quartic in c,
+    evaluated with its exact gradient on the gauge's Gram matrix
+    (_quadratic_model); Barzilai-Borwein step seeding, monotone
+    backtracking, and projection to the convexity region by step halving
+    (min eigenvalue of the support matrix kept at or above
     _MIN_EIG_FLOOR). Terminal states: converged_to_gauge (||c|| < _NORM_TOL
     and F < _VAR_TOL), stalled, infeasible (init outside the convexity
     region).
@@ -244,10 +237,11 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
         raise ValueError("gauge must be even")
 
-    idx, cg, basis, M0, MJ, RQflat, wn = _gauge_tables(gauge, grid, degrees)
+    idx, basis, M0, MJ, G = _gauge_tables(gauge, grid, degrees)
 
     if isinstance(init_odd, SupportFunction):
-        full = _padded(init_odd.coeffs, init_odd.lmax, basis.lmax)
+        full = _padded(init_odd.coeffs, init_odd.lmax,
+                       max(init_odd.lmax, basis.lmax))
         c = full[idx]
         full[idx] = 0.0
         if np.any(full != 0.0):
@@ -257,17 +251,15 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         if c.shape != (idx.size,):
             raise ValueError("init_odd length does not match the variable count")
 
-    def F(cv):
-        return _variance(RQflat, wn, cv)
-
     trace = []
-    if not _feasible(M0, MJ, c):
+    eig = _min_eig(M0, MJ, c)
+    if not eig >= _MIN_EIG_FLOOR:
         return OptimizerTrace(iterations=trace, terminal_status="infeasible",
                               degrees=tuple(degrees), final_coeffs=c,
                               gauge_label=gauge.label)
 
-    Fc = F(c)
-    trace.append((float(np.linalg.norm(c)), Fc, _min_eig(M0, MJ, c), 0.0))
+    Fc = _variance(G, c)
+    trace.append((float(np.linalg.norm(c)), Fc, eig, 0.0))
     status = "stalled"
     g_prev = None
     s_prev = None
@@ -277,7 +269,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         if np.linalg.norm(c) < _NORM_TOL and Fc < _VAR_TOL:
             status = "converged_to_gauge"
             break
-        g = _variance_gradient(RQflat, wn, c)
+        g = _variance_gradient(G, c)
         gn = float(np.linalg.norm(g))
         if gn == 0.0:
             break
@@ -294,8 +286,9 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         accepted = False
         for _ in range(_MAX_BACKTRACK):
             c_try = c - step * g
-            if _feasible(M0, MJ, c_try):
-                F_try = F(c_try)
+            eig = _min_eig(M0, MJ, c_try)
+            if eig >= _MIN_EIG_FLOOR:
+                F_try = _variance(G, c_try)
                 if F_try <= Fc:
                     accepted = True
                     break
@@ -306,7 +299,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         g_prev = g
         c = c_try
         Fc = F_try
-        trace.append((float(np.linalg.norm(c)), Fc, _min_eig(M0, MJ, c), step))
+        trace.append((float(np.linalg.norm(c)), Fc, eig, step))
 
     if np.linalg.norm(c) < _NORM_TOL and Fc < _VAR_TOL:
         status = "converged_to_gauge"

@@ -173,9 +173,12 @@ def _times_coord(x, a, t):
     """Jet of x_a * t by the product rule.
 
     A jet stacks the value, three Cartesian gradient rows and six Hessian
-    rows along axis 0; t is (10, k, N) and x is (3, 1, N).
+    rows along axis 0; t is (10, k, N), or (1, k, N) for values alone, and x
+    is (3, 1, N).
     """
     out = x[a] * t
+    if len(t) == 1:
+        return out
     out[1 + a] += t[0]
     for k, (b, c) in enumerate(_PAIRS):
         if b == a:
@@ -188,6 +191,8 @@ def _times_coord(x, a, t):
 def _times_r2(x, r2, t):
     """Jet of r^2 * t by the product rule."""
     out = r2 * t
+    if len(t) == 1:
+        return out
     for a in range(3):
         out[1 + a] += 2 * x[a] * t[0]
     for k, (a, b) in enumerate(_PAIRS):
@@ -197,14 +202,15 @@ def _times_r2(x, r2, t):
     return out
 
 
-def _solid_jets(pts, lmax):
+def _solid_jets(pts, lmax, values_only=False):
     """Value, gradient and Hessian of every solid harmonic R_q at points x.
 
     Returns J of shape (10, (lmax+1)^2, N): J[0, q, i] = R_q(x_i), J[1:4]
     the Cartesian gradient, J[4:] the Hessian rows (xx, xy, xz, yy, yz,
-    zz). R_q is the degree-l_q homogeneous polynomial equal to Y_q on the
-    unit sphere, so x need not be a unit vector. Works in the dtype of pts
-    (float64, or longdouble for reference computations).
+    zz). values_only carries the value row alone through the same steps,
+    giving J[:1] bitwise. R_q is the degree-l_q homogeneous polynomial equal
+    to Y_q on the unit sphere, so x need not be a unit vector. Works in the
+    dtype of pts (float64, or longdouble for reference computations).
 
     The normalized Cartesian recurrences (Helgaker, Jorgensen & Olsen,
     Molecular Electronic-Structure Theory, sec. 6.4), with C_l = R_{l,l},
@@ -224,7 +230,7 @@ def _solid_jets(pts, lmax):
     dtype = np.result_type(pts.dtype, float)
     x = pts.T.astype(dtype)[:, None, :]  # (3, 1, N)
     r2 = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
-    J = np.zeros((10, (lmax + 1) ** 2, pts.shape[0]), dtype)
+    J = np.zeros((1 if values_only else 10, (lmax + 1) ** 2, pts.shape[0]), dtype)
     J[0, 0] = 1 / (2 * np.sqrt(np.arccos(dtype.type(-1))))
     for l in range(1, lmax + 1):
         below = J[:, (l - 1) ** 2:l * l]  # degree l - 1, m = 1-l .. l-1
@@ -261,7 +267,8 @@ def _phi_table(basis, jets, pts):
 
 def basis_values(basis, pts):
     """Values of every basis function at the given unit points, shape (N, B)."""
-    return np.ascontiguousarray(_solid_jets(np.atleast_2d(pts), basis.lmax)[0].T)
+    return np.ascontiguousarray(
+        _solid_jets(np.atleast_2d(pts), basis.lmax, values_only=True)[0].T)
 
 
 def evaluate(basis, coeffs, pts):
@@ -277,7 +284,7 @@ def eval_homogeneous(basis, coeffs, xs):
     coeffs = np.asarray(coeffs, float)
     xs = np.atleast_2d(np.asarray(xs, float))
     r = np.linalg.norm(xs, axis=1)
-    vals = _solid_jets(xs, basis.lmax)[0].T
+    vals = _solid_jets(xs, basis.lmax, values_only=True)[0].T
     # R_q is homogeneous of degree l_q, so p~ = sum c_q R_q(x) r^(1-l_q)
     scale = r[:, None] ** (1.0 - basis.degrees[None, :])
     return (vals * scale) @ coeffs

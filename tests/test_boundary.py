@@ -12,7 +12,6 @@ from widthbright import (
     mesh_volume, export_obj,
 )
 from widthbright.body import support_values
-from widthbright.boundary import mesh_is_closed
 from widthbright.sphere import make_grid
 
 
@@ -20,6 +19,17 @@ def pure_harmonic(l, m, coeff=1.0):
     coeffs = np.zeros((l + 1) ** 2)
     coeffs[basis_index(l, m)] = coeff
     return SupportFunction(coeffs, l)
+
+
+def mesh_is_closed(mesh):
+    """True when every edge is shared by exactly two triangles, once per direction."""
+    edges = {}
+    for tri in mesh.triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            edges[(int(a), int(b))] = edges.get((int(a), int(b)), 0) + 1
+    if any(n != 1 for n in edges.values()):
+        return False
+    return all((b, a) in edges for (a, b) in edges)
 
 
 # ---------------------------------------------------------------------------

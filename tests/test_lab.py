@@ -13,7 +13,7 @@ from widthbright import (
     trace_body,
 )
 from widthbright import lab
-from widthbright.body import scale
+from widthbright.body import scale, _padded
 from widthbright.brightness import _cosine_operator, cosine_transform
 from widthbright.lab import (
     _gauge_tables, _variance, _variance_gradient, _sigma_entries,
@@ -199,16 +199,35 @@ def test_optimizer_input_validation(grid32):
         minimize_brightness_variance(asym, np.zeros(18), grid32)
     with pytest.raises(ValueError):
         minimize_brightness_variance(ball(1.0), np.zeros(7), grid32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="init_odd has support outside "
+                       "the variable degrees"):
         minimize_brightness_variance(ball(1.0), random_odd(3, degrees=(7,)),
                                      grid32, degrees=(3, 5))
 
 
+def relative_brightness_table(gauge, grid, degrees=(3, 5)):
+    """The per-node table RQ behind the Gram matrix, built from the model's
+    entry-major support matrices: relative brightness is 1 + RQ vec(c c^T)."""
+    _, _, M0, MJ, G = _gauge_tables(gauge, grid, degrees)
+    rows = MJ.transpose(1, 2, 0)
+    quad = _sigma_entries(rows[:, :, None, :], rows[:, None, :, :])
+    b0 = brightness_profile(gauge, grid).areas
+    RQ = 0.5 * cosine_transform(quad.reshape(grid.n_nodes, -1), grid,
+                                grid.nodes) / b0[:, None]
+    return RQ, M0, MJ, G
+
+
+def weighted_variance(r, grid):
+    wn = grid.weights.astype(r.dtype) / (4 * np.pi)
+    d = r - wn @ r
+    return wn @ (d * d)
+
+
 def test_variance_fast_path_matches_brightness_profiles(grid32):
-    idx, cg, basis, M0, MJ, RQflat, wn = _gauge_tables(
-        ball(1.0), grid32, (3, 5))
+    idx, basis, _, _, _ = _gauge_tables(ball(1.0), grid32, (3, 5))
+    RQ, _, _, _ = relative_brightness_table(ball(1.0), grid32)
     c = random_odd(4, degrees=(3, 5), scale=0.02).coeffs[idx]
-    r = RQflat @ np.outer(c, c).ravel()
+    r = RQ @ np.outer(c, c).ravel()
     coeffs = np.zeros(basis.size)
     coeffs[0] = 2.0 * math.sqrt(math.pi)
     coeffs[idx] = c
@@ -218,13 +237,37 @@ def test_variance_fast_path_matches_brightness_profiles(grid32):
     np.testing.assert_allclose(r, ratio - 1.0, atol=1e-12)
 
 
+def test_gram_form_matches_the_direct_variance(grid32):
+    # z^T G z against (a) the weighted variance of RQ z in longdouble and
+    # (b) the weighted variance of the brightness ratio of gauge + p_c
+    for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
+        idx, basis, _, _, G = _gauge_tables(gauge, grid32, (3, 5))
+        RQ, _, _, _ = relative_brightness_table(gauge, grid32)
+        u = random_odd(8, degrees=(3, 5)).coeffs[idx]
+        u /= np.linalg.norm(u)
+        for norm in (1e-1, 1e-3, 1e-5):
+            c = norm * u
+            z = np.outer(c, c).ravel().astype(np.longdouble)
+            want = weighted_variance(RQ.astype(np.longdouble) @ z, grid32)
+            assert abs(_variance(G, c) / want - 1.0) < 1e-13
+
+        c = 5e-2 * u  # convex: least support-matrix eigenvalue 0.23 or more
+        h = SupportFunction(_padded(gauge.coeffs, gauge.lmax, basis.lmax),
+                            basis.lmax)
+        h.coeffs[idx] = c
+        ratio = brightness_profile(h, grid32).areas \
+            / brightness_profile(gauge, grid32).areas
+        want = weighted_variance(ratio, grid32)
+        assert abs(_variance(G, c) / want - 1.0) < 1e-12
+
+
 def test_variance_valley_is_quartic_for_even_gauges(grid32):
     # odd perturbations of an even gauge change brightness at second order,
     # so the variance is quartic near the bottom: F(2c) ~ 16 F(c)
-    idx, _, _, _, _, RQflat, wn = _gauge_tables(ball(1.0), grid32, (3, 5))
+    idx, _, _, _, G = _gauge_tables(ball(1.0), grid32, (3, 5))
     c = random_odd(6, degrees=(3, 5), scale=1e-3).coeffs[idx]
-    f1 = _variance(RQflat, wn, c)
-    f2 = _variance(RQflat, wn, 2.0 * c)
+    f1 = _variance(G, c)
+    f2 = _variance(G, 2.0 * c)
     assert abs(f2 / f1 - 16.0) < 1e-3
 
 
@@ -232,25 +275,25 @@ def test_linear_brightness_term_of_an_even_gauge_is_roundoff(grid32):
     # the model keeps no linear table: for an even gauge, 2 sigma(M0, Mj) is
     # odd and the cosine transform kills it, leaving roundoff against RQ
     for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
-        _, _, _, M0, MJ, RQflat, _ = _gauge_tables(gauge, grid32, (3, 5))
-        lin = 2.0 * _sigma_entries(M0[:, None, :], MJ.transpose(0, 2, 1))
+        RQ, M0, MJ, _ = relative_brightness_table(gauge, grid32)
+        lin = 2.0 * _sigma_entries(M0.T[:, None, :], MJ.transpose(1, 2, 0))
         b0 = brightness_profile(gauge, grid32).areas
         RL = 0.5 * cosine_transform(lin, grid32, grid32.nodes) / b0[:, None]
-        assert np.abs(RL).max() <= 1e-13 * np.abs(RQflat).max()
+        assert np.abs(RL).max() <= 1e-13 * np.abs(RQ).max()
 
 
 def test_variance_gradient_matches_central_differences(grid32):
     rng = np.random.default_rng(11)
     step = 1e-5
     for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
-        _, _, _, _, MJ, RQflat, wn = _gauge_tables(gauge, grid32, (3, 5))
+        idx, _, _, _, G = _gauge_tables(gauge, grid32, (3, 5))
         for _ in range(3):
-            c = 0.05 * rng.standard_normal(MJ.shape[2])
+            c = 0.05 * rng.standard_normal(idx.size)
             fd = np.array([
-                (_variance(RQflat, wn, c + step * e)
-                 - _variance(RQflat, wn, c - step * e)) / (2.0 * step)
+                (_variance(G, c + step * e) - _variance(G, c - step * e))
+                / (2.0 * step)
                 for e in np.eye(c.size)])
-            g = _variance_gradient(RQflat, wn, c)
+            g = _variance_gradient(G, c)
             assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
 
 

@@ -7,6 +7,7 @@ package's derivative tables.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,28 @@ def test_basis_matches_closed_forms():
     for (l, m), ref in want.items():
         np.testing.assert_allclose(V[:, basis_index(l, m)], ref,
                                    rtol=0, atol=1e-15, err_msg=str((l, m)))
+
+
+def test_basis_values_are_the_jet_value_rows_bitwise():
+    # basis_values runs the recurrence on the value row alone; it must give
+    # the value row of the full jet stack bit for bit
+    pts = unit_vectors(43, 30)
+    for dtype in (np.float64, np.longdouble):
+        for lmax in range(17):
+            got = basis_values(make_basis(lmax), pts.astype(dtype))
+            want = _solid_jets(pts.astype(dtype), lmax)[0].T
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+
+
+def test_basis_values_build_no_jet_stack():
+    # the full stack is ten rows per function; the values need one
+    pts = make_grid(48, 96).nodes
+    tracemalloc.start()
+    V = basis_values(make_basis(12), pts)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 3 * V.nbytes
 
 
 def test_odd_degree_parity_is_bitwise(grid16):
