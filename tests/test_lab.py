@@ -205,16 +205,16 @@ def test_optimizer_input_validation(grid32):
                                      grid32, degrees=(3, 5))
 
 
-def relative_brightness_table(gauge, grid, degrees=(3, 5)):
+def relative_brightness_table(gauge, grid):
     """The per-node table RQ behind the Gram matrix, built from the model's
     entry-major support matrices: relative brightness is 1 + RQ vec(c c^T)."""
-    _, _, M0, MJ, G = _gauge_tables(gauge, grid, degrees)
+    _, _, M0, MJ, _ = _gauge_tables(gauge, grid, (3, 5))
     rows = MJ.transpose(1, 2, 0)
     quad = _sigma_entries(rows[:, :, None, :], rows[:, None, :, :])
     b0 = brightness_profile(gauge, grid).areas
     RQ = 0.5 * cosine_transform(quad.reshape(grid.n_nodes, -1), grid,
                                 grid.nodes) / b0[:, None]
-    return RQ, M0, MJ, G
+    return RQ, M0, MJ
 
 
 def weighted_variance(r, grid):
@@ -225,7 +225,7 @@ def weighted_variance(r, grid):
 
 def test_variance_fast_path_matches_brightness_profiles(grid32):
     idx, basis, _, _, _ = _gauge_tables(ball(1.0), grid32, (3, 5))
-    RQ, _, _, _ = relative_brightness_table(ball(1.0), grid32)
+    RQ, _, _ = relative_brightness_table(ball(1.0), grid32)
     c = random_odd(4, degrees=(3, 5), scale=0.02).coeffs[idx]
     r = RQ @ np.outer(c, c).ravel()
     coeffs = np.zeros(basis.size)
@@ -242,7 +242,7 @@ def test_gram_form_matches_the_direct_variance(grid32):
     # (b) the weighted variance of the brightness ratio of gauge + p_c
     for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
         idx, basis, _, _, G = _gauge_tables(gauge, grid32, (3, 5))
-        RQ, _, _, _ = relative_brightness_table(gauge, grid32)
+        RQ, _, _ = relative_brightness_table(gauge, grid32)
         u = random_odd(8, degrees=(3, 5)).coeffs[idx]
         u /= np.linalg.norm(u)
         for norm in (1e-1, 1e-3, 1e-5):
@@ -275,7 +275,7 @@ def test_linear_brightness_term_of_an_even_gauge_is_roundoff(grid32):
     # the model keeps no linear table: for an even gauge, 2 sigma(M0, Mj) is
     # odd and the cosine transform kills it, leaving roundoff against RQ
     for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
-        RQ, M0, MJ, _ = relative_brightness_table(gauge, grid32)
+        RQ, M0, MJ = relative_brightness_table(gauge, grid32)
         lin = 2.0 * _sigma_entries(M0.T[:, None, :], MJ.transpose(1, 2, 0))
         b0 = brightness_profile(gauge, grid32).areas
         RL = 0.5 * cosine_transform(lin, grid32, grid32.nodes) / b0[:, None]
