@@ -30,13 +30,12 @@ _apply_thread_cap()
 
 from .sphere import (
     SphericalGrid, HarmonicBasis, Jet2,
-    make_grid, make_basis, basis_index, integrate, jet, evaluate,
+    make_grid, make_basis, basis_index, integrate, jet,
 )
 from .body import (
     SupportFunction, ConvexityCertificate, NotConvexError, BoundaryField,
     inverse_gauss, width, central_symmetral, odd_part, minkowski_sum,
     certify_convex, volume, homothety_fit, body_to_spec, body_from_spec,
-    save_body, load_body,
 )
 from .boundary import (
     BodyMesh, even_phi_check, export_mesh, mesh_volume, export_obj,

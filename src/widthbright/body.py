@@ -15,7 +15,6 @@ coefficient values). The certificate, width, volume, brightness, parity
 diagnostics and mesh export all read that record.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -150,14 +149,9 @@ def require_convex(field, what, tol_psd=TOL_PSD):
     return field
 
 
-def support_values(h, grid):
-    """h at every grid node."""
-    return inverse_gauss(h, grid).values
-
-
 def width(h, grid):
     """Width function w(u) = h(u) + h(-u) at every node, via antipode_index."""
-    vals = support_values(h, grid)
+    vals = inverse_gauss(h, grid).values
     return vals + vals[grid.antipode_index]
 
 
@@ -203,15 +197,6 @@ def minkowski_sum(h1, h2):
     return SupportFunction(coeffs, lmax, closed_form=tag, label=label)
 
 
-def scale(h, factor):
-    """Homothety lambda K: coefficients scale linearly."""
-    tag = None
-    if (h.closed_form or "").startswith("ball:") and factor > 0:
-        tag = "ball:%r" % (factor * float(h.closed_form[5:]))
-    return SupportFunction(factor * h.coeffs, h.lmax, closed_form=tag,
-                           label=h.label)
-
-
 def certify_convex(h, grid, tol_psd=TOL_PSD):
     """Certificate from the support matrix h I + hess h at every node.
 
@@ -249,8 +234,8 @@ def homothety_fit(h1, h2, grid):
     Degree-1 terms absorb translations, so residual ~ 0 means h1 is
     homothetic to h2.
     """
-    v1 = support_values(h1, grid)
-    v2 = support_values(h2, grid)
+    v1 = inverse_gauss(h1, grid).values
+    v2 = inverse_gauss(h2, grid).values
     if np.max(np.abs(v2)) < 1e-14:
         raise ValueError("homothety_fit against the zero body is degenerate")
     sw = np.sqrt(grid.weights)
@@ -296,25 +281,10 @@ def body_from_spec(spec):
     )
     if h.closed_form is not None:
         grid = make_grid(16, 32)
-        dev = np.abs(support_values(h, grid)
+        dev = np.abs(inverse_gauss(h, grid).values
                      - closed_form_values(h.closed_form, grid.nodes)).max()
         if dev > 2.0 * h.truncation_tol + 1e-8:
             raise ValueError(
                 "closed_form %r disagrees with coefficients "
                 "(max deviation %.3g)" % (h.closed_form, dev))
     return h
-
-
-def save_body(h, path):
-    with open(path, "w") as f:
-        json.dump(body_to_spec(h), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_body(path):
-    with open(path) as f:
-        try:
-            spec = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError("not valid JSON: %s" % exc) from None
-    return body_from_spec(spec)

@@ -141,13 +141,15 @@ def random_convex(seed, lmax, grid, roughness=0.3):
                        % _MAX_HALVINGS)
 
 
-def random_odd(seed, degrees=(3, 5, 7), lmax=None, scale=1.0):
-    """Seeded odd coefficient field, unit L2 norm times scale, on the given degrees."""
+def random_odd(seed, degrees=(3, 5, 7), scale=1.0):
+    """Seeded odd coefficient field, unit L2 norm times scale, on the given
+    distinct degrees."""
     degrees = tuple(int(d) for d in degrees)
     if any(d % 2 == 0 for d in degrees):
         raise ValueError("odd degrees only")
-    if lmax is None:
-        lmax = max(degrees)
+    if len(set(degrees)) != len(degrees):
+        raise ValueError("degrees must not repeat")
+    lmax = max(degrees)
     basis = make_basis(lmax)
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(basis.size)

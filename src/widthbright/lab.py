@@ -66,15 +66,6 @@ class ParityReport:
             raise ValueError("parity report fields must be finite and nonnegative")
 
 
-def parity_report_to_json(report):
-    return {
-        "max_odd_violation_sigma": float(report.max_odd_violation_sigma),
-        "max_even_violation_det_p": float(report.max_even_violation_det_p),
-        "identity_residual_max": float(np.abs(report.identity_residual).max()),
-        "identity_residual": [float(r) for r in report.identity_residual],
-    }
-
-
 def _parity_entries(h, grid):
     """Support-matrix entries of the even part h0 and the odd part p of h."""
     c_even = np.where(h.basis.degrees % 2 == 0, h.coeffs, 0.0)
@@ -232,6 +223,8 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     """
     if any(int(d) % 2 == 0 or int(d) < 3 for d in degrees):
         raise ValueError("variable degrees must be odd and >= 3")
+    if len({int(d) for d in degrees}) != len(degrees):
+        raise ValueError("variable degrees must not repeat")
     if not inverse_gauss(gauge, grid).min_eigenvalue > _MIN_EIG_FLOOR:
         raise ValueError("gauge must be certified convex with margin above the floor")
     if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):

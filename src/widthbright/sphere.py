@@ -36,7 +36,7 @@ class SphericalGrid:
 
     nodes[antipode_index[i]] == -nodes[i] holds bitwise, and the tangent
     frame at the antipode is (e1, -e2), so the frame change between u and -u
-    is the constant matrix antipode_frame_flip = diag(1, -1).
+    is the constant matrix diag(1, -1).
     """
 
     n_theta: int
@@ -45,7 +45,6 @@ class SphericalGrid:
     weights: np.ndarray          # (N,) positive, sum 4 pi
     antipode_index: np.ndarray   # (N,) involutive permutation
     frame: np.ndarray            # (N, 2, 3) orthonormal tangent pairs, e1 x e2 = u
-    antipode_frame_flip: np.ndarray  # (2, 2)
 
     @property
     def n_nodes(self):
@@ -113,7 +112,6 @@ def make_grid(n_theta, n_phi):
         weights=_freeze(np.ascontiguousarray(weights.reshape(-1))),
         antipode_index=_freeze(anti.reshape(-1)),
         frame=_freeze(frame.reshape(-1, 2, 3)),
-        antipode_frame_flip=_freeze(np.diag([1.0, -1.0])),
     )
     return grid
 
@@ -269,25 +267,6 @@ def basis_values(basis, pts):
     """Values of every basis function at the given unit points, shape (N, B)."""
     return np.ascontiguousarray(
         _solid_jets(np.atleast_2d(pts), basis.lmax, values_only=True)[0].T)
-
-
-def evaluate(basis, coeffs, pts):
-    """Evaluate sum_q coeffs[q] Y_q at unit points."""
-    coeffs = np.asarray(coeffs, float)
-    if coeffs.shape != (basis.size,):
-        raise ValueError("coefficient length does not match basis size")
-    return basis_values(basis, pts) @ coeffs
-
-
-def eval_homogeneous(basis, coeffs, xs):
-    """The degree-1 homogeneous extension p~(x) = |x| p(x/|x|) at arbitrary x."""
-    coeffs = np.asarray(coeffs, float)
-    xs = np.atleast_2d(np.asarray(xs, float))
-    r = np.linalg.norm(xs, axis=1)
-    vals = _solid_jets(xs, basis.lmax, values_only=True)[0].T
-    # R_q is homogeneous of degree l_q, so p~ = sum c_q R_q(x) r^(1-l_q)
-    scale = r[:, None] ** (1.0 - basis.degrees[None, :])
-    return (vals * scale) @ coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from widthbright import (
     random_convex, inverse_gauss, even_phi_check, export_mesh,
     mesh_volume, export_obj,
 )
-from widthbright.body import support_values
 from widthbright.sphere import make_grid
 
 
@@ -65,7 +64,7 @@ def test_support_identity_on_phi(grid32):
     h = random_convex(11, 8, grid32)
     field = inverse_gauss(h, grid32)
     got = np.einsum("ij,ij->i", field.phi, grid32.nodes)
-    np.testing.assert_allclose(got, support_values(h, grid32), atol=1e-12)
+    np.testing.assert_allclose(got, inverse_gauss(h, grid32).values, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +140,7 @@ def test_mesh_vertices_satisfy_support_identity(grid32):
     mesh = export_mesh(inverse_gauss(h, grid32), grid32)
     n = grid32.n_nodes
     got = np.einsum("ij,ij->i", mesh.vertices[:n], grid32.nodes)
-    np.testing.assert_allclose(got, support_values(h, grid32), atol=1e-10)
+    np.testing.assert_allclose(got, inverse_gauss(h, grid32).values, atol=1e-10)
 
 
 def test_export_mesh_refuses_non_convex(grid32):

@@ -142,6 +142,11 @@ def test_analyze_tolerance_governs_the_parity_check(tmp_path):
     assert main(["analyze", body]) == EXIT_OK
     report = json.loads((tmp_path / "flat.report.json").read_text())
     assert "parity" not in report
+    # --tol may repeat; the last value wins
+    for tols, convex in ((["psd=0", "psd=1e-3"], True), (["psd=1e-3", "psd=0"], False)):
+        assert main(["analyze", body, "--tol", tols[0], "--tol", tols[1]]) == EXIT_OK
+        report = json.loads((tmp_path / "flat.report.json").read_text())
+        assert report["certificate"]["convex"] is convex
 
 
 def test_analyze_evaluates_the_body_once(tmp_path, monkeypatch):
@@ -317,6 +322,30 @@ def test_tolerance_flag_validation(tmp_path):
     assert main(["analyze", body, "--tol", "psd=soft"]) == EXIT_INPUT
     assert main(["analyze", body, "--tol", "quadrature=1"]) == EXIT_INPUT
     assert main(["analyze", body, "--tol", "oracle=1"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("analyze", ["--grid", "1,2", "--lmax", "0"]),
+    ("analyze", ["--grid", "4,0", "--lmax", "0"]),
+    ("analyze", ["--grid", "2,-2", "--lmax", "0"]),
+    ("analyze", ["--tol", "psd=nan"]),
+    ("analyze", ["--tol", "psd=-1"]),
+    ("analyze", ["--lmax", "-1"]),
+    ("verify-theorem", ["--max-iter", "-1"]),
+    ("verify-theorem", ["--start-scale", "nan"]),
+    ("verify-theorem", ["--seed", "-1"]),
+    ("verify-theorem", ["--degrees", "1,3"]),
+    # a repeated degree counted each of its coefficients twice in the probe
+    ("verify-theorem", ["--degrees", "3,3", "--grid", "16,32", "--lmax", "5"]),
+])
+def test_flag_values_the_commands_cannot_use_are_input_errors(
+        tmp_path, capsys, command, flags):
+    # these exited 4 (grids, start-scale nan, degree 1), 0 (psd nan or
+    # negative, max-iter -1, lmax -1) or 2 blaming --degrees (seed -1)
+    body = write_json(tmp_path / "ball.json", ball_spec())
+    assert main([command, body] + flags) == EXIT_INPUT
+    assert flags[0] in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["ball.json"]
 
 
 def test_flags_a_command_does_not_read_are_input_errors(tmp_path):

@@ -12,7 +12,7 @@ from widthbright import (
     constant_width_body, random_convex, random_odd, resolve_recipe,
     central_symmetral, brightness_profile,
 )
-from widthbright.body import closed_form_values, support_values
+from widthbright.body import closed_form_values
 from widthbright.boundary import inverse_gauss
 from widthbright.sphere import (
     make_basis, make_grid, entries_eigmin, entries_eigmax, node_tables,
@@ -42,7 +42,7 @@ def test_ball():
 def test_round_ellipsoid_is_a_ball(grid32):
     h = ellipsoid(1, 1, 1)
     np.testing.assert_allclose(
-        support_values(h, grid32), 1.0, atol=1e-12)
+        inverse_gauss(h, grid32).values, 1.0, atol=1e-12)
     assert h.truncation_tol < 1e-12
 
 
@@ -50,7 +50,7 @@ def test_ellipsoid_projection_error(grid32):
     h = ellipsoid(1, 1, 2)
     assert 0.0 < h.truncation_tol < 1e-4
     exact = closed_form_values(h.closed_form, grid32.nodes)
-    dev = np.abs(support_values(h, grid32) - exact).max()
+    dev = np.abs(inverse_gauss(h, grid32).values - exact).max()
     assert dev < 1e-4
 
 
@@ -187,6 +187,8 @@ def test_random_odd_is_deterministic_unit_norm():
     np.testing.assert_allclose(scaled.coeffs, 0.25 * a.coeffs, rtol=1e-15)
     with pytest.raises(ValueError):
         random_odd(7, degrees=(2, 3))
+    with pytest.raises(ValueError, match="must not repeat"):
+        random_odd(7, degrees=(3, 3))
 
 
 def test_every_generator_clears_the_convexity_floor(grid32):

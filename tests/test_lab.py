@@ -13,7 +13,7 @@ from widthbright import (
     trace_body,
 )
 from widthbright import lab
-from widthbright.body import scale, _padded
+from widthbright.body import _padded
 from widthbright.brightness import _cosine_operator, cosine_transform
 from widthbright.lab import (
     _gauge_tables, _variance, _variance_gradient, _sigma_entries,
@@ -115,7 +115,8 @@ def test_det_p_residual_is_positive_somewhere_for_cw_bodies(grid32):
 def test_det_p_residual_scales_quadratically(grid32):
     h = random_convex(4, 6, grid32)
     R1 = det_p_identity_residual(h, 0.8, grid32)
-    R2 = det_p_identity_residual(scale(h, 2.0), 0.8, grid32)
+    R2 = det_p_identity_residual(SupportFunction(2.0 * h.coeffs, h.lmax), 0.8,
+                                 grid32)
     np.testing.assert_allclose(R2, 4.0 * R1, rtol=1e-12, atol=1e-14)
 
 
@@ -203,6 +204,10 @@ def test_optimizer_input_validation(grid32):
                        "the variable degrees"):
         minimize_brightness_variance(ball(1.0), random_odd(3, degrees=(7,)),
                                      grid32, degrees=(3, 5))
+    # a repeated degree counted each of its coefficients twice in MJ @ c
+    with pytest.raises(ValueError, match="must not repeat"):
+        minimize_brightness_variance(ball(1.0), np.zeros(14), grid32,
+                                     degrees=(3, 3))
 
 
 def relative_brightness_table(gauge, grid):

@@ -15,7 +15,7 @@ import sympy as sp
 
 from widthbright import make_grid, make_basis, basis_index, integrate, jet
 from widthbright.sphere import (
-    basis_values, evaluate, eval_homogeneous, node_tables,
+    basis_values, node_tables,
     entries_det, entries_eigmin, entries_eigmax, _solid_jets,
 )
 from conftest import unit_vectors
@@ -64,7 +64,6 @@ def test_antipodal_frame_flip_is_diag_1_minus1(grid16):
     anti = g.antipode_index
     assert np.array_equal(g.frame[anti, 0, :], g.frame[:, 0, :])
     assert np.array_equal(g.frame[anti, 1, :], -g.frame[:, 1, :])
-    assert np.array_equal(g.antipode_frame_flip, np.diag([1.0, -1.0]))
 
 
 def test_make_grid_rejects_bad_shapes():
@@ -196,19 +195,6 @@ def test_odd_degree_parity_is_bitwise(grid16):
     even = ~odd
     assert np.array_equal(V[g.antipode_index][:, odd], -V[:, odd])
     assert np.array_equal(V[g.antipode_index][:, even], V[:, even])
-
-
-def test_eval_homogeneous_is_degree_one():
-    basis = make_basis(5)
-    rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal(basis.size)
-    xs = rng.standard_normal((20, 3))
-    v1 = eval_homogeneous(basis, coeffs, xs)
-    v3 = eval_homogeneous(basis, coeffs, 3.0 * xs)
-    np.testing.assert_allclose(v3, 3.0 * v1, rtol=1e-12)
-    r = np.linalg.norm(xs, axis=1)
-    np.testing.assert_allclose(
-        v1, r * evaluate(basis, coeffs, xs / r[:, None]), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
