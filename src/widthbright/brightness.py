@@ -17,7 +17,12 @@ operator.
 
 The mesh-shadow oracle (project vertices, 2D hull, shoelace) is the
 independent second route to the same areas and shares no code with the
-transform path.
+transform path. Its hull drops, before Andrew's monotone chain, the points
+inside the octagon of the extreme points in 8 directions (Akl & Toussaint
+1978) and then those inside the polygon of the extreme points in 64
+directions; a projected mesh crowds the rim, and the two stages leave the
+chain a few hundred of its 8,194 vertices at 64x128 with the same area, to
+the bit, as the chain over all of them.
 """
 
 import math
@@ -31,7 +36,9 @@ from .boundary import export_mesh
 from .sphere import make_grid
 
 _HULL_COLLINEAR_TOL = 1e-12
+_WEDGE_RAYS = 64
 _SYMMETRY_TOL = 1e-9
+_UNIT_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -149,11 +156,22 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
     oracle meshes a grid refined 2x in each direction; at the analysis
     resolution the silhouette sampling deficit of a tall body already eats
     most of a 1% budget. Directions default to the grid nodes, where the
-    profile's antipodal symmetry is asserted.
+    profile's antipodal symmetry is asserted; given directions must be
+    finite unit vectors, to 1e-12 in length, since the transform's kernel
+    scales with the direction's length. A NaN area, like a non-positive
+    one, raises ArithmeticError.
     """
-    field = require_convex(inverse_gauss(h, grid), "brightness", tol_psd)
     on_grid = directions is None
-    directions = grid.nodes if on_grid else np.atleast_2d(np.asarray(directions, float))
+    if on_grid:
+        directions = grid.nodes
+    else:
+        directions = np.atleast_2d(np.asarray(directions, float))
+        if directions.ndim != 2 or directions.shape[1] != 3:
+            raise ValueError("directions must be 3-vectors, one per row")
+        if not np.all(np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= _UNIT_TOL):
+            raise ValueError("directions must be finite unit vectors "
+                             "(within %g of length 1)" % _UNIT_TOL)
+    field = require_convex(inverse_gauss(h, grid), "brightness", tol_psd)
     if method == "support_formula":
         areas = 0.5 * cosine_transform(field.detfield, grid, directions)
     elif method == "mesh_shadow":
@@ -162,7 +180,7 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
         areas = np.array([mesh_shadow(mesh, a) for a in directions])
     else:
         raise ValueError("unknown brightness method: %r" % method)
-    if np.any(areas <= 0.0):
+    if not np.all(areas > 0.0):  # NaN fails this too
         raise ArithmeticError("non-positive shadow area for a convex body")
     if on_grid:
         anti = grid.antipode_index
@@ -196,23 +214,35 @@ def _plane_basis(a):
     return b1, b2
 
 
+def _drop_margin(pts):
+    """How far inside a polygon of cloud points a point must lie to be dropped.
+
+    The chain takes a cross product up to its collinearity tolerance, or
+    within rounding of it, for a straight turn, so a prefilter drops a point
+    only when it lies 2**20 times that reach over the cloud's span inside
+    every edge; nearer points could still sway the chain's choices. None
+    when the cloud has one distinct point or non-finite coordinates.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    span = max(float(np.ptp(x)), float(np.ptp(y))) if len(pts) else 0.0
+    if not 0.0 < span < math.inf:
+        return None
+    reach = _HULL_COLLINEAR_TOL + 16.0 * np.finfo(float).eps * span * span
+    return 2.0 ** 20 * reach / span
+
+
 def _octagon_interior(pts):
     """Mask of points that cannot be hull vertices (Akl & Toussaint 1978).
 
     The extreme points in x, y, x + y and x - y span a convex octagon inside
-    the hull, and a point strictly inside it is interior to the hull. The
-    chain takes a cross product up to its collinearity tolerance, or within
-    rounding of it, for a straight turn, so a point is dropped only when it
-    lies 2**20 times that reach over the cloud's span inside every edge;
-    nearer points could still sway the chain's choices. A degenerate octagon
-    (fewer than 3 distinct extreme points) has no interior.
+    the hull; a point is dropped when it lies inside every edge by the
+    `_drop_margin`. A degenerate octagon (fewer than 3 distinct extreme
+    points) has no interior.
     """
-    x, y = pts[:, 0], pts[:, 1]
-    span = max(float(np.ptp(x)), float(np.ptp(y))) if len(pts) else 0.0
-    if not span > 0.0:  # one distinct point, or NaN coordinates
+    margin = _drop_margin(pts)
+    if margin is None:
         return np.zeros(len(pts), bool)
-    reach = _HULL_COLLINEAR_TOL + 16.0 * np.finfo(float).eps * span * span
-    margin = 2.0 ** 20 * reach / span
+    x, y = pts[:, 0], pts[:, 1]
     s, d = x + y, x - y
     ext = pts[[np.argmin(x), np.argmin(s), np.argmin(y), np.argmax(d),
                np.argmax(x), np.argmax(s), np.argmax(y), np.argmin(d)]]
@@ -226,14 +256,66 @@ def _octagon_interior(pts):
     return inside
 
 
+def _wedge_interior(pts):
+    """Mask of points strictly inside the polygon of the cloud's extreme
+    points in _WEDGE_RAYS equally spaced directions.
+
+    The distinct extreme points v_k, sorted by angle around their mean c,
+    cut the polygon into wedges (c, v_k, v_k+1). Each point is placed in its
+    wedge by angle and dropped when it lies inside that wedge's edge and
+    both neighbouring edges, so a wedge misplaced by arctan2 roundoff is
+    still covered. A point of wedge k is s c + t v_k + (1 - s - t) v_k+1
+    with s its depth inside edge k over c's, so its depth inside any edge
+    is at least s times c's least depth. Edge k's margin is therefore the
+    `_drop_margin` times c's depth inside edge k over c's least depth, and
+    a dropped point clears every edge of the polygon by the `_drop_margin`,
+    as in the octagon. Nothing is dropped when there are fewer than 3
+    distinct extreme points or they are not in strictly convex position
+    around c.
+    """
+    margin = _drop_margin(pts)
+    if margin is None:
+        return np.zeros(len(pts), bool)
+    ray = np.arange(_WEDGE_RAYS) * (2.0 * math.pi / _WEDGE_RAYS)
+    rays = np.column_stack([np.cos(ray), np.sin(ray)])
+    ext = np.unique(pts[np.argmax(rays @ pts.T, axis=1)], axis=0)
+    if len(ext) < 3:
+        return np.zeros(len(pts), bool)
+    c = ext.mean(axis=0)
+    theta = np.arctan2(ext[:, 1] - c[1], ext[:, 0] - c[0])
+    order = np.argsort(theta)
+    ext, theta = ext[order], theta[order]
+    ex, ey = (np.roll(ext, -1, axis=0) - ext).T
+    length = np.hypot(ex, ey)
+    # edge k as a line: a x + b y + off is its length times the distance left of it
+    a, b, off = -ey, ex, ey * ext[:, 0] - ex * ext[:, 1]
+    depth = (a * c[0] + b * c[1] + off) / length
+    turn = ex * np.roll(ey, -1) - ey * np.roll(ex, -1)
+    if not (np.all(turn > 0.0) and np.all(depth > 0.0)):
+        return np.zeros(len(pts), bool)
+    lines = np.stack([a, b, off - margin * length * depth / depth.min()])
+    x, y = pts[:, 0], pts[:, 1]
+    wedge = np.searchsorted(theta, np.arctan2(y - c[1], x - c[0]), side="right") - 1
+    inside = np.ones(len(pts), bool)
+    for shift in (-1, 0, 1):
+        la, lb, loff = lines[:, (wedge + shift) % len(ext)]
+        inside &= la * x + lb * y + loff > 0.0
+    return inside
+
+
 def _hull_area(pts):
     """Monotone-chain hull area of 2D points (shoelace on the hull).
 
-    Points inside the extreme-point octagon are dropped first; the chain
-    then walks the survivors as Python floats, which are the same IEEE
-    doubles, so the area is the one the chain over every point gives.
+    Two prefilters drop points that cannot be hull vertices: the
+    extreme-point octagon, then on its survivors the finer polygon of the
+    extreme points in _WEDGE_RAYS directions. On a smooth body's projected
+    mesh the vertices crowd the rim, so the octagon keeps about a third of
+    them and the wedge stage about a seventh of those. The chain then walks
+    the survivors as Python floats, which are the same IEEE doubles, so the
+    area is the one the chain over every point gives.
     """
     pts = pts[~_octagon_interior(pts)]
+    pts = pts[~_wedge_interior(pts)]
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
     keep = np.ones(len(pts), bool)

@@ -21,6 +21,7 @@ from widthbright import (
     mesh_shadow, proportional_brightness_residual, profile_to_csv,
     constant_width_body, central_symmetral,
 )
+from widthbright import brightness
 from widthbright.brightness import (
     _cosine_operator, _hull_area, _kernel_matrix,
     _plane_basis, _HULL_COLLINEAR_TOL,
@@ -248,9 +249,11 @@ def _outcome(hull_area, pts):
 @st.composite
 def clouds(draw):
     """2D point clouds: Gaussian, integer lattices, polygons with collinear
-    runs along their edges, and circles with near-coincident hull points,
-    each with interior points, optional duplicates, scale 1e-6 to 1e6."""
-    kind = draw(st.sampled_from(["normal", "lattice", "edges", "close"]))
+    runs along their edges, circles with near-coincident hull points, and
+    rims of up to 3,000 points crowding a rotated ellipse, as a projected
+    mesh does, each with interior points, optional duplicates, scale 1e-6
+    to 1e6."""
+    kind = draw(st.sampled_from(["normal", "lattice", "edges", "close", "rim"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 120))
     inner = rng.uniform(-0.6, 0.6, (n, 2))
@@ -267,11 +270,22 @@ def clouds(draw):
         t = rng.integers(0, 8, n)[:, None] / 8.0
         pts = np.vstack([corners, (1 - t) * corners[e] + t * corners[(e + 1) % k],
                          inner])
-    else:
+    elif kind == "close":
         ang = rng.uniform(0.0, 2.0 * math.pi, n)
         rim = np.column_stack([np.cos(ang), np.sin(ang)])
         near = rim + rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-14, -4, (n, 1))
         pts = np.vstack([rim, near, inner])
+    else:
+        m = draw(st.integers(200, 3000))
+        axes = np.array([1.0, 1.0 / draw(st.floats(1.0, 20.0))])
+        ang = rng.uniform(0.0, 2.0 * math.pi, m)
+        radius = 1.0 + rng.standard_normal(m) * 10.0 ** rng.uniform(-14, -4, m)
+        rim = np.column_stack([np.cos(ang), np.sin(ang)]) * radius[:, None]
+        fill = rng.uniform(-0.7, 0.7, (m // 2, 2))
+        turn = rng.uniform(0.0, 2.0 * math.pi)
+        rot = np.array([[math.cos(turn), -math.sin(turn)],
+                        [math.sin(turn), math.cos(turn)]])
+        pts = np.vstack([rim, fill, inner]) * axes @ rot.T
     if draw(st.booleans()):
         pts = np.vstack([pts, pts[rng.integers(0, len(pts), len(pts) // 2 + 1)]])
     return rng.permutation(pts) * 10.0 ** draw(st.floats(-6.0, 6.0))
@@ -306,6 +320,27 @@ def test_mesh_shadow_areas_match_reference_chain(grid16):
             assert area == _reference_hull_area(pts)
 
 
+def test_oracle_mesh_hull_walks_few_points_and_matches_reference_chain(grid32):
+    # the 64x128 mesh of criterion 3: its 8,194 projected vertices crowd the
+    # rim, so the octagon alone keeps about 2,400; the wedge stage leaves
+    # the chain a few hundred, and the area must not move by a bit
+    fine = make_grid(64, 128)
+    dirs = unit_vectors(1001, 3)
+    for h in (ball(1.0), ellipsoid(1, 1, 2),
+              random_convex(3, 8, grid32, roughness=0.35)):
+        areas = brightness_profile(h, grid32, directions=dirs,
+                                   method="mesh_shadow").areas
+        verts = export_mesh(inverse_gauss(h, fine), fine).vertices
+        assert len(verts) == 8194
+        for a, area in zip(dirs, areas):
+            b1, b2 = _plane_basis(a)
+            pts = np.column_stack([verts @ b1, verts @ b2])
+            kept = pts[~brightness._octagon_interior(pts)]
+            kept = kept[~brightness._wedge_interior(kept)]
+            assert len(kept) < 1000
+            assert area == _reference_hull_area(pts)
+
+
 def test_formula_matches_oracle_for_ellipsoid(grid32):
     # the shadow of (1,1,2) along e3 is the unit disk
     prof = brightness_profile(ellipsoid(1, 1, 2), grid32,
@@ -322,6 +357,17 @@ def test_formula_matches_oracle_for_ellipsoid(grid32):
 def test_brightness_rejects_unknown_method(grid32):
     with pytest.raises(ValueError):
         brightness_profile(ball(1.0), grid32, method="raytrace")
+
+
+@pytest.mark.parametrize("method", ["support_formula", "mesh_shadow"])
+@pytest.mark.parametrize("direction", [[0.0, 0.0, 2.0], [0.0, 0.0, 0.5],
+                                       [0.0, 0.0, 0.0], [math.nan, 0.0, 1.0]])
+def test_brightness_rejects_non_unit_directions(grid16, method, direction):
+    # the formula's kernel scales with |a| (4.76 for a = 2 e3 on the unit
+    # ball), a zero direction has no shadow plane and NaN gives NaN areas
+    with pytest.raises(ValueError, match="finite unit vectors"):
+        brightness_profile(ball(1.0), grid16, directions=[direction],
+                           method=method)
 
 
 # ---------------------------------------------------------------------------
