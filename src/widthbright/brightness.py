@@ -166,11 +166,10 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
         directions = grid.nodes
     else:
         directions = np.atleast_2d(np.asarray(directions, float))
-        if directions.ndim != 2 or directions.shape[1] != 3:
-            raise ValueError("directions must be 3-vectors, one per row")
-        if not np.all(np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= _UNIT_TOL):
-            raise ValueError("directions must be finite unit vectors "
-                             "(within %g of length 1)" % _UNIT_TOL)
+        if directions.ndim != 2 or directions.shape[1] != 3 or not np.all(
+                np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= _UNIT_TOL):
+            raise ValueError("directions must be finite unit vectors in R^3, "
+                             "one per row (length within %g of 1)" % _UNIT_TOL)
     field = require_convex(inverse_gauss(h, grid), "brightness", tol_psd)
     if method == "support_formula":
         areas = 0.5 * cosine_transform(field.detfield, grid, directions)

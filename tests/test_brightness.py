@@ -322,7 +322,7 @@ def test_mesh_shadow_areas_match_reference_chain(grid16):
 
 def test_oracle_mesh_hull_walks_few_points_and_matches_reference_chain(grid32):
     # the 64x128 mesh of criterion 3: its 8,194 projected vertices crowd the
-    # rim, so the octagon alone keeps about 2,400; the wedge stage leaves
+    # rim, so the octagon alone keeps about 2,500; the wedge stage leaves
     # the chain a few hundred, and the area must not move by a bit
     fine = make_grid(64, 128)
     dirs = unit_vectors(1001, 3)
@@ -361,10 +361,12 @@ def test_brightness_rejects_unknown_method(grid32):
 
 @pytest.mark.parametrize("method", ["support_formula", "mesh_shadow"])
 @pytest.mark.parametrize("direction", [[0.0, 0.0, 2.0], [0.0, 0.0, 0.5],
-                                       [0.0, 0.0, 0.0], [math.nan, 0.0, 1.0]])
+                                       [0.0, 0.0, 0.0], [math.nan, 0.0, 1.0],
+                                       [0.0, 1.0]])
 def test_brightness_rejects_non_unit_directions(grid16, method, direction):
     # the formula's kernel scales with |a| (4.76 for a = 2 e3 on the unit
-    # ball), a zero direction has no shadow plane and NaN gives NaN areas
+    # ball), a zero direction has no shadow plane, NaN gives NaN areas and
+    # a plane vector has no shadow at all
     with pytest.raises(ValueError, match="finite unit vectors"):
         brightness_profile(ball(1.0), grid16, directions=[direction],
                            method=method)
