@@ -17,12 +17,12 @@ operator.
 
 The mesh-shadow oracle (project vertices, 2D hull, shoelace) is the
 independent second route to the same areas and shares no code with the
-transform path. Its hull drops, before Andrew's monotone chain, the points
-inside the octagon of the extreme points in 8 directions (Akl & Toussaint
-1978) and then those inside the polygon of the extreme points in 64
-directions; a projected mesh crowds the rim, and the two stages leave the
-chain a few hundred of its 8,194 vertices at 64x128 with the same area, to
-the bit, as the chain over all of them.
+transform path. Before Andrew's monotone chain its hull drops the points
+inside the polygon of the extreme points in 8 directions, then those inside
+the polygon of the extreme points in 64 (Akl & Toussaint 1978); a projected
+mesh crowds the rim, and the two passes leave the chain a few hundred of its
+8,194 vertices at 64x128 with the same area, to the bit, as the chain over
+all of them.
 """
 
 import math
@@ -36,7 +36,7 @@ from .boundary import export_mesh
 from .sphere import make_grid
 
 _HULL_COLLINEAR_TOL = 1e-12
-_WEDGE_RAYS = 64
+_PREFILTER_RAYS = (8, 64)
 _SYMMETRY_TOL = 1e-9
 _UNIT_TOL = 1e-12
 
@@ -51,30 +51,16 @@ class BrightnessProfile:
 def cosine_multipliers(lmax):
     """Eigenvalues lambda_l of the cosine transform on degree-l harmonics.
 
-    lambda_l = 2 pi int |t| P_l(t) dt: zero for odd l, else computed exactly
-    by Gauss-Legendre on [0, 1] where t P_l(t) is a polynomial of degree
-    l + 1 (lambda_0 = 2 pi, lambda_2 = pi/2, lambda_4 = -pi/12, ...).
+    lambda_l = 2 pi int |t| P_l(t) dt is zero for odd l; for even l,
+    lambda_0 = 2 pi and lambda_{l+2} = -lambda_l (l-1)/(l+4), so lambda_2 =
+    pi/2, lambda_4 = -pi/12, lambda_6 = pi/32, ... Each step rounds twice,
+    and lambda_128 is within 1e-15 relative of the exact value.
     """
     lam = np.zeros(lmax + 1)
-    n = lmax // 2 + 2
-    x, w = np.polynomial.legendre.leggauss(n)
-    t = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    P = _legendre_table(t, lmax)
-    for l in range(0, lmax + 1, 2):
-        lam[l] = 4.0 * math.pi * float(w @ (t * P[l]))
+    lam[0] = 2.0 * math.pi
+    for l in range(0, lmax - 1, 2):
+        lam[l + 2] = -lam[l] * (l - 1) / (l + 4)
     return lam
-
-
-def _legendre_table(t, lmax):
-    """P_l(t) for l = 0..lmax by the three-term recurrence, shape (lmax+1, ...)."""
-    P = np.empty((lmax + 1,) + t.shape)
-    P[0] = 1.0
-    if lmax >= 1:
-        P[1] = t
-    for l in range(1, lmax):
-        P[l + 1] = ((2 * l + 1) * t * P[l] - l * P[l - 1]) / (l + 1)
-    return P
 
 
 def _kernel_from_dots(dots, lmax):
@@ -135,7 +121,6 @@ def cosine_transform(f, grid, directions):
     f = np.asarray(f, float)
     if f.ndim not in (1, 2) or f.shape[0] != grid.n_nodes:
         raise ValueError("value sequence length does not match node count")
-    directions = np.atleast_2d(np.asarray(directions, float))
     if directions is grid.nodes:
         n_theta, n_phi = grid.n_theta, grid.n_phi
         rings = np.fft.rfft(f.reshape(n_theta, n_phi, -1), axis=1)
@@ -144,7 +129,19 @@ def cosine_transform(f, grid, directions):
         out = (_cosine_operator(grid) @ modes.view(float)).view(complex)
         return np.fft.irfft(out.transpose(1, 0, 2), n=n_phi, axis=1).reshape(f.shape)
     weights = grid.weights if f.ndim == 1 else grid.weights[:, None]
-    return _kernel_matrix(grid, directions) @ (weights * f)
+    return _kernel_matrix(grid, _unit_directions(directions)) @ (weights * f)
+
+
+def _unit_directions(directions):
+    """Directions as a (D, 3) array of finite unit vectors (length within
+    _UNIT_TOL of 1), else ValueError: the transform's kernel scales with the
+    length, and a zero direction has no shadow plane."""
+    directions = np.atleast_2d(np.asarray(directions, float))
+    if directions.ndim != 2 or directions.shape[1] != 3 or not np.all(
+            np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= _UNIT_TOL):
+        raise ValueError("directions must be finite unit vectors in R^3, "
+                         "one per row (length within %g of 1)" % _UNIT_TOL)
+    return directions
 
 
 def brightness_profile(h, grid, directions=None, method="support_formula",
@@ -157,19 +154,14 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
     resolution the silhouette sampling deficit of a tall body already eats
     most of a 1% budget. Directions default to the grid nodes, where the
     profile's antipodal symmetry is asserted; given directions must be
-    finite unit vectors, to 1e-12 in length, since the transform's kernel
-    scales with the direction's length. A NaN area, like a non-positive
-    one, raises ArithmeticError.
+    finite unit vectors. A NaN area, like a non-positive one, raises
+    ArithmeticError.
     """
     on_grid = directions is None
     if on_grid:
         directions = grid.nodes
     else:
-        directions = np.atleast_2d(np.asarray(directions, float))
-        if directions.ndim != 2 or directions.shape[1] != 3 or not np.all(
-                np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= _UNIT_TOL):
-            raise ValueError("directions must be finite unit vectors in R^3, "
-                             "one per row (length within %g of 1)" % _UNIT_TOL)
+        directions = _unit_directions(directions)
     field = require_convex(inverse_gauss(h, grid), "brightness", tol_psd)
     if method == "support_formula":
         areas = 0.5 * cosine_transform(field.detfield, grid, directions)
@@ -230,91 +222,45 @@ def _drop_margin(pts):
     return 2.0 ** 20 * reach / span
 
 
-def _octagon_interior(pts):
+def _polygon_interior(pts, n_rays):
     """Mask of points that cannot be hull vertices (Akl & Toussaint 1978).
 
-    The extreme points in x, y, x + y and x - y span a convex octagon inside
-    the hull; a point is dropped when it lies inside every edge by the
-    `_drop_margin`. A degenerate octagon (fewer than 3 distinct extreme
-    points) has no interior.
+    The extreme points in n_rays equally spaced directions, in angle order,
+    are a counter-clockwise polygon inside the hull. A point strictly left
+    of every edge of a closed polygon lies inside it, so a point inside every
+    edge by the `_drop_margin` is dropped; a polygon that roundoff leaves
+    degenerate or slightly reflex only makes the test stricter.
+    Repeated vertices are merged; with fewer than 3 left nothing is dropped.
     """
     margin = _drop_margin(pts)
     if margin is None:
         return np.zeros(len(pts), bool)
-    x, y = pts[:, 0], pts[:, 1]
-    s, d = x + y, x - y
-    ext = pts[[np.argmin(x), np.argmin(s), np.argmin(y), np.argmax(d),
-               np.argmax(x), np.argmax(s), np.argmax(y), np.argmin(d)]]
-    inside = np.ones(len(pts), bool)
-    for e0, e1 in zip(ext, np.roll(ext, -1, axis=0)):
-        ex, ey = e1 - e0
-        if ex == 0.0 and ey == 0.0:
-            continue
-        # twice the area of (e0, e1, p): the edge length times p's distance left of it
-        inside &= ex * (y - e0[1]) - ey * (x - e0[0]) > margin * math.hypot(ex, ey)
-    return inside
-
-
-def _wedge_interior(pts):
-    """Mask of points strictly inside the polygon of the cloud's extreme
-    points in _WEDGE_RAYS equally spaced directions.
-
-    The distinct extreme points v_k, sorted by angle around their mean c,
-    cut the polygon into wedges (c, v_k, v_k+1). Each point is placed in its
-    wedge by angle and dropped when it lies inside that wedge's edge and
-    both neighbouring edges, so a wedge misplaced by arctan2 roundoff is
-    still covered. A point of wedge k is s c + t v_k + (1 - s - t) v_k+1
-    with s its depth inside edge k over c's, so its depth inside any edge
-    is at least s times c's least depth. Edge k's margin is therefore the
-    `_drop_margin` times c's depth inside edge k over c's least depth, and
-    a dropped point clears every edge of the polygon by the `_drop_margin`,
-    as in the octagon. Nothing is dropped when there are fewer than 3
-    distinct extreme points or they are not in strictly convex position
-    around c.
-    """
-    margin = _drop_margin(pts)
-    if margin is None:
-        return np.zeros(len(pts), bool)
-    ray = np.arange(_WEDGE_RAYS) * (2.0 * math.pi / _WEDGE_RAYS)
+    ray = np.arange(n_rays) * (2.0 * math.pi / n_rays)
     rays = np.column_stack([np.cos(ray), np.sin(ray)])
-    ext = np.unique(pts[np.argmax(rays @ pts.T, axis=1)], axis=0)
+    ext = pts[np.argmax(rays @ pts.T, axis=1)]
+    ext = ext[np.any(ext != np.roll(ext, 1, axis=0), axis=1)]
     if len(ext) < 3:
         return np.zeros(len(pts), bool)
-    c = ext.mean(axis=0)
-    theta = np.arctan2(ext[:, 1] - c[1], ext[:, 0] - c[0])
-    order = np.argsort(theta)
-    ext, theta = ext[order], theta[order]
     ex, ey = (np.roll(ext, -1, axis=0) - ext).T
-    length = np.hypot(ex, ey)
-    # edge k as a line: a x + b y + off is its length times the distance left of it
-    a, b, off = -ey, ex, ey * ext[:, 0] - ex * ext[:, 1]
-    depth = (a * c[0] + b * c[1] + off) / length
-    turn = ex * np.roll(ey, -1) - ey * np.roll(ex, -1)
-    if not (np.all(turn > 0.0) and np.all(depth > 0.0)):
-        return np.zeros(len(pts), bool)
-    lines = np.stack([a, b, off - margin * length * depth / depth.min()])
-    x, y = pts[:, 0], pts[:, 1]
-    wedge = np.searchsorted(theta, np.arctan2(y - c[1], x - c[0]), side="right") - 1
-    inside = np.ones(len(pts), bool)
-    for shift in (-1, 0, 1):
-        la, lb, loff = lines[:, (wedge + shift) % len(ext)]
-        inside &= la * x + lb * y + loff > 0.0
-    return inside
+    # edge k as a line: a x + b y + off is its length times (depth - margin)
+    lines = np.column_stack([-ey, ex, ey * ext[:, 0] - ex * ext[:, 1]
+                             - margin * np.hypot(ex, ey)])
+    return np.all(lines[:, :2] @ pts.T + lines[:, 2:] > 0.0, axis=0)
 
 
 def _hull_area(pts):
     """Monotone-chain hull area of 2D points (shoelace on the hull).
 
-    Two prefilters drop points that cannot be hull vertices: the
-    extreme-point octagon, then on its survivors the finer polygon of the
-    extreme points in _WEDGE_RAYS directions. On a smooth body's projected
-    mesh the vertices crowd the rim, so the octagon keeps about a third of
-    them and the wedge stage about a seventh of those. The chain then walks
-    the survivors as Python floats, which are the same IEEE doubles, so the
-    area is the one the chain over every point gives.
+    `_polygon_interior` first drops the points inside the polygon of 8
+    extreme points, then on the survivors that of 64 (_PREFILTER_RAYS). A
+    projected mesh crowds the rim: the cheap first pass keeps about a third
+    of its points, which makes the second pass's (64, N) products small, and
+    that keeps about a seventh of those. The chain walks the survivors as
+    Python floats, the same IEEE doubles, so the area is the one the chain
+    over every point gives.
     """
-    pts = pts[~_octagon_interior(pts)]
-    pts = pts[~_wedge_interior(pts)]
+    for n_rays in _PREFILTER_RAYS:
+        pts = pts[~_polygon_interior(pts, n_rays)]
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
     keep = np.ones(len(pts), bool)
@@ -346,7 +292,9 @@ def _hull_area(pts):
 
 
 def mesh_shadow(mesh, a):
-    """Shadow area of the mesh in direction a: 2D hull of projected vertices."""
+    """Shadow area of the mesh in direction a, a finite unit vector: 2D hull
+    of projected vertices."""
+    (a,) = _unit_directions(a)
     b1, b2 = _plane_basis(a)
     pts = np.column_stack([mesh.vertices @ b1, mesh.vertices @ b2])
     return _hull_area(pts)

@@ -9,6 +9,7 @@ pi/32, -pi/64, 7pi/768, -3pi/512 for l = 0, 2, ..., 12.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,9 +22,8 @@ from widthbright import (
     mesh_shadow, proportional_brightness_residual, profile_to_csv,
     constant_width_body, central_symmetral,
 )
-from widthbright import brightness
 from widthbright.brightness import (
-    _cosine_operator, _hull_area, _kernel_matrix,
+    _cosine_operator, _hull_area, _kernel_matrix, _polygon_interior,
     _plane_basis, _HULL_COLLINEAR_TOL,
 )
 from widthbright.boundary import BodyMesh, inverse_gauss, export_mesh
@@ -45,10 +45,28 @@ def pure_harmonic(l, m, coeff=1.0):
 # ---------------------------------------------------------------------------
 # multipliers and the transform
 
+def _exact_multipliers_over_pi(lmax):
+    # 4 int_0^1 t P_l(t) dt as exact rationals: the Legendre coefficients
+    # from the three-term recurrence in Fractions, integrated term by term
+    P = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for l in range(1, lmax):
+        up = [Fraction(0)] + [(2 * l + 1) * c for c in P[l]]
+        down = P[l - 1] + [Fraction(0)] * 2
+        P.append([(u - l * d) / (l + 1) for u, d in zip(up, down)])
+    return [4 * sum(c / (k + 2) for k, c in enumerate(P[l])) if l % 2 == 0
+            else Fraction(0) for l in range(lmax + 1)]
+
+
 def test_cosine_multipliers_match_exact_integrals():
     lam = cosine_multipliers(12)
     assert lam.shape == (13,)
     np.testing.assert_allclose(lam, EXACT_MULTIPLIERS, rtol=0, atol=1e-13)
+    assert np.all(lam[1::2] == 0.0)
+    # degree 128 against exact rationals times pi, where a Gauss-Legendre
+    # quadrature of t P_l would be off by 2e-10 relative
+    exact = [float(q) * math.pi for q in _exact_multipliers_over_pi(128)]
+    lam = cosine_multipliers(128)
+    np.testing.assert_allclose(lam, exact, rtol=1e-14, atol=0)
     assert np.all(lam[1::2] == 0.0)
 
 
@@ -249,11 +267,13 @@ def _outcome(hull_area, pts):
 @st.composite
 def clouds(draw):
     """2D point clouds: Gaussian, integer lattices, polygons with collinear
-    runs along their edges, circles with near-coincident hull points, and
-    rims of up to 3,000 points crowding a rotated ellipse, as a projected
-    mesh does, each with interior points, optional duplicates, scale 1e-6
-    to 1e6."""
-    kind = draw(st.sampled_from(["normal", "lattice", "edges", "close", "rim"]))
+    runs along their edges, circles with near-coincident hull points, rims
+    of up to 3,000 points crowding a rotated ellipse, as a projected mesh
+    does, and regular k-gons turned by a multiple of 2 pi/64 or at random,
+    so that the prefilter's rays tie at vertices and along edge normals,
+    each with interior points, optional duplicates, scale 1e-6 to 1e6."""
+    kind = draw(st.sampled_from(["normal", "lattice", "edges", "close", "rim",
+                                 "regular"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 120))
     inner = rng.uniform(-0.6, 0.6, (n, 2))
@@ -270,6 +290,13 @@ def clouds(draw):
         t = rng.integers(0, 8, n)[:, None] / 8.0
         pts = np.vstack([corners, (1 - t) * corners[e] + t * corners[(e + 1) % k],
                          inner])
+    elif kind == "regular":
+        k = draw(st.sampled_from([3, 4, 8, 16, 64, 128]))
+        turn = rng.uniform(0.0, 2.0 * math.pi)
+        if draw(st.booleans()):
+            turn = draw(st.integers(0, 63)) * (2.0 * math.pi / 64)
+        ang = np.arange(k) * (2.0 * math.pi / k) + turn
+        pts = np.vstack([np.column_stack([np.cos(ang), np.sin(ang)]), inner])
     elif kind == "close":
         ang = rng.uniform(0.0, 2.0 * math.pi, n)
         rim = np.column_stack([np.cos(ang), np.sin(ang)])
@@ -297,6 +324,30 @@ def test_hull_area_matches_reference_chain(pts):
     assert _outcome(_hull_area, pts) == _outcome(_reference_hull_area, pts)
 
 
+def test_polygon_interior_drops_only_interior_points():
+    # a square with points along its sides: only the points inside go
+    rng = np.random.default_rng(5)
+    corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    side = np.arange(40) % 4
+    t = rng.uniform(0.0, 1.0, (40, 1))
+    sides = (1 - t) * corners[side] + t * corners[(side + 1) % 4]
+    square = np.vstack([corners, sides, rng.uniform(-0.99, 0.99, (200, 2))])
+    for n_rays in (8, 64):
+        assert np.array_equal(_polygon_interior(square, n_rays),
+                              np.arange(len(square)) >= 44)
+    # collinear points, and a flat triangle whose apex no 8-ray direction
+    # picks out (its normal cone is 22.5 +- 2.9 degrees), so that 2 distinct
+    # extreme points remain: nothing is dropped
+    s = np.linspace(-1.0, 1.0, 30)
+    line = np.column_stack([s, 0.5 * s])
+    c, d = math.cos(3.0 * math.pi / 8.0), math.sin(3.0 * math.pi / 8.0)
+    flat = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.05],
+                     [0.0, 0.01], [0.2, 0.02], [-0.3, 0.01]]) @ [[c, -d], [d, c]]
+    for pts, n_rays in ((line, 8), (line, 64), (flat, 8)):
+        assert not _polygon_interior(pts, n_rays).any()
+    assert _polygon_interior(flat, 64)[3:].all()
+
+
 def test_hull_area_degenerate_inputs_raise():
     line = np.column_stack([np.arange(50.0), 3.0 * np.arange(50.0) - 2.0])
     for pts, message in ((line, "collinear"),
@@ -322,8 +373,9 @@ def test_mesh_shadow_areas_match_reference_chain(grid16):
 
 def test_oracle_mesh_hull_walks_few_points_and_matches_reference_chain(grid32):
     # the 64x128 mesh of criterion 3: its 8,194 projected vertices crowd the
-    # rim, so the octagon alone keeps about 2,500; the wedge stage leaves
-    # the chain a few hundred, and the area must not move by a bit
+    # rim, so the 8-ray polygon alone keeps about 2,500; the 64-ray pass on
+    # its survivors leaves the chain a few hundred, and the area must not
+    # move by a bit
     fine = make_grid(64, 128)
     dirs = unit_vectors(1001, 3)
     for h in (ball(1.0), ellipsoid(1, 1, 2),
@@ -335,8 +387,8 @@ def test_oracle_mesh_hull_walks_few_points_and_matches_reference_chain(grid32):
         for a, area in zip(dirs, areas):
             b1, b2 = _plane_basis(a)
             pts = np.column_stack([verts @ b1, verts @ b2])
-            kept = pts[~brightness._octagon_interior(pts)]
-            kept = kept[~brightness._wedge_interior(kept)]
+            kept = pts[~_polygon_interior(pts, 8)]
+            kept = kept[~_polygon_interior(kept, 64)]
             assert len(kept) < 1000
             assert area == _reference_hull_area(pts)
 
@@ -370,6 +422,22 @@ def test_brightness_rejects_non_unit_directions(grid16, method, direction):
     with pytest.raises(ValueError, match="finite unit vectors"):
         brightness_profile(ball(1.0), grid16, directions=[direction],
                            method=method)
+
+
+def test_entry_points_reject_non_unit_directions(grid16):
+    # the off-grid kernel scales with |a| (half the transform of the unit
+    # ball's det field would read 4.760 for 2 e3 and 0.258 for 0, where pi
+    # is right), a zero direction has no shadow plane, and NaN would give
+    # NaN areas
+    det = inverse_gauss(ball(1.0), grid16).detfield
+    mesh = export_mesh(inverse_gauss(ball(1.0), grid16), grid16)
+    for a in ([0.0, 0.0, 2.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
+              [math.nan, 0.0, 1.0], [0.0, 0.0, math.inf], [0.0, 1.0]):
+        for call in (lambda: cosine_transform(det, grid16, [a]),
+                     lambda: mesh_shadow(mesh, a),
+                     lambda: brightness_profile(ball(1.0), grid16, directions=[a])):
+            with pytest.raises(ValueError, match="finite unit vectors"):
+                call()
 
 
 # ---------------------------------------------------------------------------
