@@ -29,8 +29,8 @@ def _apply_thread_cap():
 _apply_thread_cap()
 
 from .sphere import (
-    SphericalGrid, HarmonicBasis, Jet2,
-    make_grid, make_basis, basis_index, integrate, jet,
+    SphericalGrid, HarmonicBasis,
+    make_grid, make_basis, basis_index, integrate,
 )
 from .body import (
     SupportFunction, ConvexityCertificate, NotConvexError, BoundaryField,

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .sphere import (
-    make_basis, make_grid, integrate, node_tables, entries_det,
+    make_basis, make_grid, integrate, node_tables, basis_values, entries_det,
     entries_eigmin, _freeze, _solid_jets, _phi_table,
 )
 
@@ -280,9 +280,11 @@ def body_from_spec(spec):
         truncation_tol=float(spec.get("truncation_tol", 0.0)),
     )
     if h.closed_form is not None:
-        grid = make_grid(16, 32)
-        dev = np.abs(inverse_gauss(h, grid).values
-                     - closed_form_values(h.closed_form, grid.nodes)).max()
+        # the values alone, with no node tables or field record cached for a
+        # grid the caller never asked for; the rows equal node_tables' V
+        nodes = make_grid(16, 32).nodes
+        dev = np.abs(basis_values(h.basis, nodes) @ h.coeffs
+                     - closed_form_values(h.closed_form, nodes)).max()
         if dev > 2.0 * h.truncation_tol + 1e-8:
             raise ValueError(
                 "closed_form %r disagrees with coefficients "

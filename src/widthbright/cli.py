@@ -190,20 +190,34 @@ def _cert_dict(cert):
     }
 
 
+def _declared_degree(value):
+    """value as the resolvers read a degree, int(value), or None where that
+    raises and resolving reports it; an infinite degree is an input error."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        return None
+    except OverflowError:
+        raise InputError("degree %r is not finite" % (value,)) from None
+
+
 def _require_declared_lmax(args, obj):
-    """Guard every integer lmax that a spec or recipe declares, also in a
-    constant-width recipe's parts and as the largest integer l of a part's
-    harmonics terms, before anything builds tables at it; the guard on the
-    loaded body covers lmax written as a float or a string, or left to a
-    recipe's default, and resolving reports malformed terms."""
+    """Guard every lmax that a spec or recipe declares, also in a
+    constant-width recipe's parts and as the largest l of a part's harmonics
+    terms, before anything builds tables at it. Each value is read as the
+    resolvers read it, so 40, 40.0 and "40" are all degree 40; the guard on
+    the loaded body covers an lmax left to a recipe's default, and resolving
+    reports values that are not degrees and malformed terms."""
     if not isinstance(obj, dict):
         return
-    if isinstance(obj.get("lmax"), int):
-        _require_lmax(args, obj["lmax"])
+    lmax = _declared_degree(obj.get("lmax"))
+    if lmax is not None:
+        _require_lmax(args, lmax)
     terms = obj.get("harmonics")
     if isinstance(terms, list):
-        degrees = [t[0] for t in terms
-                   if isinstance(t, list) and t and isinstance(t[0], int)]
+        degrees = [_declared_degree(t[0]) for t in terms
+                   if isinstance(t, list) and t]
+        degrees = [l for l in degrees if l is not None]
         if degrees:
             _require_lmax(args, max(degrees))
     for part in ("gauge", "odd"):
@@ -212,7 +226,7 @@ def _require_declared_lmax(args, obj):
 
 def _load_body(args):
     spec = _load_json(args.body)
-    # body_from_spec's closed-form check builds node tables at the spec's lmax
+    # body_from_spec's closed-form check evaluates the basis at the spec's lmax
     _require_declared_lmax(args, spec)
     try:
         h = body_from_spec(spec)

@@ -153,8 +153,8 @@ def _gauge_tables(gauge, grid, degrees):
 
 
 # room for two gauges at least: a probe sequence may alternate between them,
-# and each rebuild transforms the O(N nv^2) sigma tables and forms their
-# O(N nv^4) Gram product
+# and each rebuild transforms nv sigma tables of N x nv and forms the
+# O(N nv^4) Gram product of the N x nv^2 result
 @lru_cache(maxsize=4)
 def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     """Gram matrix of the brightness variance, a quartic in c.
@@ -165,8 +165,11 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     brightness of gauge + p_c is 1 + RQ z per node, with z = vec(c c^T).
     Centring RQ on its weighted mean turns the weighted variance into
     F(c) = z^T G z with G = RQc^T diag(wn) RQc, an nv^2 x nv^2 matrix, so
-    F and grad F = 4 (G z as nv x nv) c cost O(nv^4) per call. The support
-    matrices are kept entry-major, M0 (3, N) and MJ (3, N, nv).
+    F and grad F = 4 (G z as nv x nv) c cost O(nv^4) per call. The table
+    S = sqrt(wn) RQc is filled one row j at a time, from the transform of
+    sigma(Mj, Mk) for k = 1..nv, so no N x nv^2 transient is ever held
+    beside it. The support matrices are kept entry-major, M0 (3, N) and
+    MJ (3, N, nv).
     """
     basis = make_basis(max(gauge_lmax, max(degrees)))
     idx = _variable_indices(basis, degrees)
@@ -176,19 +179,19 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     M0 = np.ascontiguousarray((M @ cg).T)                       # (3, N)
     MJ = np.ascontiguousarray(M[:, :, idx].transpose(1, 0, 2))  # (3, N, nv)
     rows = MJ.transpose(1, 2, 0)                                # (N, nv, 3)
-    quad = _sigma_entries(rows[:, :, None, :], rows[:, None, :, :])  # sigma(Mj, Mk)
 
     _, n, nv = MJ.shape
-    areas = 0.5 * cosine_transform(
-        np.column_stack([entries_det(M0.T), quad.reshape(n, nv * nv)]),
-        grid, grid.nodes)
-    b0 = areas[:, 0]              # gauge brightness areas
+    b0 = 0.5 * cosine_transform(entries_det(M0.T), grid, grid.nodes)
     if np.any(b0 <= 0.0):
         raise NotConvexError("gauge brightness must be positive")
     wn = grid.weights / (4.0 * math.pi)
-    RQc = areas[:, 1:] / b0[:, None]
-    RQc -= wn @ RQc
-    S = np.sqrt(wn)[:, None] * RQc
+    sw = np.sqrt(wn)[:, None]
+    S = np.empty((n, nv * nv))
+    for j in range(nv):
+        quad = _sigma_entries(rows[:, j:j + 1], rows)  # sigma(Mj, Mk), (N, nv)
+        RQc = 0.5 * cosine_transform(quad, grid, grid.nodes) / b0[:, None]
+        RQc -= wn @ RQc
+        S[:, j * nv:(j + 1) * nv] = sw * RQc
     return idx, basis, M0, MJ, S.T @ S  # numpy's syrk: exactly symmetric
 
 

@@ -1,4 +1,4 @@
-"""Spherical quadrature grids, real spherical harmonics, and derivative jets.
+"""Spherical quadrature grids, real spherical harmonics, and their node tables.
 
 Everything downstream integrates over an antipodally closed product grid
 (Gauss-Legendre in cos(theta) times uniform azimuth). Basis functions are
@@ -270,46 +270,6 @@ def basis_values(basis, pts):
 
 
 # ---------------------------------------------------------------------------
-# jets
-
-@dataclass(eq=False)
-class Jet2:
-    """Value, tangential gradient and tangential Hessian at a point, in a frame."""
-
-    value: float
-    grad: np.ndarray  # (2,)
-    hess: np.ndarray  # (2, 2) symmetric
-
-
-def jet(basis, coeffs, u, frame):
-    """Jet2 of the coefficient field at unit vector u in the given tangent frame.
-
-    grad and hess are the sphere-intrinsic gradient and Hessian: the
-    tangential derivatives of the degree-1 homogeneous extension with the
-    value part removed from the Hessian diagonal.
-    """
-    coeffs = np.asarray(coeffs, float)
-    if coeffs.shape != (basis.size,):
-        raise ValueError("coefficient length does not match basis size")
-    u = np.asarray(u, float)
-    frame = np.asarray(frame, float)
-    J = _solid_jets(u[None, :], basis.lmax)[:, :, 0]  # (10, B)
-    value = float(J[0] @ coeffs)
-    g3 = J[1:4] @ coeffs  # Cartesian gradient of the solid form, (3,)
-    e1, e2 = frame[0], frame[1]
-    grad = np.array([e1 @ g3, e2 @ g3])
-    # assemble the symmetric 3x3 Hessian of the solid form
-    hxx, hxy, hxz, hyy, hyz, hzz = J[4:] @ coeffs
-    H = np.array([[hxx, hxy, hxz], [hxy, hyy, hyz], [hxz, hyz, hzz]])
-    lv = float(J[0] @ (coeffs * basis.degrees))
-    hess = np.array([
-        [e1 @ H @ e1 - lv, e1 @ H @ e2],
-        [e1 @ H @ e2, e2 @ H @ e2 - lv],
-    ])
-    return Jet2(value=value, grad=grad, hess=hess)
-
-
-# ---------------------------------------------------------------------------
 # per-(grid, basis) node tables
 
 @dataclass(eq=False)
@@ -327,31 +287,46 @@ class NodeTables:
     M: np.ndarray    # (N, 3, B)
 
 
+def _frame_form(a, b, hess):
+    """a^T H b per node, with H given by its six Hessian rows."""
+    return sum((a[c] * b[d] + a[d] * b[c] if c != d else a[c] * b[c]) * h
+               for (c, d), h in zip(_PAIRS, hess))
+
+
+# nodes per block of node_tables: one block's jet stack is 10 (lmax+1)^2
+# doubles per node, 1.6 MiB at lmax 8, however many nodes the grid has;
+# 256 builds as fast as 512 or 1,024 at 32x64 to 64x128 and lmax 8 to 16
+_BLOCK_NODES = 256
+
+
 @lru_cache(maxsize=None)
 def node_tables(grid, basis):
-    """NodeTables of the basis on the grid, one shared object per pair."""
-    pts = grid.nodes
-    jets = _solid_jets(pts, basis.lmax)
-    # the jets are laid out (component, q, node); every table is copied out
-    # in node-major order, so the cache does not keep the jet stack alive
-    vals = np.ascontiguousarray(jets[0].T)
-    phi = np.ascontiguousarray(_phi_table(basis, jets, pts))
+    """NodeTables of the basis on the grid, one shared object per pair.
+
+    Every table entry depends on its own node alone, so the tables are
+    filled one block of _BLOCK_NODES nodes at a time: the jets of a block
+    are written into the node-major tables and dropped, and peak memory is
+    the tables plus one block's jets, whatever the grid.
+    """
+    n, size = grid.n_nodes, basis.size
+    V = np.empty((n, size))
+    PHI = np.empty((n, 3, size))
+    M = np.empty((n, 3, size))
     one_minus_l = (1.0 - basis.degrees)[:, None]
+    for start in range(0, n, _BLOCK_NODES):
+        blk = slice(start, start + _BLOCK_NODES)
+        pts = grid.nodes[blk]
+        jets = _solid_jets(pts, basis.lmax)  # (component, q, node)
+        e1 = grid.frame[blk, 0, :].T
+        e2 = grid.frame[blk, 1, :].T
+        hess = jets[4:]
+        V[blk] = jets[0].T
+        PHI[blk] = _phi_table(basis, jets, pts)
+        M[blk, 0, :] = (_frame_form(e1, e1, hess) + one_minus_l * jets[0]).T
+        M[blk, 1, :] = _frame_form(e1, e2, hess).T
+        M[blk, 2, :] = (_frame_form(e2, e2, hess) + one_minus_l * jets[0]).T
 
-    e1 = grid.frame[:, 0, :].T
-    e2 = grid.frame[:, 1, :].T
-
-    def quad_form(a, b):
-        # a^T H b summed over the six Hessian rows
-        return sum((a[c] * b[d] + a[d] * b[c] if c != d else a[c] * b[c]) * h
-                   for (c, d), h in zip(_PAIRS, jets[4:]))
-
-    m = np.empty((pts.shape[0], 3, basis.size))
-    m[:, 0, :] = (quad_form(e1, e1) + one_minus_l * jets[0]).T
-    m[:, 1, :] = quad_form(e1, e2).T
-    m[:, 2, :] = (quad_form(e2, e2) + one_minus_l * jets[0]).T
-
-    return NodeTables(V=_freeze(vals), PHI=_freeze(phi), M=_freeze(m))
+    return NodeTables(V=_freeze(V), PHI=_freeze(PHI), M=_freeze(M))
 
 
 def entries_det(e):

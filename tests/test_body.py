@@ -21,9 +21,9 @@ from widthbright import (
     minkowski_sum, certify_convex, volume, homothety_fit,
 )
 from widthbright.body import (
-    body_to_spec, body_from_spec, inverse_gauss,
+    _field, body_to_spec, body_from_spec, inverse_gauss,
 )
-from widthbright.sphere import basis_values
+from widthbright.sphere import basis_values, node_tables
 
 FOUR_PI = 4.0 * math.pi
 
@@ -338,3 +338,14 @@ def test_closed_form_consistency_is_checked(grid32):
     spec["coeffs"][0] *= 1.5
     with pytest.raises(ValueError):
         body_from_spec(spec)
+
+
+def test_closed_form_check_reads_values_only():
+    # the check used to evaluate the body through inverse_gauss on its
+    # 16x32 grid, building and caching value, gradient and Hessian tables
+    # and a field record there only to read the values
+    specs = [body_to_spec(ellipsoid(1, 1, 2, lmax=10)), body_to_spec(ball(1.5))]
+    before = node_tables.cache_info(), _field.cache_info()
+    for spec in specs:
+        assert body_from_spec(spec).closed_form == spec["closed_form"]
+    assert (node_tables.cache_info(), _field.cache_info()) == before

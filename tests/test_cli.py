@@ -18,7 +18,7 @@ import widthbright
 from widthbright.body import _field, body_to_spec
 from widthbright.cli import main, EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE
 from widthbright.generators import random_convex
-from widthbright.sphere import make_grid, node_tables
+from widthbright.sphere import make_basis, make_grid, node_tables
 
 # Absolute directory holding the widthbright package under test. A child
 # process gets it first on its PYTHONPATH, so it imports this same tree from
@@ -291,6 +291,20 @@ def test_gen_guards_degree_of_harmonics_terms(tmp_path):
     misses = node_tables.cache_info().misses
     assert main(["gen", path, "--grid", "16,32"]) == EXIT_INPUT
     assert node_tables.cache_info().misses == misses
+
+
+def test_gen_guards_lmax_written_as_float_or_string(tmp_path):
+    # the guard read int values only; an lmax of 40.0 projected the
+    # ellipsoid at degree 40 (150 MiB peak) before the body guard refused it
+    ell = {"kind": "ellipsoid", "axes": [1, 1, 2]}
+    for recipe in (dict(ell, lmax=40.0), dict(ell, lmax="40"),
+                   {"kind": "constant_width", "gauge": {"kind": "ball", "r": 1.0},
+                    "odd": {"harmonics": [[40.0, 0, 1.0]]}},
+                   dict(ell, lmax=float("inf"))):
+        path = write_json(tmp_path / "high.json", recipe)
+        before = make_basis.cache_info()
+        assert main(["gen", path]) == EXIT_INPUT, recipe
+        assert make_basis.cache_info() == before, recipe
 
 
 def test_gen_rejects_mistyped_recipe_fields(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Determinant parity identities and the brightness-variance descent."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from widthbright.brightness import _cosine_operator, cosine_transform
 from widthbright.lab import (
     _gauge_tables, _variance, _variance_gradient, _sigma_entries,
 )
-from widthbright.sphere import make_grid
+from widthbright.sphere import make_basis, make_grid, node_tables
 
 
 def pure_harmonic(l, m, coeff=1.0):
@@ -314,6 +315,20 @@ def test_gauge_tables_follow_coefficient_changes(grid32):
         SupportFunction(gauge.coeffs.copy(), gauge.lmax), init, grid32,
         max_iter=0)
     assert mutated.iterations == fresh.iterations
+
+
+def test_gauge_model_holds_no_table_of_sigma_columns(grid32):
+    # the model used to transform all nv^2 = 324 sigma columns at once,
+    # about six live 2048 x 325 copies, 36.9 MiB, to keep a 0.8 MiB G
+    gauge = ellipsoid(1, 1, 2)
+    node_tables(grid32, make_basis(gauge.lmax))
+    _cosine_operator(grid32)
+    tracemalloc.start()
+    lab._quadratic_model.__wrapped__(grid32, (3, 5), gauge.lmax,
+                                     gauge.coeffs.tobytes())
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 def test_one_cosine_operator_per_grid():

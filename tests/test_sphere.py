@@ -8,15 +8,18 @@ package's derivative tables.
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from widthbright import make_grid, make_basis, basis_index, integrate, jet
+from widthbright import make_grid, make_basis, basis_index, integrate
+from widthbright import sphere
 from widthbright.sphere import (
     basis_values, node_tables,
-    entries_det, entries_eigmin, entries_eigmax, _solid_jets,
+    entries_det, entries_eigmin, entries_eigmax, _solid_jets, _phi_table,
+    _PAIRS,
 )
 from conftest import unit_vectors
 
@@ -200,6 +203,45 @@ def test_odd_degree_parity_is_bitwise(grid16):
 # ---------------------------------------------------------------------------
 # jets
 
+@dataclass(eq=False)
+class Jet2:
+    """Value, tangential gradient and tangential Hessian at a point, in a frame."""
+
+    value: float
+    grad: np.ndarray  # (2,)
+    hess: np.ndarray  # (2, 2) symmetric
+
+
+def jet(basis, coeffs, u, frame):
+    """Jet2 of the coefficient field at unit vector u in the given tangent frame.
+
+    grad and hess are the sphere-intrinsic gradient and Hessian: the
+    tangential derivatives of the degree-1 homogeneous extension with the
+    value part removed from the Hessian diagonal. A single-point evaluator
+    beside node_tables, from the same jets, that the tests below check
+    against closed forms and compare node_tables with.
+    """
+    coeffs = np.asarray(coeffs, float)
+    if coeffs.shape != (basis.size,):
+        raise ValueError("coefficient length does not match basis size")
+    u = np.asarray(u, float)
+    frame = np.asarray(frame, float)
+    J = _solid_jets(u[None, :], basis.lmax)[:, :, 0]  # (10, B)
+    value = float(J[0] @ coeffs)
+    g3 = J[1:4] @ coeffs  # Cartesian gradient of the solid form, (3,)
+    e1, e2 = frame[0], frame[1]
+    grad = np.array([e1 @ g3, e2 @ g3])
+    # assemble the symmetric 3x3 Hessian of the solid form
+    hxx, hxy, hxz, hyy, hyz, hzz = J[4:] @ coeffs
+    H = np.array([[hxx, hxy, hxz], [hxy, hyy, hyz], [hxz, hyz, hzz]])
+    lv = float(J[0] @ (coeffs * basis.degrees))
+    hess = np.array([
+        [e1 @ H @ e1 - lv, e1 @ H @ e2],
+        [e1 @ H @ e2, e2 @ H @ e2 - lv],
+    ])
+    return Jet2(value=value, grad=grad, hess=hess)
+
+
 def _orthonormal_frame(u):
     pick = np.array([0.0, 0.0, 1.0]) if abs(u[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     e1 = np.cross(pick, u)
@@ -380,3 +422,46 @@ def test_entry_row_eigen_helpers_match_eigvalsh():
 def test_node_tables_cached_per_grid_and_basis(grid16):
     basis = make_basis(3)
     assert node_tables(grid16, basis) is node_tables(grid16, basis)
+
+
+def _whole_grid_tables(grid, basis):
+    """V, PHI and M from one _solid_jets stack over every node at once."""
+    pts = grid.nodes
+    jets = _solid_jets(pts, basis.lmax)
+    one_minus_l = (1.0 - basis.degrees)[:, None]
+    e1, e2 = grid.frame[:, 0, :].T, grid.frame[:, 1, :].T
+
+    def form(a, b):
+        return sum((a[c] * b[d] + a[d] * b[c] if c != d else a[c] * b[c]) * h
+                   for (c, d), h in zip(_PAIRS, jets[4:]))
+
+    M = np.stack([form(e1, e1) + one_minus_l * jets[0], form(e1, e2),
+                  form(e2, e2) + one_minus_l * jets[0]])  # (3, B, N)
+    return jets[0].T, _phi_table(basis, jets, pts), M.transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("n_theta, lmax", [(33, 8), (33, 12), (6, 5)])
+def test_node_tables_in_blocks_equal_a_whole_grid_build(n_theta, lmax):
+    # 33x66 (2,178 nodes) ends in a ragged block; 6x12 (72 nodes) has fewer
+    # nodes than one block
+    grid = make_grid(n_theta, 2 * n_theta)
+    n_blocks = grid.n_nodes / sphere._BLOCK_NODES
+    assert n_blocks < 1 or n_blocks != int(n_blocks)
+    basis = make_basis(lmax)
+    tab = node_tables(grid, basis)
+    for got, want in zip((tab.V, tab.PHI, tab.M),
+                         _whole_grid_tables(grid, basis)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_node_tables_peak_is_the_tables():
+    # a whole-grid build held the (10, 81, 8192) jet stack, 50.6 MiB, beside
+    # the 35.4 MiB of tables it fills
+    grid = make_grid(64, 128)
+    tracemalloc.start()
+    tab = node_tables.__wrapped__(grid, make_basis(8))  # cold: not cached
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    tables = tab.V.nbytes + tab.PHI.nbytes + tab.M.nbytes
+    assert peak < 1.25 * tables
