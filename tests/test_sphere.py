@@ -445,8 +445,7 @@ def test_node_tables_in_blocks_equal_a_whole_grid_build(n_theta, lmax):
     # 33x66 (2,178 nodes) ends in a ragged block; 6x12 (72 nodes) has fewer
     # nodes than one block
     grid = make_grid(n_theta, 2 * n_theta)
-    n_blocks = grid.n_nodes / sphere._BLOCK_NODES
-    assert n_blocks < 1 or n_blocks != int(n_blocks)
+    assert grid.n_nodes % sphere._BLOCK_NODES != 0
     basis = make_basis(lmax)
     tab = node_tables(grid, basis)
     for got, want in zip((tab.V, tab.PHI, tab.M),
