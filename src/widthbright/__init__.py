@@ -35,15 +35,13 @@ from .sphere import (
 from .body import (
     SupportFunction, ConvexityCertificate, NotConvexError, BoundaryField,
     inverse_gauss, width, central_symmetral, odd_part, minkowski_sum,
-    certify_convex, volume, homothety_fit, body_to_spec, body_from_spec,
+    certify_convex, volume, body_to_spec, body_from_spec,
 )
-from .boundary import (
-    BodyMesh, even_phi_check, export_mesh, mesh_volume, export_obj,
-)
+from .boundary import BodyMesh, export_mesh, export_obj
 from .brightness import (
     BrightnessProfile,
     cosine_transform, cosine_multipliers, brightness_profile, mesh_shadow,
-    proportional_brightness_residual, profile_to_csv,
+    profile_to_csv,
 )
 from .generators import (
     BodyRecipe,
@@ -52,9 +50,8 @@ from .generators import (
 )
 from .lab import (
     ParityReport, OptimizerTrace,
-    parity_decomposition_check, det_p_identity_residual,
-    odd_sign_obstruction, minimize_brightness_variance, trace_to_csv,
-    trace_body,
+    parity_decomposition_check, odd_sign_obstruction,
+    minimize_brightness_variance, trace_to_csv,
 )
 
 __version__ = "0.1.0"

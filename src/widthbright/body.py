@@ -15,7 +15,6 @@ coefficient values). The certificate, width, volume, brightness, parity
 diagnostics and mesh export all read that record.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -227,26 +226,6 @@ def volume(h, grid, tol_psd=TOL_PSD):
     return integrate(grid, field.values * field.detfield) / 3.0
 
 
-def homothety_fit(h1, h2, grid):
-    """Weighted least-squares fit h1(u) ~ lambda h2(u) + <v, u>.
-
-    Returns (lambda, v, residual) where residual is the weighted RMS misfit.
-    Degree-1 terms absorb translations, so residual ~ 0 means h1 is
-    homothetic to h2.
-    """
-    v1 = inverse_gauss(h1, grid).values
-    v2 = inverse_gauss(h2, grid).values
-    if np.max(np.abs(v2)) < 1e-14:
-        raise ValueError("homothety_fit against the zero body is degenerate")
-    sw = np.sqrt(grid.weights)
-    A = np.column_stack([v2, grid.nodes[:, 0], grid.nodes[:, 1],
-                         grid.nodes[:, 2]]) * sw[:, None]
-    sol, *_ = np.linalg.lstsq(A, v1 * sw, rcond=None)
-    misfit = v1 - (sol[0] * v2 + grid.nodes @ sol[1:])
-    residual = math.sqrt(integrate(grid, misfit * misfit) / (4.0 * math.pi))
-    return float(sol[0]), sol[1:], residual
-
-
 # ---------------------------------------------------------------------------
 # body-spec JSON
 
@@ -271,14 +250,14 @@ def body_from_spec(spec):
     try:
         lmax = int(spec["lmax"])
         coeffs = np.asarray(spec["coeffs"], float)
-    except (KeyError, TypeError, ValueError) as exc:
+        truncation_tol = float(spec.get("truncation_tol", 0.0))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError("malformed body spec: %s" % exc) from None
-    h = SupportFunction(
-        coeffs, lmax,
-        closed_form=spec.get("closed_form"),
-        label=spec.get("label", ""),
-        truncation_tol=float(spec.get("truncation_tol", 0.0)),
-    )
+    closed_form = spec.get("closed_form")
+    if not isinstance(closed_form, (str, type(None))):
+        raise ValueError("closed_form must be a tag string, got %r" % (closed_form,))
+    h = SupportFunction(coeffs, lmax, closed_form=closed_form,
+                        label=spec.get("label", ""), truncation_tol=truncation_tol)
     if h.closed_form is not None:
         # the values alone, with no node tables or field record cached for a
         # grid the caller never asked for; the rows equal node_tables' V

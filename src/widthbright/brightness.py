@@ -300,26 +300,6 @@ def mesh_shadow(mesh, a):
     return _hull_area(pts)
 
 
-def proportional_brightness_residual(h1, h2, grid, directions=None):
-    """Least-squares brightness ratio beta and the parity split of the defect.
-
-    Fits brightness(h1) ~ beta * brightness(h2) over the direction grid,
-    then forms q = det_1 - beta det_2 per node. Brightness profiles are
-    proportional exactly when the even part of q vanishes (the cosine
-    transform kills odd q), so max |even part of q| is the reported
-    obstruction.
-    """
-    p1 = brightness_profile(h1, grid, directions)
-    p2 = brightness_profile(h2, grid, directions)
-    w = grid.weights if directions is None else np.ones(len(p1.areas))
-    beta = float((w * p1.areas) @ p2.areas / ((w * p2.areas) @ p2.areas))
-    d1 = inverse_gauss(h1, grid).detfield
-    d2 = inverse_gauss(h2, grid).detfield
-    q = d1 - beta * d2
-    q_even = 0.5 * (q + q[grid.antipode_index])
-    return beta, q, float(np.abs(q_even).max())
-
-
 def profile_to_csv(profile, path):
     lines = ["ax,ay,az,area,method"]
     for d, area in zip(profile.directions, profile.areas):

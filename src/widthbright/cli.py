@@ -15,6 +15,7 @@ commands' imports below are all made once, at module level.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -166,7 +167,7 @@ def cmd_gen(args):
                              "single l=0 coefficient 2 sqrt(pi) r")
     spec["recipe_kind"] = resolved.kind
     spec["recipe_params"] = _jsonable(resolved.params)
-    spec["certificate"] = _cert_dict(cert)
+    spec["certificate"] = dataclasses.asdict(cert)
     out = _out_path(args, ".body.json")
     _write_json(spec, out)
     print("wrote %s (min eigenvalue %.6g)" % (out, cert.min_eigenvalue))
@@ -180,25 +181,13 @@ def _jsonable(params):
     return out
 
 
-def _cert_dict(cert):
-    return {
-        "min_eigenvalue": float(cert.min_eigenvalue),
-        "det_min": float(cert.det_min),
-        "node_of_min": int(cert.node_of_min),
-        "convex": bool(cert.convex),
-        "tol_psd": float(cert.tol_psd),
-    }
-
-
 def _declared_degree(value):
     """value as the resolvers read a degree, int(value), or None where that
-    raises and resolving reports it; an infinite degree is an input error."""
+    raises (an infinite degree too) and resolving reports it."""
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
-    except OverflowError:
-        raise InputError("degree %r is not finite" % (value,)) from None
 
 
 def _require_declared_lmax(args, obj):
@@ -246,7 +235,7 @@ def cmd_analyze(args):
         "label": h.label,
         "grid": list(args.grid),
         "lmax": int(h.lmax),
-        "certificate": _cert_dict(cert),
+        "certificate": dataclasses.asdict(cert),
         "width": {
             "min": float(w.min()),
             "max": float(w.max()),

@@ -72,9 +72,9 @@ def constant_width_body(gauge, p, eps_request, grid):
     """Body gauge + eps p with the same width function as the gauge.
 
     gauge must be even and certified convex with margin m > 0; p must be odd
-    and nonzero. eps = min(eps_request, 0.9 m / rho) where rho is the grid
-    maximum spectral radius of p I + hess p, so the summed support matrix
-    keeps eigenvalues >= 0.1 m.
+    and nonzero. eps is eps_request with its magnitude capped at 0.9 m / rho,
+    where rho is the grid maximum spectral radius of p I + hess p, so the
+    summed support matrix keeps eigenvalues >= 0.1 m for either sign.
     """
     if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
         raise ValueError("gauge must be even (odd coefficients zero)")
@@ -91,6 +91,8 @@ def constant_width_body(gauge, p, eps_request, grid):
     field = inverse_gauss(p, grid)
     rho = float(np.maximum(np.abs(field.eigmin),
                            np.abs(entries_eigmax(field.entries))).max())
+    if not math.isfinite(rho):
+        raise ValueError("perturbation support matrix is not finite")
     if rho == 0.0:
         # degree-1 only: p is a translation, neutral for the support matrix
         if not math.isfinite(float(eps_request)):
@@ -98,7 +100,9 @@ def constant_width_body(gauge, p, eps_request, grid):
                              "convexity bound; give a finite eps")
         eps = float(eps_request)
     else:
-        eps = min(float(eps_request), _EPS_SAFETY * margin / rho)
+        eps_request = float(eps_request)
+        eps = math.copysign(min(abs(eps_request), _EPS_SAFETY * margin / rho),
+                            eps_request)
 
     lmax = max(gauge.lmax, p.lmax)
     coeffs = _padded(gauge.coeffs, gauge.lmax, lmax) \
@@ -192,8 +196,9 @@ def resolve_recipe(recipe, grid):
             return constant_width_body(gauge, p, eps_request, grid)
     except KeyError as exc:
         raise ValueError("recipe is missing field %s" % exc) from None
-    except TypeError as exc:
-        raise ValueError("recipe field has the wrong type: %s" % exc) from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError("recipe field has the wrong type or value: %s"
+                         % exc) from None
     raise ValueError("unknown recipe kind: %r" % kind)
 
 

@@ -23,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sphere import make_basis, basis_index, node_tables, entries_det, \
-    entries_eigmin
+from .sphere import make_basis, node_tables, entries_det, entries_eigmin
 from .body import (
     TOL_PSD, SupportFunction, NotConvexError, inverse_gauss, require_convex,
     _padded,
@@ -66,18 +65,13 @@ class ParityReport:
             raise ValueError("parity report fields must be finite and nonnegative")
 
 
-def _parity_entries(h, grid):
-    """Support-matrix entries of the even part h0 and the odd part p of h."""
-    c_even = np.where(h.basis.degrees % 2 == 0, h.coeffs, 0.0)
-    M = node_tables(grid, h.basis).M
-    return M @ c_even, M @ (h.coeffs - c_even)
-
-
 def parity_decomposition_check(h, grid, tol_psd=TOL_PSD):
     """Check det M_h = det M_p + 2 sigma(M_p, M_h0) + det M_h0 nodewise,
     plus the parity of the two cross terms (det M_p even, sigma odd)."""
     Dh = require_convex(inverse_gauss(h, grid), "parity check", tol_psd).detfield
-    e0, ep = _parity_entries(h, grid)
+    c_even = np.where(h.basis.degrees % 2 == 0, h.coeffs, 0.0)
+    M = node_tables(grid, h.basis).M
+    e0, ep = M @ c_even, M @ (h.coeffs - c_even)
     D0 = entries_det(e0)
     Dp = entries_det(ep)
     S = _sigma_entries(ep, e0)
@@ -87,18 +81,6 @@ def parity_decomposition_check(h, grid, tol_psd=TOL_PSD):
         max_even_violation_det_p=float(np.abs(Dp - Dp[anti]).max()),
         identity_residual=Dh - (Dp + 2.0 * S + D0),
     )
-
-
-def det_p_identity_residual(h, beta, grid):
-    """Residual R(u) = det M_p + (1 - beta) det M_h0 per node.
-
-    Constant brightness relative to the symmetral would force R to vanish;
-    the sign obstruction says that is impossible for non-ball bodies, so R
-    measures how far the constant-brightness condition fails.
-    """
-    require_convex(inverse_gauss(h, grid), "det-p identity")
-    e0, ep = _parity_entries(h, grid)
-    return entries_det(ep) + (1.0 - beta) * entries_det(e0)
 
 
 def odd_sign_obstruction(p, grid):
@@ -125,7 +107,6 @@ class OptimizerTrace:
     terminal_status: str  # converged_to_gauge | stalled | infeasible
     degrees: tuple
     final_coeffs: np.ndarray  # variable-space odd coefficients
-    gauge_label: str = ""
 
 
 def trace_to_csv(trace, path):
@@ -137,12 +118,8 @@ def trace_to_csv(trace, path):
         f.write("\n")
 
 
-def _variable_indices(basis, degrees):
-    idx = []
-    for l in degrees:
-        for m in range(-l, l + 1):
-            idx.append(basis_index(l, m))
-    return np.array(idx, dtype=np.int64)
+def _variable_indices(degrees):
+    return np.concatenate([np.arange(l * l, (l + 1) ** 2) for l in degrees])
 
 
 def _gauge_tables(gauge, grid, degrees):
@@ -172,7 +149,7 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     MJ (3, N, nv).
     """
     basis = make_basis(max(gauge_lmax, max(degrees)))
-    idx = _variable_indices(basis, degrees)
+    idx = _variable_indices(degrees)
     cg = _padded(np.frombuffer(gauge_bytes), gauge_lmax, basis.lmax)
 
     M = node_tables(grid, basis).M
@@ -251,8 +228,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     eig = _min_eig(M0, MJ, c)
     if not eig >= _MIN_EIG_FLOOR:
         return OptimizerTrace(iterations=trace, terminal_status="infeasible",
-                              degrees=tuple(degrees), final_coeffs=c,
-                              gauge_label=gauge.label)
+                              degrees=tuple(degrees), final_coeffs=c)
 
     Fc = _variance(G, c)
     trace.append((float(np.linalg.norm(c)), Fc, eig, 0.0))
@@ -301,13 +277,4 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         status = "converged_to_gauge"
 
     return OptimizerTrace(iterations=trace, terminal_status=status,
-                          degrees=tuple(degrees), final_coeffs=c,
-                          gauge_label=gauge.label)
-
-
-def trace_body(gauge, trace):
-    """SupportFunction of gauge + final odd coefficients of a trace."""
-    lmax = max(gauge.lmax, max(trace.degrees))
-    coeffs = _padded(gauge.coeffs, gauge.lmax, lmax)
-    coeffs[_variable_indices(make_basis(lmax), trace.degrees)] += trace.final_coeffs
-    return SupportFunction(coeffs, lmax, label="optimized(%s)" % gauge.label)
+                          degrees=tuple(degrees), final_coeffs=c)

@@ -1,5 +1,5 @@
 """Support-function algebra: width, parity split, Minkowski sums, convexity
-certificates, volume, homothety fitting, and the JSON body format.
+certificates, volume, and the JSON body format.
 
 Zonal oracle used below: for h depending only on the polar angle, the
 support matrix in the (theta-hat, phi-hat) frame is
@@ -18,7 +18,7 @@ import widthbright as wb
 from widthbright import (
     SupportFunction, NotConvexError,
     ball, ellipsoid, basis_index, make_basis, width, central_symmetral, odd_part,
-    minkowski_sum, certify_convex, volume, homothety_fit,
+    minkowski_sum, certify_convex, volume,
 )
 from widthbright.body import (
     _field, body_to_spec, body_from_spec, inverse_gauss,
@@ -238,54 +238,6 @@ def test_symmetral_volume_dominates_for_random_bodies(grid32):
     for seed in range(20):
         h = wb.random_convex(seed, 6, grid32)
         assert volume(central_symmetral(h), grid32) >= volume(h, grid32) - 1e-8
-
-
-# ---------------------------------------------------------------------------
-# homothety fit
-
-def test_homothety_fit_exact_model(grid32):
-    h2 = ball(1.0)
-    coeffs = np.zeros(4)
-    coeffs[0] = 2.0 * 2.0 * math.sqrt(math.pi)
-    coeffs[basis_index(1, 0)] = 0.3 * math.sqrt(4.0 * math.pi / 3.0)  # <(0,0,0.3),u>
-    h1 = SupportFunction(coeffs, 1)
-    lam, v, res = homothety_fit(h1, h2, grid32)
-    assert abs(lam - 2.0) < 1e-10
-    np.testing.assert_allclose(v, [0.0, 0.0, 0.3], atol=1e-10)
-    assert res < 1e-10
-
-
-def test_homothety_fit_identity(grid32):
-    h = harmonic(2, 0, 0.05)
-    lam, v, res = homothety_fit(h, h, grid32)
-    assert abs(lam - 1.0) < 1e-10
-    assert np.abs(v).max() < 1e-10
-    assert res < 1e-10
-
-
-def test_homothety_fit_detects_shape_difference(grid32):
-    # best fit of 1 + 0.05 Y20 against the ball leaves the Y20 term, whose
-    # weighted RMS is 0.05 / sqrt(4 pi) = 0.014104739588693908
-    h1 = harmonic(2, 0, 0.05)
-    lam, v, res = homothety_fit(h1, ball(1.0), grid32)
-    assert res > 1e-3
-    assert abs(res - 0.014104739588693908) < 1e-9
-
-
-def test_homothety_fit_recovers_scale(grid32):
-    h = harmonic(2, 2, 0.04)
-    shift = np.zeros(9)
-    shift[basis_index(1, 1)] = 0.2
-    for alpha in (0.5, 1.0, 3.0):
-        h1 = SupportFunction(alpha * h.coeffs + shift, 2)
-        lam, v, res = homothety_fit(h1, h, grid32)
-        assert abs(lam - alpha) < 1e-9
-        assert res < 1e-9
-
-
-def test_homothety_fit_rejects_zero_reference(grid32):
-    with pytest.raises(ValueError):
-        homothety_fit(ball(1.0), SupportFunction(np.zeros(4), 1), grid32)
 
 
 # ---------------------------------------------------------------------------

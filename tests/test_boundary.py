@@ -8,8 +8,7 @@ import pytest
 
 from widthbright import (
     SupportFunction, NotConvexError, ball, ellipsoid, basis_index,
-    random_convex, inverse_gauss, even_phi_check, export_mesh,
-    mesh_volume, export_obj,
+    random_convex, inverse_gauss, export_mesh, export_obj,
 )
 from widthbright.sphere import make_grid
 
@@ -71,19 +70,15 @@ def test_support_identity_on_phi(grid32):
 # parity identity for odd summands
 
 def test_even_phi_check_vanishes_for_odd_harmonics(grid32):
-    assert even_phi_check(pure_harmonic(3, 0), grid32) < 1e-12
-    assert even_phi_check(pure_harmonic(1, 1), grid32) < 1e-12
-    assert even_phi_check(pure_harmonic(5, -4, 0.3), grid32) < 1e-12
+    # phi_p(u) = phi_p(-u) for odd p, on the evaluated record
+    for p in (pure_harmonic(3, 0), pure_harmonic(1, 1), pure_harmonic(5, -4, 0.3)):
+        phi = inverse_gauss(p, grid32).phi
+        assert np.abs(phi - phi[grid32.antipode_index]).max() < 1e-12
 
 
 def test_even_phi_check_zero_input(grid32):
-    p = SupportFunction(np.zeros(4), 1)
-    assert even_phi_check(p, grid32) == 0.0
-
-
-def test_even_phi_check_rejects_even_terms(grid32):
-    with pytest.raises(ValueError):
-        even_phi_check(ball(1.0), grid32)
+    phi = inverse_gauss(SupportFunction(np.zeros(4), 1), grid32).phi
+    assert np.abs(phi - phi[grid32.antipode_index]).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +116,14 @@ def test_mesh_normals_track_grid_normals(grid32):
     worst = np.degrees(np.arccos(
         np.clip(np.einsum("ij,ij->i", normals, mean_dir), -1, 1))).max()
     assert worst < 5.0
+
+
+def mesh_volume(mesh):
+    """Signed volume by the divergence theorem, sum det(v0, v1, v2)/6."""
+    v = mesh.vertices
+    t = mesh.triangles
+    return float(np.einsum("ij,ij->i", v[t[:, 0]],
+                           np.cross(v[t[:, 1]], v[t[:, 2]])).sum() / 6.0)
 
 
 def test_mesh_volume_of_ball(grid32):

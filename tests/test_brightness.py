@@ -19,7 +19,7 @@ from conftest import unit_vectors
 from widthbright import (
     SupportFunction, NotConvexError, ball, ellipsoid, basis_index,
     random_convex, cosine_multipliers, cosine_transform, brightness_profile,
-    mesh_shadow, proportional_brightness_residual, profile_to_csv,
+    mesh_shadow, profile_to_csv,
     constant_width_body, central_symmetral,
 )
 from widthbright.brightness import (
@@ -441,22 +441,7 @@ def test_entry_points_reject_non_unit_directions(grid16):
 
 
 # ---------------------------------------------------------------------------
-# proportional-brightness diagnostics
-
-def test_residual_of_identical_bodies(grid32):
-    h = random_convex(1, 6, grid32)
-    beta, q, max_even = proportional_brightness_residual(h, h, grid32)
-    assert abs(beta - 1.0) < 1e-12
-    assert np.abs(q).max() < 1e-10
-    assert max_even < 1e-10
-
-
-def test_residual_of_scaled_balls(grid32):
-    beta, q, max_even = proportional_brightness_residual(
-        ball(2.0), ball(1.0), grid32)
-    assert abs(beta - 4.0) < 1e-12
-    assert max_even < 1e-12
-
+# proportional-brightness defect
 
 def test_asymmetric_body_is_dimmer_than_its_symmetral(grid32):
     # a genuinely asymmetric constant-width body has strictly smaller
@@ -464,8 +449,12 @@ def test_asymmetric_body_is_dimmer_than_its_symmetral(grid32):
     # determinant defect is the obstruction to proportionality
     rec = constant_width_body(ball(1.0), pure_harmonic(3, 0), math.inf, grid32)
     h = rec.resolved
-    beta, _, max_even = proportional_brightness_residual(
-        h, central_symmetral(h), grid32)
+    s = central_symmetral(h)
+    areas, areas_s = (brightness_profile(g, grid32).areas for g in (h, s))
+    w = grid32.weights
+    beta = float((w * areas) @ areas_s / ((w * areas_s) @ areas_s))
+    q = inverse_gauss(h, grid32).detfield - beta * inverse_gauss(s, grid32).detfield
+    max_even = np.abs(0.5 * (q + q[grid32.antipode_index])).max()
     assert beta < 1.0
     assert beta > 0.9
     assert max_even > 1e-3

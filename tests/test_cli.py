@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import widthbright
 from widthbright.body import _field, body_to_spec
@@ -327,6 +328,82 @@ def test_negative_lmax_spec_is_input_error(tmp_path, capsys):
                       {"basis": "real-sph-harm", "lmax": -1, "coeffs": []})
     assert main(["analyze", body]) == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
+
+
+# A recipe field holds a usable value, a junk JSON value (a number that is
+# infinite or NaN, which json writes and reads back, a numeric or other
+# string, None, a short list), or nothing; a field is usable often enough
+# that runs reach every stage of gen, not only its first check
+_SCALARS = st.one_of(
+    st.none(), st.integers(-3, 9), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["2", "0.5", "-1", "40", "inf", "nan", "auto", "x"]))
+_JUNK = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4))
+_MISSING = object()
+_USABLE = {
+    "r": st.floats(0.1, 3.0),
+    "axes": st.lists(st.floats(0.2, 3.0), min_size=3, max_size=3),
+    "lmax": st.integers(0, 9),
+    "seed": st.integers(0, 5),
+    "roughness": st.floats(0.01, 0.99),
+    "eps": st.one_of(st.just("auto"), st.floats(-2.0, 2.0)),
+}
+_TERM = st.one_of(st.tuples(st.integers(0, 9), st.integers(-9, 9),
+                            st.floats(-2.0, 2.0)).map(list),
+                  st.lists(_SCALARS, max_size=4), _SCALARS)
+_HARMONICS = st.fixed_dictionaries(
+    {"harmonics": st.one_of(st.lists(_TERM, min_size=1, max_size=3), _JUNK)})
+# body specs, a ball and an odd degree-3 part, with one field junk or gone
+_SPECS = st.builds(
+    lambda spec, key, value: {k: v for k, v in dict(spec, **{key: value}).items()
+                              if v is not _MISSING},
+    st.sampled_from([ball_spec(), {"basis": "real-sph-harm", "lmax": 3,
+                                   "coeffs": [0.0] * 12 + [1.0, 0.0, 0.0, 0.0]}]),
+    st.sampled_from(["basis", "lmax", "coeffs", "closed_form", "truncation_tol",
+                     "label"]),
+    st.one_of(_JUNK, st.just(_MISSING)))
+
+
+def _value(usable):
+    return st.one_of(usable, _JUNK, st.just(_MISSING))
+
+
+def recipes(depth):
+    """Recipes of the four kinds and an unknown one, each with its own fields;
+    a constant-width recipe's gauge and odd parts are recipes nested up to
+    depth levels, body specs, harmonics parts or junk."""
+    part = st.one_of(_HARMONICS, _SPECS, _JUNK)
+    if depth:
+        part = st.one_of(recipes(depth - 1), part)
+    fields = {"ball": ("r",), "ellipsoid": ("axes", "lmax"),
+              "random_convex": ("seed", "lmax", "roughness"),
+              "constant_width": ("eps",), "torus": ("r",)}
+    kinds = []
+    for kind, names in fields.items():
+        parts = {"gauge": part, "odd": part} if kind == "constant_width" else {}
+        kinds.append(st.fixed_dictionaries(
+            dict({"kind": st.just(kind)}, **parts,
+                 **{name: _value(_USABLE[name]) for name in names})))
+    return st.one_of(kinds).map(
+        lambda r: {key: v for key, v in r.items() if v is not _MISSING})
+
+
+@seed(13)
+@settings(max_examples=200, deadline=None, database=None)
+@given(recipes(2))
+def test_gen_exits_with_a_documented_code_on_any_recipe(tmp_path_factory, recipe):
+    # --lmax 7: 8 rings are too coarse for the default 12, and every run
+    # would exit 2 at that guard before reading the recipe
+    path = write_json(tmp_path_factory.mktemp("fuzz") / "recipe.json", recipe)
+    assert main(["gen", path, "--grid", "8,16", "--lmax", "7"]) in (0, 2, 3, 4)
+
+
+def test_spec_with_mistyped_closed_form_or_tolerance_is_input_error(tmp_path, capsys):
+    # both ended in a traceback: a closed_form that is not a string reached
+    # str methods, and a null truncation_tol was read past the spec check
+    for key, value in (("closed_form", 3), ("truncation_tol", None)):
+        body = write_json(tmp_path / "bad.json", dict(ball_spec(), **{key: value}))
+        assert main(["analyze", body]) == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
 
 
 def test_tolerance_flag_validation(tmp_path):

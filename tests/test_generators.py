@@ -102,6 +102,25 @@ def test_constant_width_request_can_only_shrink(grid32):
     assert rec.params["eps_bound"] > 0.01
 
 
+def test_negative_eps_is_bounded_in_magnitude(grid32):
+    # the bound capped eps from above only, so eps = -1000 on the ball gauge
+    # gave a body whose least support-matrix eigenvalue was -3729.69
+    p = pure_harmonic(3, 0)
+    bound = constant_width_body(ball(1.0), p, math.inf, grid32).params["eps"]
+    for eps in (-1000.0, -math.inf):
+        rec = constant_width_body(ball(1.0), p, eps, grid32)
+        assert rec.params["eps"] == -bound
+        assert certify_convex(rec.resolved, grid32).min_eigenvalue >= 0.1 - 1e-12
+    assert constant_width_body(ball(1.0), p, -0.01, grid32).params["eps"] == -0.01
+
+
+def test_constant_width_refuses_a_perturbation_that_overflows(grid32):
+    # p's support matrix overflows, its eigenvalues come out nan, and a nan
+    # rho slipped past the bound: eps = 1e-300 gave a far from convex body
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        constant_width_body(ball(1.0), pure_harmonic(3, 0, 1e308), 1e-300, grid32)
+
+
 def test_constant_width_preserves_width(grid32):
     p = random_odd(3, degrees=(3, 5))
     rec = constant_width_body(ball(1.0), p, math.inf, grid32)
@@ -237,3 +256,18 @@ def test_resolve_recipe_rejects_garbage(grid32):
         resolve_recipe({"kind": "constant_width",
                         "gauge": {"kind": "ball", "r": 1.0},
                         "odd": {"basis": "garbage"}}, grid32)
+
+
+def test_infinite_degree_is_a_value_error(grid16):
+    # int(inf) raises OverflowError, which the resolvers' callers, catching
+    # ValueError, did not expect
+    inf = math.inf
+    gauge = {"kind": "ball", "r": 1.0}
+    with pytest.raises(ValueError):
+        wb.body_from_spec({"basis": "real-sph-harm", "lmax": inf, "coeffs": [1.0]})
+    for recipe in ({"kind": "ellipsoid", "axes": [1, 1, 2], "lmax": inf},
+                   {"kind": "random_convex", "seed": 1, "lmax": inf},
+                   {"kind": "constant_width", "gauge": gauge,
+                    "odd": {"harmonics": [[inf, 0, 1.0]]}}):
+        with pytest.raises(ValueError):
+            resolve_recipe(recipe, grid16)
