@@ -15,6 +15,7 @@ coefficient values). The certificate, width, volume, brightness, parity
 diagnostics and mesh export all read that record.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -128,16 +129,25 @@ def _field(grid, lmax, coeff_bytes):
     tab = node_tables(grid, basis)
     ent = tab.M @ c
     eigmin = entries_eigmin(ent)
-    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     return BoundaryField(
         values=_freeze(tab.V @ c),
         entries=_freeze(ent),
         eigmin=_freeze(eigmin),
         detfield=_freeze(entries_det(ent)),
         phi=_freeze(tab.PHI @ c),
-        pole_points=_freeze(_phi_table(basis, _solid_jets(poles, lmax), poles) @ c),
+        pole_points=_freeze(_pole_table(basis) @ c),
         min_eigenvalue=float(eigmin.min()),
     )
+
+
+@lru_cache(maxsize=None)
+def _pole_table(basis):
+    """_phi_table at the north and south poles, (2, 3, B), one per basis. It
+    is kept as the strided view _phi_table returns: a contiguous copy
+    changes some pole points in the last bit, since matmul then takes
+    another path."""
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    return _freeze(_phi_table(basis, _solid_jets(poles, basis.lmax), poles))
 
 
 def require_convex(field, what, tol_psd=TOL_PSD):
@@ -253,6 +263,9 @@ def body_from_spec(spec):
         truncation_tol = float(spec.get("truncation_tol", 0.0))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError("malformed body spec: %s" % exc) from None
+    if not (math.isfinite(truncation_tol) and truncation_tol >= 0.0):
+        raise ValueError("truncation_tol must be finite and >= 0, got %r"
+                         % truncation_tol)
     closed_form = spec.get("closed_form")
     if not isinstance(closed_form, (str, type(None))):
         raise ValueError("closed_form must be a tag string, got %r" % (closed_form,))

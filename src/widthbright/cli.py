@@ -154,13 +154,18 @@ def cmd_gen(args):
     grid = make_grid(*args.grid)
     recipe = _load_json(args.body)
     _require_declared_lmax(args, recipe)
-    try:
-        resolved = resolve_recipe(recipe, grid)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    h = resolved.resolved
-    _require_lmax(args, h.lmax)
-    cert = certify_convex(h, grid, args.tol_psd)
+    # a recipe whose numbers overflow is an input error, not a run that
+    # warns its way to one: numpy raises where it would have warned
+    with np.errstate(all="raise", under="ignore"):
+        try:
+            resolved = resolve_recipe(recipe, grid)
+            h = resolved.resolved
+            _require_lmax(args, h.lmax)
+            cert = certify_convex(h, grid, args.tol_psd)
+        except FloatingPointError as exc:
+            raise InputError("recipe numbers out of range: %s" % exc) from None
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
     spec = body_to_spec(h)
     spec["normalization"] = ("orthonormal real spherical harmonics, "
                              "Y_00 = 1/(2 sqrt(pi)); a ball of radius r has "

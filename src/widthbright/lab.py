@@ -12,9 +12,10 @@ The sign obstruction (for odd p, det M_p cannot be negative everywhere) is
 what makes constant width + constant brightness rigid; the optimizer checks
 the rigidity numerically by descending the brightness variance of
 constant-width bodies gauge + p back to the gauge. That variance is a
-homogeneous quartic in the odd coefficients: with z = vec(c c^T) it is
-z^T G z for a Gram matrix G built once per gauge, so the objective and its
-exact gradient cost O(nv^4) per call, whatever the grid.
+homogeneous quartic in the odd coefficients: with z_h = (c_j c_k), j <= k,
+the nv(nv+1)/2 distinct products, it is z_h^T G z_h for a Gram matrix G
+built once per gauge, so the objective and its exact gradient cost one
+O(nv^4 / 4) product per call, whatever the grid.
 """
 
 import math
@@ -130,8 +131,8 @@ def _gauge_tables(gauge, grid, degrees):
 
 
 # room for two gauges at least: a probe sequence may alternate between them,
-# and each rebuild transforms nv sigma tables of N x nv and forms the
-# O(N nv^4) Gram product of the N x nv^2 result
+# and each rebuild transforms nv sigma tables of N x (nv - j) and forms the
+# O(N nv^4 / 4) Gram product of the N x nv(nv+1)/2 result
 @lru_cache(maxsize=4)
 def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     """Gram matrix of the brightness variance, a quartic in c.
@@ -139,14 +140,16 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     Per node, det(M0 + sum c_j Mj) = det M0 + 2 sigma(M0, Mj) c_j
     + sigma(Mj, Mk) c_j c_k. The gauge is even and each Mj has odd degree,
     so sigma(M0, Mj) is odd and the cosine transform kills it: the relative
-    brightness of gauge + p_c is 1 + RQ z per node, with z = vec(c c^T).
-    Centring RQ on its weighted mean turns the weighted variance into
-    F(c) = z^T G z with G = RQc^T diag(wn) RQc, an nv^2 x nv^2 matrix, so
-    F and grad F = 4 (G z as nv x nv) c cost O(nv^4) per call. The table
-    S = sqrt(wn) RQc is filled one row j at a time, from the transform of
-    sigma(Mj, Mk) for k = 1..nv, so no N x nv^2 transient is ever held
-    beside it. The support matrices are kept entry-major, M0 (3, N) and
-    MJ (3, N, nv).
+    brightness of gauge + p_c is 1 + RQ z per node. sigma(Mj, Mk) =
+    sigma(Mk, Mj), so z is the symmetric half z_h = (c_j c_k) for j <= k,
+    nv(nv+1)/2 entries in np.triu_indices order, and RQ's off-diagonal
+    columns count their pair twice. Centring RQ on its weighted mean turns
+    the weighted variance into F(c) = z_h^T G z_h with
+    G = RQc^T diag(wn) RQc, so F and its gradient cost one product with G
+    per call, whatever the grid. The table S = sqrt(wn) RQc is filled one
+    row j at a time, from the transform of sigma(Mj, Mk) for k = j..nv, so
+    no N x nv^2 transient is ever held beside it. The support matrices are
+    kept entry-major, M0 (3, N) and MJ (3, N, nv).
     """
     basis = make_basis(max(gauge_lmax, max(degrees)))
     idx = _variable_indices(degrees)
@@ -163,24 +166,39 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
         raise NotConvexError("gauge brightness must be positive")
     wn = grid.weights / (4.0 * math.pi)
     sw = np.sqrt(wn)[:, None]
-    S = np.empty((n, nv * nv))
+    S = np.empty((n, nv * (nv + 1) // 2))
+    col = 0
     for j in range(nv):
-        quad = _sigma_entries(rows[:, j:j + 1], rows)  # sigma(Mj, Mk), (N, nv)
+        quad = _sigma_entries(rows[:, j:j + 1], rows[:, j:])  # (N, nv - j)
+        quad[:, 1:] *= 2.0  # c_j c_k and c_k c_j, k > j
         RQc = 0.5 * cosine_transform(quad, grid, grid.nodes) / b0[:, None]
         RQc -= wn @ RQc
-        S[:, j * nv:(j + 1) * nv] = sw * RQc
+        S[:, col:col + nv - j] = sw * RQc
+        col += nv - j
     return idx, basis, M0, MJ, S.T @ S  # numpy's syrk: exactly symmetric
 
 
+@lru_cache(maxsize=None)
+def _upper(nv):
+    return np.triu_indices(nv)
+
+
 def _variance(G, c):
-    z = np.outer(c, c).ravel()
-    return float(z @ (G @ z))
+    """F(c) = z_h^T (G z_h) with z_h = (c_j c_k), j <= k, and the product
+    G z_h, which is all that _variance_gradient needs."""
+    z = np.outer(c, c)[_upper(c.size)]
+    Gz = G @ z
+    return float(z @ Gz), Gz
 
 
-def _variance_gradient(G, c):
-    """Exact gradient of _variance at c: G is symmetric and so is each node's
-    sigma(Mj, Mk) in (j, k), so grad F = 4 (G z as nv x nv) c."""
-    return 4.0 * (G @ np.outer(c, c).ravel()).reshape(c.size, c.size) @ c
+def _variance_gradient(Gz, c):
+    """Exact gradient of _variance at c from its product Gz: grad F = 2 Y c,
+    Y symmetric with Y_jk = (G z_h)_jk off the diagonal and
+    Y_jj = 2 (G z_h)_jj, since c_j c_k has gradient c_k e_j + c_j e_k and
+    c_j^2 has 2 c_j e_j."""
+    Y = np.zeros((c.size, c.size))
+    Y[_upper(c.size)] = Gz
+    return 2.0 * ((Y + Y.T) @ c)
 
 
 def _min_eig(M0, MJ, c):
@@ -230,7 +248,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         return OptimizerTrace(iterations=trace, terminal_status="infeasible",
                               degrees=tuple(degrees), final_coeffs=c)
 
-    Fc = _variance(G, c)
+    Fc, Gz = _variance(G, c)
     trace.append((float(np.linalg.norm(c)), Fc, eig, 0.0))
     status = "stalled"
     g_prev = None
@@ -241,7 +259,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         if np.linalg.norm(c) < _NORM_TOL and Fc < _VAR_TOL:
             status = "converged_to_gauge"
             break
-        g = _variance_gradient(G, c)
+        g = _variance_gradient(Gz, c)  # the accepted state's product
         gn = float(np.linalg.norm(g))
         if gn == 0.0:
             break
@@ -260,7 +278,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
             c_try = c - step * g
             eig = _min_eig(M0, MJ, c_try)
             if eig >= _MIN_EIG_FLOOR:
-                F_try = _variance(G, c_try)
+                F_try, Gz_try = _variance(G, c_try)
                 if F_try <= Fc:
                     accepted = True
                     break
@@ -271,6 +289,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         g_prev = g
         c = c_try
         Fc = F_try
+        Gz = Gz_try
         trace.append((float(np.linalg.norm(c)), Fc, eig, step))
 
     if np.linalg.norm(c) < _NORM_TOL and Fc < _VAR_TOL:

@@ -21,9 +21,11 @@ from widthbright import (
     minkowski_sum, certify_convex, volume,
 )
 from widthbright.body import (
-    _field, body_to_spec, body_from_spec, inverse_gauss,
+    _field, _pole_table, body_to_spec, body_from_spec, inverse_gauss,
 )
-from widthbright.sphere import basis_values, node_tables
+from widthbright.sphere import (
+    basis_values, make_grid, node_tables, _phi_table, _solid_jets,
+)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -203,6 +205,33 @@ def test_record_is_read_only(grid16):
         field.values = np.zeros(grid16.n_nodes)
 
 
+def test_pole_points_match_a_direct_evaluation():
+    # the record reads the poles' phi rows from one cached table per basis;
+    # they stay bitwise what a fresh recurrence at the poles gives
+    grid = make_grid(4, 8)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    rng = np.random.default_rng(3)
+    for lmax in range(17):
+        basis = make_basis(lmax)
+        c = rng.standard_normal(basis.size)
+        direct = _phi_table(basis, _solid_jets(poles, lmax), poles) @ c
+        got = inverse_gauss(SupportFunction(c, lmax), grid).pole_points
+        assert np.array_equal(got, direct), lmax
+
+
+def test_pole_table_builds_once_per_basis():
+    _pole_table.cache_clear()
+    _field.cache_clear()
+    rng = np.random.default_rng(4)
+    for grid in (make_grid(4, 8), make_grid(6, 12)):
+        for _ in range(2):
+            inverse_gauss(SupportFunction(rng.standard_normal(36), 5), grid)
+    info = _pole_table.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert _pole_table(make_basis(5)) is _pole_table(make_basis(5))
+    assert not _pole_table(make_basis(5)).flags.writeable
+
+
 def test_zonal_oracle_matrix_entries(grid32):
     # frozen from the zonal reduction of Y30 at the first ring of the
     # symmetrized 32-point Gauss-Legendre rule
@@ -281,6 +310,19 @@ def test_body_from_spec_rejects_garbage():
         body_from_spec({"basis": "other", "lmax": 0, "coeffs": [1.0]})
     with pytest.raises(ValueError):
         body_from_spec({"basis": "real-sph-harm", "lmax": 2, "coeffs": [1.0]})
+
+
+def test_body_from_spec_refuses_a_tolerance_that_is_not_finite_and_nonnegative():
+    # a nan or infinite tolerance made the closed-form check pass whatever
+    # the coefficients: radius 2.82 loaded as ball:1.0
+    spec = {"basis": "real-sph-harm", "lmax": 0, "coeffs": [10.0],
+            "closed_form": "ball:1.0"}
+    for tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="truncation_tol"):
+            body_from_spec(dict(spec, truncation_tol=tol))
+    # a bad tolerance is refused without a closed form to check, too
+    with pytest.raises(ValueError, match="truncation_tol"):
+        body_from_spec(dict(spec, closed_form=None, truncation_tol=math.nan))
 
 
 def test_closed_form_consistency_is_checked(grid32):

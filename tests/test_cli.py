@@ -323,6 +323,43 @@ def test_gen_rejects_mistyped_recipe_fields(tmp_path, capsys):
         assert "input error" in capsys.readouterr().err
 
 
+def test_gen_refuses_recipes_that_overflow_with_one_line(tmp_path):
+    # each ran on through numpy's RuntimeWarnings ("overflow encountered in
+    # square", "invalid value encountered in matmul") before its input
+    # error, and the ball wrote a spec with an infinite det_min and exit 0
+    recipes = [
+        {"kind": "ellipsoid", "axes": [1, 1, 1e200]},
+        {"kind": "ball", "r": 1e200},
+        {"kind": "constant_width", "gauge": {"kind": "ball", "r": 1.0},
+         "odd": {"harmonics": [[3, 0, 1e308]]}}]
+    paths = [write_json(tmp_path / ("r%d.json" % k), r)
+             for k, r in enumerate(recipes)]
+    probe = ("import sys\n"
+             "from widthbright.cli import main\n"
+             "print(*[main(['gen', p, '--grid', '16,32', '--lmax', '8'])"
+             " for p in sys.argv[1:]])\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *paths],
+                          capture_output=True, text=True,
+                          env=child_env(WIDTHBRIGHT_THREADS="1"),
+                          cwd=str(tmp_path))
+    assert proc.stdout.split() == [str(EXIT_INPUT)] * len(recipes), proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == len(recipes), proc.stderr
+    assert all(line.startswith("input error: ") for line in lines), proc.stderr
+
+
+def test_spec_with_a_tolerance_that_is_not_finite_is_input_error(tmp_path, capsys):
+    # a nan or infinite truncation_tol skipped the closed-form check, so
+    # coefficient 10.0 (radius 2.82) loaded as ball:1.0 and exited 0
+    for tol in (math.nan, math.inf, -1.0):
+        body = write_json(tmp_path / "tol.json", {
+            "basis": "real-sph-harm", "lmax": 0, "coeffs": [10.0],
+            "closed_form": "ball:1.0", "truncation_tol": tol})
+        assert main(["analyze", body, "--grid", "16,32", "--lmax", "8"]) \
+            == EXIT_INPUT, tol
+        assert "input error: truncation_tol" in capsys.readouterr().err
+
+
 def test_negative_lmax_spec_is_input_error(tmp_path, capsys):
     body = write_json(tmp_path / "neg.json",
                       {"basis": "real-sph-harm", "lmax": -1, "coeffs": []})

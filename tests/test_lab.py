@@ -218,10 +218,11 @@ def test_optimizer_input_validation(grid32):
                                      degrees=(3, 3))
 
 
-def relative_brightness_table(gauge, grid):
-    """The per-node table RQ behind the Gram matrix, built from the model's
-    entry-major support matrices: relative brightness is 1 + RQ vec(c c^T)."""
-    _, _, M0, MJ, _ = _gauge_tables(gauge, grid, (3, 5))
+def relative_brightness_table(gauge, grid, degrees=(3, 5)):
+    """The full per-node table RQ, one column per ordered pair (j, k), built
+    from the model's entry-major support matrices: relative brightness is
+    1 + RQ vec(c c^T)."""
+    _, _, M0, MJ, _ = _gauge_tables(gauge, grid, degrees)
     rows = MJ.transpose(1, 2, 0)
     quad = _sigma_entries(rows[:, :, None, :], rows[:, None, :, :])
     b0 = brightness_profile(gauge, grid).areas
@@ -262,7 +263,7 @@ def test_gram_form_matches_the_direct_variance(grid32):
             c = norm * u
             z = np.outer(c, c).ravel().astype(np.longdouble)
             want = weighted_variance(RQ.astype(np.longdouble) @ z, grid32)
-            assert abs(_variance(G, c) / want - 1.0) < 1e-13
+            assert abs(_variance(G, c)[0] / want - 1.0) < 1e-13
 
         c = 5e-2 * u  # convex: least support-matrix eigenvalue 0.23 or more
         h = SupportFunction(_padded(gauge.coeffs, gauge.lmax, basis.lmax),
@@ -271,7 +272,28 @@ def test_gram_form_matches_the_direct_variance(grid32):
         ratio = brightness_profile(h, grid32).areas \
             / brightness_profile(gauge, grid32).areas
         want = weighted_variance(ratio, grid32)
-        assert abs(_variance(G, c) / want - 1.0) < 1e-12
+        assert abs(_variance(G, c)[0] / want - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("degrees", [(3, 5), (3, 5, 7)])
+def test_half_model_matches_the_full_gram_form(grid32, degrees):
+    # the model keeps G on z_h = (c_j c_k), j <= k; the full nv^2 x nv^2
+    # Gram matrix of vec(c c^T), built here from the same sigma table,
+    # gives the same F
+    for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
+        idx, _, _, _, G = _gauge_tables(gauge, grid32, degrees)
+        nv = idx.size
+        assert G.shape == (nv * (nv + 1) // 2,) * 2
+        RQ, _, _ = relative_brightness_table(gauge, grid32, degrees)
+        wn = grid32.weights / (4 * np.pi)
+        RQc = RQ - wn @ RQ
+        G_full = RQc.T @ (wn[:, None] * RQc)
+        rng = np.random.default_rng(len(degrees))
+        for _ in range(3):
+            c = 0.05 * rng.standard_normal(nv)
+            z = np.outer(c, c).ravel()
+            want = z @ (G_full @ z)
+            assert abs(_variance(G, c)[0] / want - 1.0) < 1e-13
 
 
 def test_variance_valley_is_quartic_for_even_gauges(grid32):
@@ -279,8 +301,8 @@ def test_variance_valley_is_quartic_for_even_gauges(grid32):
     # so the variance is quartic near the bottom: F(2c) ~ 16 F(c)
     idx, _, _, _, G = _gauge_tables(ball(1.0), grid32, (3, 5))
     c = random_odd(6, degrees=(3, 5), scale=1e-3).coeffs[idx]
-    f1 = _variance(G, c)
-    f2 = _variance(G, 2.0 * c)
+    f1 = _variance(G, c)[0]
+    f2 = _variance(G, 2.0 * c)[0]
     assert abs(f2 / f1 - 16.0) < 1e-3
 
 
@@ -298,15 +320,16 @@ def test_linear_brightness_term_of_an_even_gauge_is_roundoff(grid32):
 def test_variance_gradient_matches_central_differences(grid32):
     rng = np.random.default_rng(11)
     step = 1e-5
-    for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
-        idx, _, _, _, G = _gauge_tables(gauge, grid32, (3, 5))
+    for gauge, degrees in ((ball(1.0), (3, 5)), (ellipsoid(1, 1, 2), (3, 5)),
+                           (ellipsoid(1, 1, 2), (3, 5, 7))):
+        idx, _, _, _, G = _gauge_tables(gauge, grid32, degrees)
         for _ in range(3):
             c = 0.05 * rng.standard_normal(idx.size)
             fd = np.array([
-                (_variance(G, c + step * e) - _variance(G, c - step * e))
+                (_variance(G, c + step * e)[0] - _variance(G, c - step * e)[0])
                 / (2.0 * step)
                 for e in np.eye(c.size)])
-            g = _variance_gradient(G, c)
+            g = _variance_gradient(_variance(G, c)[1], c)
             assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
@@ -326,16 +349,19 @@ def test_gauge_tables_follow_coefficient_changes(grid32):
 
 def test_gauge_model_holds_no_table_of_sigma_columns(grid32):
     # the model used to transform all nv^2 = 324 sigma columns at once,
-    # about six live 2048 x 325 copies, 36.9 MiB, to keep a 0.8 MiB G
+    # about six live 2048 x 325 copies, 36.9 MiB, to keep a 0.8 MiB G; on
+    # all nv^2 ordered pairs it peaked at 8.0 MiB for (3, 5) and 28.7 MiB
+    # for (3, 5, 7), and on the nv(nv+1)/2 pairs j <= k at 5.5 and 14.0
     gauge = ellipsoid(1, 1, 2)
     node_tables(grid32, make_basis(gauge.lmax))
     _cosine_operator(grid32)
-    tracemalloc.start()
-    lab._quadratic_model.__wrapped__(grid32, (3, 5), gauge.lmax,
-                                     gauge.coeffs.tobytes())
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 12 * 2 ** 20
+    for degrees, bound_mib in (((3, 5), 6.5), ((3, 5, 7), 16.5)):
+        tracemalloc.start()
+        lab._quadratic_model.__wrapped__(grid32, degrees, gauge.lmax,
+                                         gauge.coeffs.tobytes())
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < bound_mib * 2 ** 20, degrees
 
 
 def test_one_cosine_operator_per_grid():
