@@ -154,18 +154,13 @@ def cmd_gen(args):
     grid = make_grid(*args.grid)
     recipe = _load_json(args.body)
     _require_declared_lmax(args, recipe)
-    # a recipe whose numbers overflow is an input error, not a run that
-    # warns its way to one: numpy raises where it would have warned
-    with np.errstate(all="raise", under="ignore"):
-        try:
-            resolved = resolve_recipe(recipe, grid)
-            h = resolved.resolved
-            _require_lmax(args, h.lmax)
-            cert = certify_convex(h, grid, args.tol_psd)
-        except FloatingPointError as exc:
-            raise InputError("recipe numbers out of range: %s" % exc) from None
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+    try:
+        resolved = resolve_recipe(recipe, grid)
+        h = resolved.resolved
+        _require_lmax(args, h.lmax)
+        cert = certify_convex(h, grid, args.tol_psd)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     spec = body_to_spec(h)
     spec["normalization"] = ("orthonormal real spherical harmonics, "
                              "Y_00 = 1/(2 sqrt(pi)); a ball of radius r has "
@@ -332,7 +327,14 @@ def main(argv=None):
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         _require_lmax(args, args.lmax)
-        return args.run(args)
+        # a body or recipe whose numbers overflow is an input error, not a
+        # run that warns its way to a failure or writes NaNs: numpy raises
+        # where it would have warned, before any output is written
+        with np.errstate(all="raise", under="ignore"):
+            return args.run(args)
+    except FloatingPointError as exc:
+        print("input error: numbers out of range: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

@@ -23,8 +23,9 @@ from widthbright import (
     constant_width_body, central_symmetral,
 )
 from widthbright.brightness import (
-    _cosine_operator, _hull_area, _kernel_matrix, _polygon_interior,
-    _plane_basis, _HULL_COLLINEAR_TOL,
+    _cosine_operator, _drop_margin, _extreme_points, _fan_interior,
+    _hull_area, _kernel_matrix, _polygon_interior, _plane_basis,
+    _HULL_COLLINEAR_TOL,
 )
 from widthbright.boundary import BodyMesh, inverse_gauss, export_mesh
 from widthbright.sphere import make_basis, make_grid, basis_values
@@ -324,17 +325,26 @@ def test_hull_area_matches_reference_chain(pts):
     assert _outcome(_hull_area, pts) == _outcome(_reference_hull_area, pts)
 
 
+def _drops(prefilter, pts, n_rays):
+    # one prefilter pass of the oracle's hull over (N, 2) points, on the
+    # extreme points in n_rays directions
+    xy = pts.T
+    return prefilter(xy, _extreme_points(xy, n_rays), _drop_margin(xy))
+
+
 def test_polygon_interior_drops_only_interior_points():
-    # a square with points along its sides: only the points inside go
+    # a square with points along its sides: only the points inside go, by
+    # the polygon and by the fan alike
     rng = np.random.default_rng(5)
     corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
     side = np.arange(40) % 4
     t = rng.uniform(0.0, 1.0, (40, 1))
     sides = (1 - t) * corners[side] + t * corners[(side + 1) % 4]
     square = np.vstack([corners, sides, rng.uniform(-0.99, 0.99, (200, 2))])
-    for n_rays in (8, 64):
-        assert np.array_equal(_polygon_interior(square, n_rays),
-                              np.arange(len(square)) >= 44)
+    for prefilter in (_polygon_interior, _fan_interior):
+        for n_rays in (8, 64):
+            assert np.array_equal(_drops(prefilter, square, n_rays),
+                                  np.arange(len(square)) >= 44)
     # collinear points, and a flat triangle whose apex no 8-ray direction
     # picks out (its normal cone is 22.5 +- 2.9 degrees), so that 2 distinct
     # extreme points remain: nothing is dropped
@@ -343,9 +353,59 @@ def test_polygon_interior_drops_only_interior_points():
     c, d = math.cos(3.0 * math.pi / 8.0), math.sin(3.0 * math.pi / 8.0)
     flat = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.05],
                      [0.0, 0.01], [0.2, 0.02], [-0.3, 0.01]]) @ [[c, -d], [d, c]]
-    for pts, n_rays in ((line, 8), (line, 64), (flat, 8)):
-        assert not _polygon_interior(pts, n_rays).any()
-    assert _polygon_interior(flat, 64)[3:].all()
+    for prefilter in (_polygon_interior, _fan_interior):
+        for pts, n_rays in ((line, 8), (line, 64), (flat, 8)):
+            assert not _drops(prefilter, pts, n_rays).any()
+        assert _drops(prefilter, flat, 64)[3:].all()
+
+
+def test_fan_keeps_points_on_its_radial_lines_and_near_its_edges():
+    # the square's corners fan out from the origin along its diagonals, so a
+    # point exactly on a diagonal lies on an edge of its triangle and stays,
+    # the origin too; so does a point 1e-9 inside a side, within the margin
+    # (5.3e-7 here); the points off the diagonals inside the square go
+    s = np.linspace(-0.9, 0.9, 19)
+    diagonals = np.vstack([np.column_stack([s, s]), np.column_stack([s, -s])])
+    near = np.array([[0.5, 1.0 - 1e-9], [-1.0 + 1e-9, 0.3],
+                     [-0.2, -1.0 + 1e-9], [1.0 - 1e-9, -0.7]])
+    rng = np.random.default_rng(11)
+    inner = rng.uniform(-0.9, 0.9, (300, 2))
+    inner = inner[np.abs(np.abs(inner[:, 0]) - np.abs(inner[:, 1])) > 1e-3]
+    corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    pts = np.vstack([corners, diagonals, near, inner])
+    xy = pts.T
+    margin = _drop_margin(xy)
+    kept = 4 + len(diagonals) + len(near)
+    dropped = _fan_interior(xy, np.array([2, 0, 3, 1]), margin)
+    assert np.array_equal(dropped, np.arange(len(pts)) >= kept)
+    # the polygon of the same corners has no radial edges, only the sides
+    dropped = _polygon_interior(xy, np.arange(4), margin)
+    assert not dropped[kept - len(near):kept].any() and dropped[kept:].all()
+    assert _hull_area(pts) == _reference_hull_area(pts) == 4.0
+
+
+def test_fan_of_a_reflex_polygon_drops_only_points_inside_it():
+    # the fan's vertices need not be convex: twelve outer vertices alternate
+    # with twelve at a third of the radius, a star whose triangles
+    # (c, e_k, e_k+1) still lie in the hull; the points in its notches stay
+    k = np.arange(24)
+    ang = k * (2.0 * math.pi / 24)
+    star = np.where(k % 2 == 0, 1.0, 1.0 / 3.0)[:, None] \
+        * np.column_stack([np.cos(ang), np.sin(ang)])
+    rng = np.random.default_rng(12)
+    cloud = rng.uniform(-1.0, 1.0, (2000, 2))
+    pts = np.vstack([star, cloud[np.hypot(*cloud.T) < 0.95]])
+    xy = pts.T
+    dropped = _fan_interior(xy, rng.permutation(24), _drop_margin(xy))
+    # inside the star: strictly inside one of its 24 triangles at the origin
+    a, b = star, np.roll(star, -1, axis=0)
+    x, y = xy[:, :, None]
+    inside = np.any((a[:, 0] * y - a[:, 1] * x > 0) & (x * b[:, 1] - y * b[:, 0] > 0)
+                    & ((b[:, 0] - a[:, 0]) * (y - a[:, 1])
+                       - (b[:, 1] - a[:, 1]) * (x - a[:, 0]) > 0), axis=1)
+    assert not dropped[~inside].any()
+    assert dropped.sum() >= 0.99 * inside.sum() > 300
+    assert _hull_area(pts) == _reference_hull_area(pts)
 
 
 def test_hull_area_degenerate_inputs_raise():
@@ -373,7 +433,7 @@ def test_mesh_shadow_areas_match_reference_chain(grid16):
 
 def test_oracle_mesh_hull_walks_few_points_and_matches_reference_chain(grid32):
     # the 64x128 mesh of criterion 3: its 8,194 projected vertices crowd the
-    # rim, so the 8-ray polygon alone keeps about 2,500; the 64-ray pass on
+    # rim, so the 8-ray polygon alone keeps about 2,500; the 64-ray fan on
     # its survivors leaves the chain a few hundred, and the area must not
     # move by a bit
     fine = make_grid(64, 128)
@@ -387,10 +447,51 @@ def test_oracle_mesh_hull_walks_few_points_and_matches_reference_chain(grid32):
         for a, area in zip(dirs, areas):
             b1, b2 = _plane_basis(a)
             pts = np.column_stack([verts @ b1, verts @ b2])
-            kept = pts[~_polygon_interior(pts, 8)]
-            kept = kept[~_polygon_interior(kept, 64)]
+            kept = pts[~_drops(_polygon_interior, pts, 8)]
+            kept = kept[~_drops(_fan_interior, kept, 64)]
             assert len(kept) < 1000
             assert area == _reference_hull_area(pts)
+
+
+def test_mesh_shadow_profile_equals_mesh_shadow_per_direction(grid16):
+    # the profile's oracle areas are those of the public function, to the bit
+    h = ellipsoid(1, 1, 2)
+    dirs = unit_vectors(1002, 8)
+    areas = brightness_profile(h, grid16, directions=dirs,
+                               method="mesh_shadow").areas
+    fine = make_grid(32, 64)
+    mesh = export_mesh(inverse_gauss(h, fine), fine)
+    assert areas.tobytes() == np.array([mesh_shadow(mesh, a) for a in dirs]).tobytes()
+
+
+def _plane_basis_numpy(a):
+    # the basis as numpy arrays, the form the oracle used before it moved
+    # to Python floats
+    a = np.asarray(a, float)
+    nz = np.nonzero(np.abs(a) > 1e-13)[0]
+    if nz.size and a[nz[0]] < 0.0:
+        a = -a
+    k = int(np.argmin(np.abs(a)))
+    e = np.zeros(3)
+    e[k] = 1.0
+    b1 = np.cross(a, e)
+    b1 /= np.linalg.norm(b1)
+    b2 = np.cross(a, b1)
+    b2 /= np.linalg.norm(b2)
+    return b1, b2
+
+
+def test_plane_basis_matches_the_numpy_form_bitwise():
+    # random directions, the axes both ways, ties in |a_i| and components
+    # at and just past the 1e-13 sign threshold; signed zeros must match too
+    tie = 1.0 / math.sqrt(2.0)
+    dirs = np.vstack([unit_vectors(1003, 1000), np.eye(3), -np.eye(3),
+                      [[tie, tie, 0.0], [0.0, -tie, tie], [-tie, 0.0, -tie]],
+                      [[1e-13, -1.0, 0.0], [2e-13, -1.0, 0.0],
+                       [-5e-14, 0.6, -0.8], [0.0, -0.0, 1.0]]])
+    for a in dirs:
+        for got, ref in zip(_plane_basis(a), _plane_basis_numpy(a)):
+            assert np.array(got).tobytes() == ref.tobytes()
 
 
 def test_formula_matches_oracle_for_ellipsoid(grid32):

@@ -348,6 +348,58 @@ def test_gen_refuses_recipes_that_overflow_with_one_line(tmp_path):
     assert all(line.startswith("input error: ") for line in lines), proc.stderr
 
 
+def test_commands_refuse_bodies_that_overflow_with_one_line(tmp_path):
+    # a ball of radius about 1e200: analyze printed RuntimeWarnings and
+    # exited 4 with "non-positive shadow area", export warned and wrote an
+    # OBJ of NaNs with exit 0, and verify-theorem warned its way to a trace
+    body = write_json(tmp_path / "big.json", {
+        "basis": "real-sph-harm", "lmax": 0, "coeffs": [3.5e200]})
+    commands = ("analyze", "export", "verify-theorem")
+    probe = ("import sys\n"
+             "from widthbright.cli import main\n"
+             "print(*[main([c, sys.argv[1], '--grid', '16,32', '--lmax', '8'])"
+             " for c in sys.argv[2:]])\n")
+    proc = subprocess.run([sys.executable, "-c", probe, body, *commands],
+                          capture_output=True, text=True,
+                          env=child_env(WIDTHBRIGHT_THREADS="1"),
+                          cwd=str(tmp_path))
+    assert proc.stdout.split() == [str(EXIT_INPUT)] * len(commands), proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == len(commands), proc.stderr
+    assert all(line.startswith("input error: numbers out of range")
+               for line in lines), proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["big.json"]
+
+
+# body specs of degree up to 4 with any mix of even and odd degrees, each
+# coefficient zero or of magnitude 1e-300 to 1e300, mostly near 1
+_MAGNITUDES = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+    st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99),
+    st.one_of(st.integers(-300, 300), st.integers(-2, 1)))
+
+
+@st.composite
+def _fuzzed_specs(draw):
+    lmax = draw(st.integers(0, 4))
+    degrees = draw(st.sets(st.integers(0, lmax)))
+    coeffs = [draw(_MAGNITUDES) if l in degrees else 0.0
+              for l in range(lmax + 1) for _ in range(2 * l + 1)]
+    if draw(st.booleans()):
+        coeffs[0] = draw(st.floats(1.0, 20.0))   # a ball to perturb
+    return {"basis": "real-sph-harm", "lmax": lmax, "coeffs": coeffs}
+
+
+@seed(17)
+@settings(max_examples=60, deadline=None, database=None)
+@given(_fuzzed_specs())
+def test_analyze_and_export_exit_with_a_documented_code_on_any_body(
+        tmp_path_factory, spec):
+    path = write_json(tmp_path_factory.mktemp("fuzz") / "body.json", spec)
+    for command in ("analyze", "export"):
+        assert main([command, path, "--grid", "8,16", "--lmax", "7"]) in (0, 2, 3, 4)
+
+
 def test_spec_with_a_tolerance_that_is_not_finite_is_input_error(tmp_path, capsys):
     # a nan or infinite truncation_tol skipped the closed-form check, so
     # coefficient 10.0 (radius 2.82) loaded as ball:1.0 and exited 0
