@@ -217,14 +217,17 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     (min eigenvalue of the support matrix kept at or above
     _MIN_EIG_FLOOR). Terminal states: converged_to_gauge (||c|| < _NORM_TOL
     and F < _VAR_TOL), stalled, infeasible (init outside the convexity
-    region).
+    region). A gauge whose margin is not above the floor raises
+    NotConvexError.
     """
     if any(int(d) % 2 == 0 or int(d) < 3 for d in degrees):
         raise ValueError("variable degrees must be odd and >= 3")
     if len({int(d) for d in degrees}) != len(degrees):
         raise ValueError("variable degrees must not repeat")
-    if not inverse_gauss(gauge, grid).min_eigenvalue > _MIN_EIG_FLOOR:
-        raise ValueError("gauge must be certified convex with margin above the floor")
+    margin = inverse_gauss(gauge, grid).min_eigenvalue
+    if not margin > _MIN_EIG_FLOOR:
+        raise NotConvexError("gauge margin %.3e is not above the probe's floor %g"
+                             % (margin, _MIN_EIG_FLOOR))
     if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
         raise ValueError("gauge must be even")
 

@@ -204,6 +204,18 @@ def test_verify_theorem_infeasible_start(tmp_path):
         == EXIT_INFEASIBLE
 
 
+def test_verify_theorem_gauge_below_the_floor_is_infeasible(tmp_path, capsys):
+    # a ball of radius 0.005 is convex, but its margin is under the probe's
+    # eigenvalue floor: infeasible like a start outside the region, not a
+    # numerical failure
+    body = write_json(tmp_path / "tiny.json",
+                      {"basis": "real-sph-harm", "lmax": 0, "coeffs": [0.0177]})
+    assert main(["verify-theorem", body, "--grid", "8,16", "--lmax", "7",
+                 "--degrees", "3"]) == EXIT_INFEASIBLE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("infeasible: "), lines
+
+
 def test_verify_theorem_rejects_even_degrees(tmp_path, capsys):
     body = write_json(tmp_path / "ball.json", ball_spec())
     assert main(["verify-theorem", body, "--degrees", "2,4"]) == EXIT_INPUT
@@ -371,8 +383,9 @@ def test_commands_refuse_bodies_that_overflow_with_one_line(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["big.json"]
 
 
-# body specs of degree up to 4 with any mix of even and odd degrees, each
-# coefficient zero or of magnitude 1e-300 to 1e300, mostly near 1
+# body specs of degree up to 4 with any mix of even and odd degrees, about
+# half of them even, each coefficient zero or of magnitude 1e-300 to 1e300,
+# mostly near 1
 _MAGNITUDES = st.builds(
     lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
     st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99),
@@ -383,6 +396,9 @@ _MAGNITUDES = st.builds(
 def _fuzzed_specs(draw):
     lmax = draw(st.integers(0, 4))
     degrees = draw(st.sets(st.integers(0, lmax)))
+    if draw(st.booleans()):
+        # an even body, which verify-theorem takes as a gauge and probes
+        degrees = {l for l in degrees if l % 2 == 0}
     coeffs = [draw(_MAGNITUDES) if l in degrees else 0.0
               for l in range(lmax + 1) for _ in range(2 * l + 1)]
     if draw(st.booleans()):
@@ -396,8 +412,10 @@ def _fuzzed_specs(draw):
 def test_analyze_and_export_exit_with_a_documented_code_on_any_body(
         tmp_path_factory, spec):
     path = write_json(tmp_path_factory.mktemp("fuzz") / "body.json", spec)
-    for command in ("analyze", "export"):
-        assert main([command, path, "--grid", "8,16", "--lmax", "7"]) in (0, 2, 3, 4)
+    for command in (["analyze"], ["export"],
+                    ["verify-theorem", "--degrees", "3", "--max-iter", "5"]):
+        assert main([*command, path, "--grid", "8,16", "--lmax", "7"]) \
+            in (0, 2, 3, 4)
 
 
 def test_spec_with_a_tolerance_that_is_not_finite_is_input_error(tmp_path, capsys):
