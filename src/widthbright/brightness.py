@@ -7,7 +7,10 @@ exactly and scales even degree l by lambda_l = 2 pi int_{-1}^{1} |t| P_l(t) dt.
 The implementation expands the kernel |<a,u>| in Legendre polynomials of the
 dot product, which for bandlimited integrands reproduces the transform to
 roundoff; naive quadrature of the kinked kernel would stall at O(n^-2)
-accuracy, and only the tests keep it, as a cross-check.
+accuracy, and only the tests keep it, as a cross-check. Only the even
+degrees carry weight, so the series is a polynomial in y = 2 t^2 - 1; it is
+converted once per degree into Chebyshev coefficients in y and evaluated by
+Clenshaw's recurrence, in half the steps of the Legendre recurrence.
 Between the grid's own nodes the kernel depends only on the two rings and
 the azimuth difference, so the on-grid transform is an azimuthal
 convolution (Driscoll & Healy 1994): an rfft along azimuth, one
@@ -19,7 +22,9 @@ The mesh-shadow oracle is the independent second route to the same areas
 and shares no code with the transform path. On the closed, outward-oriented
 boundary mesh it sums Cauchy's projection formula, a quarter of
 sum_T |((v1 - v0) x (v2 - v0)) . a| over the triangles: elementary geometry
-on the mesh, with no harmonics, no determinant field and no transform.
+on the mesh, with no harmonics, no determinant field and no transform. The
+cross products belong to the mesh (BodyMesh.cross), formed once and shared
+by export_mesh's degenerate-triangle check and the oracle.
 """
 
 import math
@@ -58,18 +63,55 @@ def cosine_multipliers(lmax):
     return lam
 
 
-def _kernel_from_dots(dots, lmax):
-    """The cosine kernel |t| at t = dots as its Legendre series to degree
-    lmax, scaled so that its quadrature against f gives (Cf)."""
+@lru_cache(maxsize=None)
+def _kernel_chebyshev(lmax):
+    """Coefficients c_0..c_K, K = lmax // 2, of the kernel's Legendre series
+    sum_l lambda_l (2l+1)/(4 pi) P_l(t) to degree lmax, rewritten as the
+    Chebyshev series sum_k c_k T_k(y) in y = 2 t^2 - 1.
+
+    Only even l carry weight, so the series is a polynomial of degree K in
+    y (T_2k(t) = T_k(2 t^2 - 1)). It is sampled by the Legendre recurrence
+    at the K + 1 Chebyshev nodes y_j = cos(theta_j), where t_j =
+    cos(theta_j / 2), and interpolated there exactly by a cosine sum.
+    """
     lam = cosine_multipliers(lmax)
-    out = np.full_like(dots, lam[0] * (1.0 / (4.0 * math.pi)))
-    Pm1 = np.ones_like(dots)
-    Pl = dots
+    n = lmax // 2 + 1
+    theta = math.pi * (np.arange(n) + 0.5) / n
+    t = np.cos(0.5 * theta)
+    samples = np.full(n, lam[0] / (4.0 * math.pi))
+    Pm1, Pl = np.ones(n), t
     for l in range(1, lmax + 1):
         if lam[l] != 0.0:
-            out += lam[l] * ((2 * l + 1) / (4.0 * math.pi)) * Pl
-        Pm1, Pl = Pl, ((2 * l + 1) * dots * Pl - l * Pm1) / (l + 1)
-    return out
+            samples += lam[l] * ((2 * l + 1) / (4.0 * math.pi)) * Pl
+        Pm1, Pl = Pl, ((2 * l + 1) * t * Pl - l * Pm1) / (l + 1)
+    coeffs = (2.0 / n) * (np.cos(np.multiply.outer(np.arange(n), theta)) @ samples)
+    coeffs[0] *= 0.5
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _kernel_from_dots(dots, lmax):
+    """The cosine kernel |t| at t = dots as its Legendre series to degree
+    lmax, scaled so that its quadrature against f gives (Cf).
+
+    The even series is evaluated as _kernel_chebyshev's series in
+    y = 2 t^2 - 1 by Clenshaw's recurrence b_k = c_k + 2y b_{k+1} - b_{k+2},
+    value c_0 + y b_1 - b_2 (Clenshaw 1955): lmax // 2 steps of one product
+    and two sums, each done in place.
+    """
+    coeffs = _kernel_chebyshev(lmax)
+    y = 2.0 * dots * dots - 1.0
+    two_y = y + y
+    b1, b2, tmp = np.zeros_like(y), np.zeros_like(y), np.empty_like(y)
+    for c in coeffs[:0:-1]:
+        np.multiply(two_y, b1, out=tmp)
+        tmp -= b2
+        tmp += c
+        b1, b2, tmp = tmp, b1, b2
+    np.multiply(y, b1, out=tmp)
+    tmp -= b2
+    tmp += coeffs[0]
+    return tmp
 
 
 def _kernel_matrix(grid, directions):
@@ -194,13 +236,13 @@ def mesh_shadow(mesh, directions):
     2006). Where the grid triangulation folds at a reflex edge the sum
     counts the fold twice, and the area departs from the hull of the
     projected vertices, by under 1e-4 relative on criterion 3's bodies.
-    Each direction takes one (T,) product, so memory stays O(T) and an area
-    does not depend on the batch it came in. A zero area raises ValueError.
+    The cross products are the mesh's own, BodyMesh.cross, formed once per
+    mesh. Each direction takes one (T,) product, so memory stays O(T) and
+    an area does not depend on the batch it came in. A zero area raises
+    ValueError.
     """
     directions = _unit_directions(directions)
-    verts, tris = mesh.vertices, mesh.triangles
-    v0 = verts[tris[:, 0]]
-    cross = np.cross(verts[tris[:, 1]] - v0, verts[tris[:, 2]] - v0)
+    cross = mesh.cross
     areas = np.array([0.25 * np.abs(cross @ a).sum() for a in directions])
     if np.any(areas <= 0.0):
         raise ValueError("degenerate shadow: zero projected area")

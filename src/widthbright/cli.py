@@ -29,7 +29,8 @@ from .body import (
 )
 from .boundary import export_mesh, export_obj
 from .brightness import brightness_profile, profile_to_csv
-from .generators import constant_width_body, random_odd, resolve_recipe
+from .generators import constant_width_body, gauge_margin, random_odd, \
+    resolve_recipe
 from .lab import minimize_brightness_variance, parity_decomposition_check, \
     trace_to_csv
 from .sphere import make_grid
@@ -221,6 +222,11 @@ def _load_body(args):
         h = body_from_spec(spec)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    # c_00 is sqrt(pi) times the mean width; at or below zero the body is a
+    # point or empty and has no interior to measure
+    if not h.coeffs[0] > 0.0:
+        raise InputError("c_00 = %r: the body's mean width must be positive"
+                         % float(h.coeffs[0]))
     _require_lmax(args, h.lmax)
     return h
 
@@ -276,6 +282,15 @@ def cmd_analyze(args):
 def cmd_verify_theorem(args):
     grid = make_grid(*args.grid)
     gauge = _load_body(args)
+    try:
+        margin = gauge_margin(gauge, grid)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    # the start is sized by the gauge's margin, so a gauge without one is
+    # infeasible, like a start outside the convexity region
+    if not margin > 0.0:
+        raise NotConvexError("gauge must be certified convex with positive "
+                             "margin (min eigenvalue %.3e)" % margin)
     # seeded start, scaled into the convexity region like the generators do
     try:
         start = random_odd(args.seed, degrees=args.degrees, scale=1.0)

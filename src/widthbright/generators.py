@@ -68,6 +68,14 @@ def ellipsoid(a, b, c, lmax=12, grid=None):
                            truncation_tol=trunc)
 
 
+def gauge_margin(gauge, grid):
+    """The convexity margin of an even gauge, the least eigenvalue of its
+    support matrix on the grid; ValueError when the gauge is not even."""
+    if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
+        raise ValueError("gauge must be even (odd coefficients zero)")
+    return certify_convex(gauge, grid).min_eigenvalue
+
+
 def constant_width_body(gauge, p, eps_request, grid):
     """Body gauge + eps p with the same width function as the gauge.
 
@@ -76,16 +84,13 @@ def constant_width_body(gauge, p, eps_request, grid):
     where rho is the grid maximum spectral radius of p I + hess p, so the
     summed support matrix keeps eigenvalues >= 0.1 m for either sign.
     """
-    if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
-        raise ValueError("gauge must be even (odd coefficients zero)")
+    margin = gauge_margin(gauge, grid)
     even_p = p.basis.degrees % 2 == 0
     if np.any(p.coeffs[even_p] != 0.0):
         raise ValueError("perturbation must be odd (even coefficients zero)")
     if not np.any(p.coeffs != 0.0):
         raise ValueError("perturbation must be nonzero")
-    cert = certify_convex(gauge, grid)
-    margin = cert.min_eigenvalue
-    if not cert.convex or margin <= 0.0:
+    if not margin > 0.0:
         raise ValueError("gauge must be certified convex with positive margin")
 
     field = inverse_gauss(p, grid)

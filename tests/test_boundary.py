@@ -184,6 +184,20 @@ def test_mesh_topology_matches_loop_reference():
     assert mesh_is_closed(mesh)
 
 
+def test_export_mesh_returns_frozen_arrays_and_their_cross_products(grid16):
+    mesh = export_mesh(inverse_gauss(ellipsoid(1, 1, 2, lmax=3), grid16), grid16)
+    assert not mesh.vertices.flags.writeable
+    assert not mesh.triangles.flags.writeable
+    assert not mesh.cross.flags.writeable
+    v, t = mesh.vertices, mesh.triangles
+    ref = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+    assert mesh.cross.tobytes() == ref.tobytes()
+    assert mesh.cross is mesh.cross
+    # one triangle index per grid, shared by every mesh on it
+    other = export_mesh(inverse_gauss(ball(2.0), grid16), grid16)
+    assert other.triangles is mesh.triangles
+
+
 def test_export_mesh_reports_collapsed_triangles(grid16):
     # the zero body maps every node to the origin
     field = inverse_gauss(SupportFunction(np.zeros(1), 0), grid16)

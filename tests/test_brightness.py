@@ -22,7 +22,9 @@ from widthbright import (
     mesh_shadow, profile_to_csv,
     constant_width_body, central_symmetral,
 )
-from widthbright.brightness import _cosine_operator, _kernel_matrix
+from widthbright.brightness import (
+    _cosine_operator, _kernel_from_dots, _kernel_matrix,
+)
 from widthbright.boundary import BodyMesh, inverse_gauss, export_mesh
 from widthbright.sphere import make_basis, make_grid, basis_values
 
@@ -65,6 +67,32 @@ def test_cosine_multipliers_match_exact_integrals():
     lam = cosine_multipliers(128)
     np.testing.assert_allclose(lam, exact, rtol=1e-14, atol=0)
     assert np.all(lam[1::2] == 0.0)
+
+
+def test_kernel_matches_exact_series_for_every_ring_count():
+    # the kernel sum_l a_l P_l(t), a_l = lambda_l (2l+1)/(4 pi), has rational
+    # a_l = (lambda_l/pi)(2l+1)/4; its partial sums to every degree L are
+    # summed in Fractions at the dyadic points k/64 (exact in floats, with
+    # t = 0 and +-1) and compared with the Clenshaw evaluation for each
+    # n_theta = L + 1, one and two Chebyshev coefficients included
+    lmax = 127
+    lam = _exact_multipliers_over_pi(lmax)
+    a = [lam[l] * (2 * l + 1) / 4 for l in range(lmax + 1)]
+    points = [Fraction(k, 64) for k in range(-64, 65)]
+    exact = np.empty((len(points), lmax + 1))
+    for i, t in enumerate(points):
+        Pm1, Pl, partial = Fraction(1), t, a[0]
+        exact[i, 0] = float(partial)
+        for l in range(1, lmax + 1):
+            if l % 2 == 0:
+                partial += a[l] * Pl
+            exact[i, l] = float(partial)
+            Pm1, Pl = Pl, ((2 * l + 1) * t * Pl - l * Pm1) / (l + 1)
+    dots = np.array([float(t) for t in points])
+    for n_theta in range(2, lmax + 2):
+        got = _kernel_from_dots(dots, n_theta - 1)
+        err = np.abs(got - exact[:, n_theta - 1]).max()
+        assert err <= 1e-14, (n_theta, err)
 
 
 def test_transform_of_constant_is_two_pi(grid32):
@@ -212,6 +240,27 @@ def test_mesh_shadow_translation_invariance(grid16):
                        triangles=mesh.triangles)
     for a in unit_vectors(8, 6):
         assert abs(mesh_shadow(shifted, a) - mesh_shadow(mesh, a)) < 1e-12
+
+
+def test_mesh_shadow_of_a_hand_built_cube():
+    # the unit cube's shadow along a unit vector a is |a1| + |a2| + |a3|;
+    # writable arrays built by hand, each face's triangles turned outward
+    verts = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0)
+                      for z in (0.0, 1.0)])
+    tris = []
+    for axis in range(3):
+        for side in (0.0, 1.0):
+            face = [i for i, v in enumerate(verts) if v[axis] == side]
+            tris += [face[:3], face[1:]]
+    tris = np.array(tris)
+    v = verts[tris]
+    normals = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    inward = np.einsum("ij,ij->i", normals, v.mean(axis=1) - 0.5) < 0.0
+    tris[inward] = tris[inward][:, ::-1]
+    mesh = BodyMesh(vertices=verts, triangles=tris)
+    dirs = unit_vectors(5, 12)
+    np.testing.assert_allclose(mesh_shadow(mesh, dirs), np.abs(dirs).sum(axis=1),
+                               rtol=1e-14)
 
 
 def test_mesh_shadow_rejects_collinear_projection():

@@ -216,6 +216,18 @@ def test_verify_theorem_gauge_below_the_floor_is_infeasible(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("infeasible: "), lines
 
 
+def test_verify_theorem_non_convex_gauge_is_infeasible(tmp_path, capsys):
+    # an even gauge with no convexity margin cannot size a start: infeasible,
+    # like a start outside the convexity region, not an input error
+    body = write_json(tmp_path / "spiky.json", {
+        "basis": "real-sph-harm", "lmax": 2,
+        "coeffs": [3.5449, 0, 0, 0, 0, 0, 5.0, 0, 0]})
+    assert main(["verify-theorem", body, "--grid", "8,16", "--lmax", "7",
+                 "--degrees", "3"]) == EXIT_INFEASIBLE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("infeasible: "), lines
+
+
 def test_verify_theorem_rejects_even_degrees(tmp_path, capsys):
     body = write_json(tmp_path / "ball.json", ball_spec())
     assert main(["verify-theorem", body, "--degrees", "2,4"]) == EXIT_INPUT
@@ -428,6 +440,19 @@ def test_spec_with_a_tolerance_that_is_not_finite_is_input_error(tmp_path, capsy
         assert main(["analyze", body, "--grid", "16,32", "--lmax", "8"]) \
             == EXIT_INPUT, tol
         assert "input error: truncation_tol" in capsys.readouterr().err
+
+
+def test_point_body_is_input_error(tmp_path, capsys):
+    # c_00 = 0: mean width 0, a point, which has no interior to measure or
+    # mesh; refused before any command writes a file
+    body = write_json(tmp_path / "point.json",
+                      {"basis": "real-sph-harm", "lmax": 0, "coeffs": [0.0]})
+    for command in ("analyze", "export", "verify-theorem"):
+        assert main([command, body, "--grid", "8,16", "--lmax", "7"]) \
+            == EXIT_INPUT, command
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: "), lines
+    assert sorted(os.listdir(tmp_path)) == ["point.json"]
 
 
 def test_negative_lmax_spec_is_input_error(tmp_path, capsys):
