@@ -23,7 +23,7 @@ import numpy as np
 
 from .sphere import (
     make_basis, make_grid, integrate, node_tables, basis_values, entries_det,
-    entries_eigmin, _freeze, _solid_jets, _phi_table,
+    entries_eigmin, table_times, _freeze, _solid_jets, _phi_table,
 )
 
 TOL_PSD = 1e-9
@@ -127,14 +127,14 @@ def _field(grid, lmax, coeff_bytes):
     c = np.frombuffer(coeff_bytes)
     basis = make_basis(lmax)
     tab = node_tables(grid, basis)
-    ent = tab.M @ c
+    ent = table_times(tab.M, c)
     eigmin = entries_eigmin(ent)
     return BoundaryField(
         values=_freeze(tab.V @ c),
         entries=_freeze(ent),
         eigmin=_freeze(eigmin),
         detfield=_freeze(entries_det(ent)),
-        phi=_freeze(tab.PHI @ c),
+        phi=_freeze(table_times(tab.PHI, c)),
         pole_points=_freeze(_pole_table(basis) @ c),
         min_eigenvalue=float(eigmin.min()),
     )
@@ -273,7 +273,8 @@ def body_from_spec(spec):
                         label=spec.get("label", ""), truncation_tol=truncation_tol)
     if h.closed_form is not None:
         # the values alone, with no node tables or field record cached for a
-        # grid the caller never asked for; the rows equal node_tables' V
+        # grid the caller never asked for; the rows equal node_tables' V to
+        # roundoff
         nodes = make_grid(16, 32).nodes
         dev = np.abs(basis_values(h.basis, nodes) @ h.coeffs
                      - closed_form_values(h.closed_form, nodes)).max()

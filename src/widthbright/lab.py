@@ -24,7 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sphere import make_basis, node_tables, entries_det, entries_eigmin
+from .sphere import (
+    make_basis, node_tables, entries_det, entries_eigmin, table_times,
+)
 from .body import (
     TOL_PSD, SupportFunction, NotConvexError, inverse_gauss, require_convex,
     _padded,
@@ -72,7 +74,7 @@ def parity_decomposition_check(h, grid, tol_psd=TOL_PSD):
     Dh = require_convex(inverse_gauss(h, grid), "parity check", tol_psd).detfield
     c_even = np.where(h.basis.degrees % 2 == 0, h.coeffs, 0.0)
     M = node_tables(grid, h.basis).M
-    e0, ep = M @ c_even, M @ (h.coeffs - c_even)
+    e0, ep = table_times(M, c_even), table_times(M, h.coeffs - c_even)
     D0 = entries_det(e0)
     Dp = entries_det(ep)
     S = _sigma_entries(ep, e0)
@@ -156,7 +158,7 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     cg = _padded(np.frombuffer(gauge_bytes), gauge_lmax, basis.lmax)
 
     M = node_tables(grid, basis).M
-    M0 = np.ascontiguousarray((M @ cg).T)                       # (3, N)
+    M0 = np.ascontiguousarray(table_times(M, cg).T)             # (3, N)
     MJ = np.ascontiguousarray(M[:, :, idx].transpose(1, 0, 2))  # (3, N, nv)
     rows = MJ.transpose(1, 2, 0)                                # (N, nv, 3)
 

@@ -15,6 +15,16 @@ of p at |u| = 1 comes from R alone:
     (hess p)_ab   = e_a^T d2R(u) e_b - l R(u) delta_ab
 
 which is the tangential part of d2p~(u) minus p(u) I.
+
+The per-node tables need the recurrence on one meridian only. A rotation R
+about e3 through the azimuth phi moves each ring onto itself and mixes the
+harmonics of order +-m by a rotation through m phi,
+
+    Y_{l,m} o R = cos(m phi) Y_{l,m} - sin(m phi) Y_{l,-m}        (m >= 0)
+
+and its partner for Y_{l,-m}, so node_tables rotates the meridian's jets
+to every azimuth with a trig table whose second half is (-1)^m times its
+first, exactly, which keeps antipodal parity bitwise.
 """
 
 import math
@@ -287,46 +297,97 @@ class NodeTables:
     M: np.ndarray    # (N, 3, B)
 
 
+def table_times(table, c):
+    """table @ c for an (N, 3, B) node table, (N, 3), as one matrix-vector
+    product through the table's free (3N, B) view; the stacked (N, 3, B) @
+    (B,) product makes N tiny ones."""
+    return (table.reshape(-1, table.shape[-1]) @ c).reshape(table.shape[:-1])
+
+
 def _frame_form(a, b, hess):
     """a^T H b per node, with H given by its six Hessian rows."""
     return sum((a[c] * b[d] + a[d] * b[c] if c != d else a[c] * b[c]) * h
                for (c, d), h in zip(_PAIRS, hess))
 
 
-# nodes per block of node_tables: one block's jet stack is 10 (lmax+1)^2
-# doubles per node, 1.6 MiB at lmax 8, however many nodes the grid has;
-# 256 builds as fast as 512 or 1,024 at 32x64 to 64x128 and lmax 8 to 16
-_BLOCK_NODES = 256
-
-
 @lru_cache(maxsize=None)
 def node_tables(grid, basis):
     """NodeTables of the basis on the grid, one shared object per pair.
 
-    Every table entry depends on its own node alone, so the tables are
-    filled one block of _BLOCK_NODES nodes at a time: the jets of a block
-    are written into the node-major tables and dropped, and peak memory is
-    the tables plus one block's jets, whatever the grid.
-    """
-    n, size = grid.n_nodes, basis.size
-    V = np.empty((n, size))
-    PHI = np.empty((n, 3, size))
-    M = np.empty((n, 3, size))
-    one_minus_l = (1.0 - basis.degrees)[:, None]
-    for start in range(0, n, _BLOCK_NODES):
-        blk = slice(start, start + _BLOCK_NODES)
-        pts = grid.nodes[blk]
-        jets = _solid_jets(pts, basis.lmax)  # (component, q, node)
-        e1 = grid.frame[blk, 0, :].T
-        e2 = grid.frame[blk, 1, :].T
-        hess = jets[4:]
-        V[blk] = jets[0].T
-        PHI[blk] = _phi_table(basis, jets, pts)
-        M[blk, 0, :] = (_frame_form(e1, e1, hess) + one_minus_l * jets[0]).T
-        M[blk, 1, :] = _frame_form(e1, e2, hess).T
-        M[blk, 2, :] = (_frame_form(e2, e2, hess) + one_minus_l * jets[0]).T
+    The recurrence runs on one meridian only: the azimuth-0 node of each
+    ring, with its frame e1 = (cos theta, 0, -sin theta), e2 = e_y. The
+    rotation R about e3 through the azimuth phi_j carries that node and its
+    frame to node j of the ring, and it turns the harmonics of order +-m
+    (m >= 0) into each other:
 
-    return NodeTables(V=_freeze(V), PHI=_freeze(PHI), M=_freeze(M))
+        Y_{l,m} o R  = cos(m phi) Y_{l,m} - sin(m phi) Y_{l,-m}
+        Y_{l,-m} o R = sin(m phi) Y_{l,m} + cos(m phi) Y_{l,-m}
+
+    So the V and M entries of Y_q at node j are those of Y_q o R on the
+    meridian, and its PHI column is R applied to theirs. On the meridian
+    (y = 0) a cosine-sector function (m >= 0) is even in y and has m12 and
+    a PHI y row of exactly zero; a sine-sector one is odd in y and has the
+    value, m11, m22 and the PHI x and z rows exactly zero. Every V and M
+    entry is therefore one meridian entry times one trig factor, and only
+    PHI's x and y rows, which R mixes, are sums of two products.
+
+    cos(m phi_j) and sin(m phi_j) are computed for the first n_phi/2
+    azimuths, and the second half is (-1)^m times the first, exactly.
+    Rings i and n_theta-1-i are mirror images in z, which the recurrence
+    keeps bitwise, so the antipodal parity of every table is bitwise too.
+    Peak memory is the tables plus one (N, B) scratch array.
+    """
+    n_theta, n_phi, size = grid.n_theta, grid.n_phi, basis.size
+    pts = grid.nodes[::n_phi]
+    jets = _solid_jets(pts, basis.lmax)  # (component, q, ring)
+    e1 = grid.frame[::n_phi, 0, :].T
+    e2 = grid.frame[::n_phi, 1, :].T
+    hess = jets[4:]
+    one_minus_l = (1.0 - basis.degrees)[:, None]
+    phi = _phi_table(basis, jets, pts)
+    m11 = (_frame_form(e1, e1, hess) + one_minus_l * jets[0]).T
+    m12 = _frame_form(e1, e2, hess).T
+    m22 = (_frame_form(e2, e2, hess) + one_minus_l * jets[0]).T
+
+    # column q = (l, m) reads the meridian rows that are even in y from its
+    # cosine partner (l, |m|), with factor a, and those odd in y from its
+    # sine partner (l, -|m|), with factor b
+    degrees = basis.degrees
+    q = np.arange(size)
+    m = q - degrees * (degrees + 1)
+    k = np.abs(m)
+    even, odd = q - m + k, q - m - k
+    # k phi_j reduced mod 2 pi in integers, so the angle stays below 2 pi
+    # however large k is
+    angle = (TWO_PI / n_phi) * (np.outer(np.arange(n_phi // 2), k) % n_phi)
+    cos_k, sin_k = np.cos(angle), np.sin(angle)
+    sign = 1.0 - 2.0 * (k % 2)
+    a, b = (np.concatenate([t, sign * t]) for t in
+            (np.where(m >= 0, cos_k, sin_k), np.where(m >= 0, -sin_k, cos_k)))
+    # the grid's own azimuth trig, from the ring-0 frames e2 = (-sin, cos, 0)
+    cp = grid.frame[:n_phi, 1, 1][:, None]
+    sp = -grid.frame[:n_phi, 1, 0][:, None]
+
+    V = np.empty((n_theta, n_phi, size))
+    PHI = np.empty((n_theta, n_phi, 3, size))
+    M = np.empty((n_theta, n_phi, 3, size))
+    np.multiply(jets[0].T[:, None, even], a, out=V)
+    np.multiply(m11[:, None, even], a, out=M[:, :, 0])
+    np.multiply(m12[:, None, odd], b, out=M[:, :, 1])
+    np.multiply(m22[:, None, even], a, out=M[:, :, 2])
+    px, py = phi[:, None, 0, even], phi[:, None, 1, odd]
+    scratch = np.multiply(py, sp * b)
+    np.multiply(px, cp * a, out=PHI[:, :, 0])
+    PHI[:, :, 0] -= scratch
+    np.multiply(py, cp * b, out=scratch)
+    np.multiply(px, sp * a, out=PHI[:, :, 1])
+    PHI[:, :, 1] += scratch
+    np.multiply(phi[:, None, 2, even], a, out=PHI[:, :, 2])
+
+    n = grid.n_nodes
+    return NodeTables(V=_freeze(V.reshape(n, size)),
+                      PHI=_freeze(PHI.reshape(n, 3, size)),
+                      M=_freeze(M.reshape(n, 3, size)))
 
 
 def entries_det(e):

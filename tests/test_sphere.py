@@ -440,18 +440,44 @@ def _whole_grid_tables(grid, basis):
     return jets[0].T, _phi_table(basis, jets, pts), M.transpose(2, 0, 1)
 
 
-@pytest.mark.parametrize("n_theta, lmax", [(33, 8), (33, 12), (6, 5)])
-def test_node_tables_in_blocks_equal_a_whole_grid_build(n_theta, lmax):
-    # 33x66 (2,178 nodes) ends in a ragged block; 6x12 (72 nodes) has fewer
-    # nodes than one block
+@pytest.mark.parametrize("n_theta, lmax", [(33, 8), (33, 12), (6, 5), (13, 8)])
+def test_node_tables_from_the_meridian_match_the_recurrence(n_theta, lmax):
+    # the rotated meridian rows against the recurrence run at every node;
+    # 13x26 has an odd ring count, with its middle ring on the equator
     grid = make_grid(n_theta, 2 * n_theta)
-    assert grid.n_nodes % sphere._BLOCK_NODES != 0
     basis = make_basis(lmax)
     tab = node_tables(grid, basis)
     for got, want in zip((tab.V, tab.PHI, tab.M),
                          _whole_grid_tables(grid, basis)):
         assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_theta, lmax", [(16, 7), (13, 8)])
+def test_node_table_antipodal_parity_is_bitwise(n_theta, lmax):
+    # the antipode's frame is (e1, -e2), so m12 flips against m11 and m22
+    grid = make_grid(n_theta, 2 * n_theta)
+    basis = make_basis(lmax)
+    tab = node_tables(grid, basis)
+    anti = grid.antipode_index
+    sign = np.where(basis.degrees % 2 == 0, 1.0, -1.0)
+    assert np.array_equal(tab.V[anti], sign * tab.V)
+    assert np.array_equal(tab.M[anti][:, (0, 2)], sign * tab.M[:, (0, 2)])
+    assert np.array_equal(tab.M[anti][:, 1], -sign * tab.M[:, 1])
+    assert np.array_equal(tab.PHI[anti], -sign * tab.PHI)
+
+
+def test_node_tables_run_the_recurrence_on_one_meridian(monkeypatch):
+    grid = make_grid(12, 24)
+    calls = []
+
+    def spy(pts, lmax, values_only=False):
+        calls.append(len(pts))
+        return _solid_jets(pts, lmax, values_only)
+
+    monkeypatch.setattr(sphere, "_solid_jets", spy)
+    node_tables.__wrapped__(grid, make_basis(6))  # cold: not cached
+    assert calls == [grid.n_theta]
 
 
 def test_node_tables_peak_is_the_tables():
