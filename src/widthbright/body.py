@@ -33,7 +33,10 @@ _TIE_ULPS = 256
 
 
 class NotConvexError(RuntimeError):
-    """Raised when an operation that needs a certified convex body gets none."""
+    """Raised when an operation that needs a certified convex body gets none:
+    a body whose least support-matrix eigenvalue is below the tolerance, or
+    a gauge without the positive margin that sizes a perturbation. The
+    command line exits 3 (infeasible) on it."""
 
 
 @dataclass(eq=False)
@@ -278,7 +281,7 @@ def body_from_spec(spec):
         nodes = make_grid(16, 32).nodes
         dev = np.abs(basis_values(h.basis, nodes) @ h.coeffs
                      - closed_form_values(h.closed_form, nodes)).max()
-        if dev > 2.0 * h.truncation_tol + 1e-8:
+        if not dev <= 2.0 * h.truncation_tol + 1e-8:  # a NaN tag fails too
             raise ValueError(
                 "closed_form %r disagrees with coefficients "
                 "(max deviation %.3g)" % (h.closed_form, dev))

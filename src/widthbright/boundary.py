@@ -69,8 +69,8 @@ def export_mesh(field, grid, tol_psd=TOL_PSD):
     Vertices are the per-node phi values followed by the north and south
     pole points. Refuses non-convex sources (the lattice would
     self-intersect); reports degenerate (collapsed) triangles, those of
-    area under _DEGENERATE_AREA, found from the mesh's cross products,
-    which stay cached on it for the shadow oracle. The returned vertices
+    area under _DEGENERATE_AREA, as ArithmeticError. They are found from the
+    mesh's cross products, which stay cached on it for the shadow oracle. The returned vertices
     and triangles are read-only, so that cache cannot go stale.
     """
     require_convex(field, "mesh export", tol_psd)
@@ -81,8 +81,8 @@ def export_mesh(field, grid, tol_psd=TOL_PSD):
     n_degenerate = int(np.count_nonzero(
         twice_area_sq < (2.0 * _DEGENERATE_AREA) ** 2))
     if n_degenerate:
-        raise ValueError("%d degenerate (collapsed) triangles in phi image"
-                         % n_degenerate)
+        raise ArithmeticError("%d degenerate (collapsed) triangles in phi image"
+                              % n_degenerate)
     return mesh
 
 

@@ -1,7 +1,11 @@
 """Command-line surface: gen, analyze, verify-theorem, export.
 
 Exit codes: 0 success, 2 input error, 3 infeasible or non-convex where
-convexity is required, 4 internal numerical failure. argparse checks every
+convexity is required, 4 internal numerical failure. main alone maps the
+type of the exception that ends a run to its code, and the library raises
+the type that matches its failure: FloatingPointError (numbers out of
+range), ValueError, OSError and RecursionError exit 2, NotConvexError 3,
+any other ArithmeticError and numpy's LinAlgError 4. argparse checks every
 flag value as it parses it, so a value the commands cannot use exits 2
 before any file is read, and the parsed namespace is the run's whole
 configuration. Reproducibility is part of the contract: identical flags
@@ -29,8 +33,7 @@ from .body import (
 )
 from .boundary import export_mesh, export_obj
 from .brightness import brightness_profile, profile_to_csv
-from .generators import constant_width_body, gauge_margin, random_odd, \
-    resolve_recipe
+from .generators import constant_width_body, random_odd, resolve_recipe
 from .lab import minimize_brightness_variance, parity_decomposition_check, \
     trace_to_csv
 from .sphere import make_grid
@@ -39,10 +42,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
-
-
-class InputError(ValueError):
-    """Bad file, malformed JSON, or inconsistent flags (exit 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +75,10 @@ _FINITE = _flag(float, "a finite number", math.isfinite)
 # every node's antipode is a node only for an even n_phi
 _GRID = _flag(_ints, "T,P: T >= 2 rings and an even P >= 2 azimuths",
               lambda g: len(g) == 2 and g[0] >= 2 and g[1] >= 2 and g[1] % 2 == 0)
-_DEGREES = _flag(_ints, "comma-separated integers")
+# the probe's variables; degree 1 is a translation
+_DEGREES = _flag(_ints, "distinct odd degrees >= 3, comma separated",
+                 lambda d: len(set(d)) == len(d)
+                 and all(l >= 3 and l % 2 == 1 for l in d))
 _PSD_TOL = _flag(_psd, "psd=VAL with a finite VAL >= 0", lambda t: 0.0 <= t < math.inf)
 
 
@@ -124,18 +126,13 @@ def _build_parser():
 def _require_lmax(args, lmax):
     """Refuse a body of degree lmax that the grid cannot resolve."""
     if args.grid[0] < lmax + 1:
-        raise InputError("grid too coarse for lmax %d: need n_theta >= %d"
+        raise ValueError("grid too coarse for lmax %d: need n_theta >= %d"
                          % (lmax, lmax + 1))
 
 
 def _load_json(path):
-    if not os.path.exists(path):
-        raise InputError("no such file: %s" % path)
     with open(path) as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as exc:
-            raise InputError("%s: not valid JSON (%s)" % (path, exc)) from None
+        return json.load(f)
 
 
 def _out_path(args, suffix):
@@ -155,13 +152,10 @@ def cmd_gen(args):
     grid = make_grid(*args.grid)
     recipe = _load_json(args.body)
     _require_declared_lmax(args, recipe)
-    try:
-        resolved = resolve_recipe(recipe, grid)
-        h = resolved.resolved
-        _require_lmax(args, h.lmax)
-        cert = certify_convex(h, grid, args.tol_psd)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    resolved = resolve_recipe(recipe, grid)
+    h = resolved.resolved
+    _require_lmax(args, h.lmax)
+    cert = certify_convex(h, grid, args.tol_psd)
     spec = body_to_spec(h)
     spec["normalization"] = ("orthonormal real spherical harmonics, "
                              "Y_00 = 1/(2 sqrt(pi)); a ball of radius r has "
@@ -218,14 +212,11 @@ def _load_body(args):
     spec = _load_json(args.body)
     # body_from_spec's closed-form check evaluates the basis at the spec's lmax
     _require_declared_lmax(args, spec)
-    try:
-        h = body_from_spec(spec)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    h = body_from_spec(spec)
     # c_00 is sqrt(pi) times the mean width; at or below zero the body is a
     # point or empty and has no interior to measure
     if not h.coeffs[0] > 0.0:
-        raise InputError("c_00 = %r: the body's mean width must be positive"
+        raise ValueError("c_00 = %r: the body's mean width must be positive"
                          % float(h.coeffs[0]))
     _require_lmax(args, h.lmax)
     return h
@@ -280,29 +271,14 @@ def cmd_analyze(args):
 
 
 def cmd_verify_theorem(args):
+    # before random_odd builds a basis at the largest degree
+    _require_lmax(args, max(args.degrees))
     grid = make_grid(*args.grid)
     gauge = _load_body(args)
-    try:
-        margin = gauge_margin(gauge, grid)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    # the start is sized by the gauge's margin, so a gauge without one is
-    # infeasible, like a start outside the convexity region
-    if not margin > 0.0:
-        raise NotConvexError("gauge must be certified convex with positive "
-                             "margin (min eigenvalue %.3e)" % margin)
-    # seeded start, scaled into the convexity region like the generators do
-    try:
-        start = random_odd(args.seed, degrees=args.degrees, scale=1.0)
-        if min(args.degrees) < 3:
-            raise ValueError("probe degrees must be >= 3; degree 1 is a translation")
-    except ValueError as exc:
-        raise InputError("--degrees: %s" % exc) from None
-    _require_lmax(args, start.lmax)
-    try:
-        recipe = constant_width_body(gauge, start, float("inf"), grid)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    # seeded start, scaled into the convexity region like the generators do;
+    # the gauge's margin sizes it, so a gauge without one is infeasible
+    start = random_odd(args.seed, degrees=args.degrees, scale=1.0)
+    recipe = constant_width_body(gauge, start, float("inf"), grid)
     eps = recipe.params["eps"] * args.start_scale
     init = SupportFunction(start.coeffs * eps, start.lmax, label=start.label)
     trace = minimize_brightness_variance(gauge, init, grid,
@@ -347,18 +323,20 @@ def main(argv=None):
         # where it would have warned, before any output is written
         with np.errstate(all="raise", under="ignore"):
             return args.run(args)
+    # FloatingPointError is an ArithmeticError and LinAlgError a ValueError,
+    # so each comes before its base
     except FloatingPointError as exc:
         print("input error: numbers out of range: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except InputError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print("numerical failure: %s" % exc, file=sys.stderr)
+        return EXIT_NUMERICAL
     except NotConvexError as exc:
         print("infeasible: %s" % exc, file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ArithmeticError, ValueError) as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (ValueError, OSError, RecursionError) as exc:
+        print("input error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ import numpy as np
 
 from .sphere import make_grid, make_basis, basis_index, basis_values, \
     entries_eigmax
-from .body import SupportFunction, certify_convex, body_from_spec, \
-    inverse_gauss, _padded
+from .body import NotConvexError, SupportFunction, certify_convex, \
+    body_from_spec, inverse_gauss, _padded
 
 _MIN_EIG_TARGET = 0.1
 _MAX_HALVINGS = 60
@@ -68,30 +68,26 @@ def ellipsoid(a, b, c, lmax=12, grid=None):
                            truncation_tol=trunc)
 
 
-def gauge_margin(gauge, grid):
-    """The convexity margin of an even gauge, the least eigenvalue of its
-    support matrix on the grid; ValueError when the gauge is not even."""
-    if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
-        raise ValueError("gauge must be even (odd coefficients zero)")
-    return certify_convex(gauge, grid).min_eigenvalue
-
-
 def constant_width_body(gauge, p, eps_request, grid):
     """Body gauge + eps p with the same width function as the gauge.
 
     gauge must be even and certified convex with margin m > 0; p must be odd
     and nonzero. eps is eps_request with its magnitude capped at 0.9 m / rho,
     where rho is the grid maximum spectral radius of p I + hess p, so the
-    summed support matrix keeps eigenvalues >= 0.1 m for either sign.
+    summed support matrix keeps eigenvalues >= 0.1 m for either sign. A
+    gauge without a positive margin raises NotConvexError.
     """
-    margin = gauge_margin(gauge, grid)
+    if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
+        raise ValueError("gauge must be even (odd coefficients zero)")
+    margin = certify_convex(gauge, grid).min_eigenvalue
     even_p = p.basis.degrees % 2 == 0
     if np.any(p.coeffs[even_p] != 0.0):
         raise ValueError("perturbation must be odd (even coefficients zero)")
     if not np.any(p.coeffs != 0.0):
         raise ValueError("perturbation must be nonzero")
     if not margin > 0.0:
-        raise ValueError("gauge must be certified convex with positive margin")
+        raise NotConvexError("gauge must be certified convex with positive "
+                             "margin (min eigenvalue %.3e)" % margin)
 
     field = inverse_gauss(p, grid)
     rho = float(np.maximum(np.abs(field.eigmin),
@@ -146,8 +142,8 @@ def random_convex(seed, lmax, grid, roughness=0.3):
         if certify_convex(h, grid).min_eigenvalue >= _MIN_EIG_TARGET:
             return h
         pert *= 0.5
-    raise RuntimeError("random_convex failed to certify after %d halvings"
-                       % _MAX_HALVINGS)
+    raise ArithmeticError("random_convex failed to certify after %d halvings"
+                          % _MAX_HALVINGS)
 
 
 def random_odd(seed, degrees=(3, 5, 7), scale=1.0):

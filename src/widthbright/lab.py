@@ -65,7 +65,8 @@ class ParityReport:
               and self.max_even_violation_det_p >= 0.0
               and np.all(np.isfinite(self.identity_residual)))
         if not ok:
-            raise ValueError("parity report fields must be finite and nonnegative")
+            raise ArithmeticError(
+                "parity report fields must be finite and nonnegative")
 
 
 def parity_decomposition_check(h, grid, tol_psd=TOL_PSD):

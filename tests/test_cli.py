@@ -231,7 +231,7 @@ def test_verify_theorem_non_convex_gauge_is_infeasible(tmp_path, capsys):
 def test_verify_theorem_rejects_even_degrees(tmp_path, capsys):
     body = write_json(tmp_path / "ball.json", ball_spec())
     assert main(["verify-theorem", body, "--degrees", "2,4"]) == EXIT_INPUT
-    assert "input error: --degrees" in capsys.readouterr().err
+    assert "argument --degrees" in capsys.readouterr().err
 
 
 def test_verify_theorem_needs_even_gauge(tmp_path):
@@ -581,6 +581,105 @@ def test_flags_a_command_does_not_read_are_input_errors(tmp_path):
 
 def test_unknown_command_is_input_error():
     assert main(["polish"]) == EXIT_INPUT
+
+
+def test_degrees_are_checked_before_the_body_is_read(tmp_path, capsys):
+    # the degrees passed the parser and the missing file took the blame
+    missing = str(tmp_path / "missing.json")
+    assert main(["verify-theorem", missing, "--degrees", "2,4"]) == EXIT_INPUT
+    assert "argument --degrees" in capsys.readouterr().err
+
+
+def test_degrees_are_guarded_before_any_basis(tmp_path):
+    # the seeded start built its basis at the largest degree before the grid
+    # guard refused it, (l + 1)^2 entries for any l the flag accepts
+    body = write_json(tmp_path / "ball.json", ball_spec())
+    before = make_basis.cache_info()
+    assert main(["verify-theorem", body, "--degrees", "3,41", "--grid", "16,32",
+                 "--lmax", "8"]) == EXIT_INPUT
+    assert make_basis.cache_info() == before
+
+
+# ---------------------------------------------------------------------------
+# exit codes from the exception's type: each case below ended in a
+# traceback or in another code
+
+def _one_error_line(capsys, prefix):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
+
+
+_FAST = {"gen": [], "analyze": [], "export": [],
+         "verify-theorem": ["--degrees", "3", "--max-iter", "5"]}
+
+
+@pytest.mark.parametrize("command", sorted(_FAST))
+def test_unwritable_out_is_input_error(tmp_path, capsys, command):
+    # FileNotFoundError traceback from the open of the output file
+    source = {"kind": "ball", "r": 1.0} if command == "gen" else ball_spec()
+    body = write_json(tmp_path / "in.json", source)
+    out = str(tmp_path / "no-such-dir" / "out")
+    assert main([command, body, "--out", out, "--grid", "8,16", "--lmax", "7",
+                 *_FAST[command]]) == EXIT_INPUT
+    _one_error_line(capsys, "input error: ")
+    assert os.listdir(tmp_path) == ["in.json"]
+
+
+@pytest.mark.parametrize("command", sorted(_FAST))
+def test_directory_as_body_is_input_error(tmp_path, capsys, command):
+    # IsADirectoryError traceback from the open of the body
+    assert main([command, str(tmp_path), "--grid", "8,16", "--lmax", "7",
+                 *_FAST[command]]) == EXIT_INPUT
+    _one_error_line(capsys, "input error: ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_body_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    # UnicodeDecodeError, a ValueError that reached main unwrapped, exited 4
+    # as a numerical failure
+    body = tmp_path / "latin.json"
+    body.write_bytes(b'{"basis": "real-sph-harm", "lmax": 0, "coeffs": [3.5\xff]}')
+    assert main(["analyze", str(body)]) == EXIT_INPUT
+    _one_error_line(capsys, "input error: ")
+    assert os.listdir(tmp_path) == ["latin.json"]
+
+
+def test_deeply_nested_recipe_is_input_error(tmp_path, capsys):
+    # RecursionError traceback; the text is built by hand, since json.dumps
+    # cannot write it either
+    layer = ('{"kind": "constant_width", "odd": {"harmonics": [[3, 0, 1.0]]}, '
+             '"gauge": ')
+    recipe = tmp_path / "deep.json"
+    recipe.write_text(layer * 3000 + '{"kind": "ball", "r": 1.0}' + "}" * 3000)
+    assert main(["gen", str(recipe), "--grid", "8,16", "--lmax", "7"]) \
+        == EXIT_INPUT
+    _one_error_line(capsys, "input error: ")
+    assert os.listdir(tmp_path) == ["deep.json"]
+
+
+def test_gen_with_a_non_convex_gauge_is_infeasible(tmp_path, capsys):
+    # the gauge's missing margin exited 2, where verify-theorem exits 3 for
+    # the same gauge
+    recipe = write_json(tmp_path / "cw.json", {
+        "kind": "constant_width",
+        "gauge": {"basis": "real-sph-harm", "lmax": 2,
+                  "coeffs": [3.5449, 0, 0, 0, 0, 0, 5.0, 0, 0]},
+        "odd": {"harmonics": [[3, 0, 1.0]]}})
+    assert main(["gen", recipe, "--grid", "8,16", "--lmax", "7"]) \
+        == EXIT_INFEASIBLE
+    _one_error_line(capsys, "infeasible: ")
+    assert os.listdir(tmp_path) == ["cw.json"]
+
+
+def test_closed_form_tag_with_a_nan_parameter_is_input_error(tmp_path, capsys):
+    # the deviation from a NaN tag is NaN, which passed the closed-form check:
+    # both runs exited 0
+    for command, tag in (("analyze", "ball:nan"), ("export", "ellipsoid:1,nan,1")):
+        body = write_json(tmp_path / "tag.json", dict(ball_spec(), closed_form=tag))
+        assert main([command, body, "--grid", "8,16", "--lmax", "7"]) \
+            == EXIT_INPUT, tag
+        _one_error_line(capsys, "input error: closed_form")
+    assert os.listdir(tmp_path) == ["tag.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ import pytest
 
 import widthbright as wb
 from widthbright import (
-    SupportFunction, ball, ellipsoid, basis_index, certify_convex, width,
-    constant_width_body, random_convex, random_odd, resolve_recipe,
-    central_symmetral, brightness_profile,
+    NotConvexError, SupportFunction, ball, ellipsoid, basis_index,
+    certify_convex, width, constant_width_body, random_convex, random_odd,
+    resolve_recipe, central_symmetral, brightness_profile,
 )
 from widthbright.body import closed_form_values
 from widthbright.boundary import inverse_gauss
@@ -142,7 +142,7 @@ def test_constant_width_input_validation(grid32):
                             0.1, grid32)  # zero p
     bad_gauge = SupportFunction(
         np.eye(9)[basis_index(2, 0)] * 5.0, 2)  # not convex
-    with pytest.raises(ValueError):
+    with pytest.raises(NotConvexError):
         constant_width_body(bad_gauge, p, 0.1, grid32)
 
 
