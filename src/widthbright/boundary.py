@@ -69,9 +69,10 @@ def export_mesh(field, grid, tol_psd=TOL_PSD):
     Vertices are the per-node phi values followed by the north and south
     pole points. Refuses non-convex sources (the lattice would
     self-intersect); reports degenerate (collapsed) triangles, those of
-    area under _DEGENERATE_AREA, as ArithmeticError. They are found from the
-    mesh's cross products, which stay cached on it for the shadow oracle. The returned vertices
-    and triangles are read-only, so that cache cannot go stale.
+    area under _DEGENERATE_AREA, as ArithmeticError. They are found from
+    the mesh's cross products, which stay cached on it for the shadow
+    oracle. The returned vertices and triangles are read-only, so that
+    cache cannot go stale.
     """
     require_convex(field, "mesh export", tol_psd)
     mesh = BodyMesh(vertices=_freeze(np.vstack([field.phi, field.pole_points])),
