@@ -15,7 +15,11 @@ constant-width bodies gauge + p back to the gauge. That variance is a
 homogeneous quartic in the odd coefficients: with z_h = (c_j c_k), j <= k,
 the nv(nv+1)/2 distinct products, it is z_h^T G z_h for a Gram matrix G
 built once per gauge, so the objective and its exact gradient cost one
-O(nv^4 / 4) product per call, whatever the grid.
+O(nv^4 / 4) product per call, whatever the grid. The convexity check on
+each trial point costs one (3N/2) x nv product and O(N) elementwise work:
+the gauge is even and every variable odd, so the support matrix at -u is
+that at u with the variables' part negated, and the least eigenvalue over
+all N nodes is read from the N/2 nodes of one half sphere.
 """
 
 import math
@@ -25,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .sphere import (
-    make_basis, node_tables, entries_det, entries_eigmin, table_times,
+    make_basis, node_tables, entries_det, table_times, _freeze,
 )
 from .body import (
     TOL_PSD, SupportFunction, NotConvexError, inverse_gauss, require_convex,
@@ -138,7 +142,8 @@ def _gauge_tables(gauge, grid, degrees):
 # O(N nv^4 / 4) Gram product of the N x nv(nv+1)/2 result
 @lru_cache(maxsize=4)
 def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
-    """Gram matrix of the brightness variance, a quartic in c.
+    """Gram matrix of the brightness variance, a quartic in c, and the
+    convexity floor's tables, as (idx, basis, F0, FJ, G), all read-only.
 
     Per node, det(M0 + sum c_j Mj) = det M0 + 2 sigma(M0, Mj) c_j
     + sigma(Mj, Mk) c_j c_k. The gauge is even and each Mj has odd degree,
@@ -151,24 +156,37 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     G = RQc^T diag(wn) RQc, so F and its gradient cost one product with G
     per call, whatever the grid. The table S = sqrt(wn) RQc is filled one
     row j at a time, from the transform of sigma(Mj, Mk) for k = j..nv, so
-    no N x nv^2 transient is ever held beside it. The support matrices are
-    kept entry-major, M0 (3, N) and MJ (3, N, nv).
+    no N x nv^2 transient is ever held beside it.
+
+    The floor tables keep the support matrices on the half sphere
+    i < antipode_index[i], exactly N/2 nodes, as rows (mean, half-difference,
+    off-diagonal) = ((m11 + m22)/2, (m11 - m22)/2, m12): F0 (3, N/2) for the
+    gauge and FJ (3N/2, nv), column-major, for the variables. The gauge is
+    even and the variables odd, so at the antipode -u the support matrix is
+    M0 - MJ c written in the frame (e1, -e2), which flips the sign of m12
+    only and keeps the eigenvalues; F0 - FJ c gives them. _min_eig reads
+    both halves from one product FJ c, on half the rows an all-node table
+    would hold.
     """
     basis = make_basis(max(gauge_lmax, max(degrees)))
     idx = _variable_indices(degrees)
     cg = _padded(np.frombuffer(gauge_bytes), gauge_lmax, basis.lmax)
 
     M = node_tables(grid, basis).M
-    M0 = np.ascontiguousarray(table_times(M, cg).T)             # (3, N)
-    MJ = np.ascontiguousarray(M[:, :, idx].transpose(1, 0, 2))  # (3, N, nv)
-    rows = MJ.transpose(1, 2, 0)                                # (N, nv, 3)
+    MJ = M[:, :, idx]                              # (N, 3, nv)
+    n, _, nv = MJ.shape
+    half = np.flatnonzero(np.arange(n) < grid.antipode_index)
+    e0 = table_times(M, cg)                        # (N, 3)
+    F0 = _floor_rows(e0[half].T)                   # (3, N/2)
+    FJ = np.asfortranarray(
+        _floor_rows(MJ[half].transpose(1, 0, 2)).reshape(-1, nv))
 
-    _, n, nv = MJ.shape
-    b0 = 0.5 * cosine_transform(entries_det(M0.T), grid, grid.nodes)
+    b0 = 0.5 * cosine_transform(entries_det(e0), grid, grid.nodes)
     if np.any(b0 <= 0.0):
         raise NotConvexError("gauge brightness must be positive")
     wn = grid.weights / (4.0 * math.pi)
     sw = np.sqrt(wn)[:, None]
+    rows = MJ.transpose(0, 2, 1)                   # (N, nv, 3)
     S = np.empty((n, nv * (nv + 1) // 2))
     col = 0
     for j in range(nv):
@@ -178,18 +196,33 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
         RQc -= wn @ RQc
         S[:, col:col + nv - j] = sw * RQc
         col += nv - j
-    return idx, basis, M0, MJ, S.T @ S  # numpy's syrk: exactly symmetric
+    G = S.T @ S  # numpy's syrk: exactly symmetric
+    return _freeze(idx), basis, _freeze(F0), _freeze(FJ), _freeze(G)
+
+
+def _floor_rows(e):
+    """Entry rows (m11, m12, m22) along axis 0 -> (mean, half-difference,
+    off-diagonal), from which the least eigenvalue is mean - |(d, o)|."""
+    return np.stack((0.5 * (e[0] + e[2]), 0.5 * (e[0] - e[2]), e[1]))
 
 
 @lru_cache(maxsize=None)
 def _upper(nv):
-    return np.triu_indices(nv)
+    """Index maps of z_h = (c_j c_k), j <= k, in np.triu_indices order: the
+    flat positions in the nv x nv outer product that gather z_h, and the
+    (nv, nv) map from a matrix position (j, k) to the z_h entry of its
+    unordered pair."""
+    j, k = np.triu_indices(nv)
+    flat = j * nv + k
+    pos = np.empty((nv, nv), dtype=np.intp)
+    pos[j, k] = pos[k, j] = np.arange(j.size)
+    return _freeze(flat), _freeze(pos)
 
 
 def _variance(G, c):
     """F(c) = z_h^T (G z_h) with z_h = (c_j c_k), j <= k, and the product
     G z_h, which is all that _variance_gradient needs."""
-    z = np.outer(c, c)[_upper(c.size)]
+    z = np.outer(c, c).take(_upper(c.size)[0])
     Gz = G @ z
     return float(z @ Gz), Gz
 
@@ -199,13 +232,22 @@ def _variance_gradient(Gz, c):
     Y symmetric with Y_jk = (G z_h)_jk off the diagonal and
     Y_jj = 2 (G z_h)_jj, since c_j c_k has gradient c_k e_j + c_j e_k and
     c_j^2 has 2 c_j e_j."""
-    Y = np.zeros((c.size, c.size))
-    Y[_upper(c.size)] = Gz
-    return 2.0 * ((Y + Y.T) @ c)
+    Y = Gz.take(_upper(c.size)[1])
+    Y.flat[::c.size + 1] *= 2.0
+    return 2.0 * (Y @ c)
 
 
-def _min_eig(M0, MJ, c):
-    return float(entries_eigmin((M0 + MJ @ c).T).min())
+def _min_eig(F0, FJ, c):
+    """Least support-matrix eigenvalue of gauge + p_c over all N nodes, from
+    the half-sphere floor tables: E = F0 + P at u and F0 - P at -u, with
+    P = FJ c, and the least eigenvalue mean - sqrt(d^2 + o^2)."""
+    P = (FJ @ c).reshape(3, -1)
+    E = np.concatenate((F0 + P, F0 - P), axis=1)
+    # a far trial point squares past the double range: its radius is inf
+    # and it is rejected, as np.hypot's finite radius rejected it
+    with np.errstate(over="ignore"):
+        r2 = E[1] * E[1] + E[2] * E[2]
+    return float((E[0] - np.sqrt(r2)).min())
 
 
 def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
@@ -234,7 +276,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
         raise ValueError("gauge must be even")
 
-    idx, basis, M0, MJ, G = _gauge_tables(gauge, grid, degrees)
+    idx, basis, F0, FJ, G = _gauge_tables(gauge, grid, degrees)
 
     if isinstance(init_odd, SupportFunction):
         full = _padded(init_odd.coeffs, init_odd.lmax,
@@ -249,24 +291,25 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
             raise ValueError("init_odd length does not match the variable count")
 
     trace = []
-    eig = _min_eig(M0, MJ, c)
+    eig = _min_eig(F0, FJ, c)
     if not eig >= _MIN_EIG_FLOOR:
         return OptimizerTrace(iterations=trace, terminal_status="infeasible",
                               degrees=tuple(degrees), final_coeffs=c)
 
     Fc, Gz = _variance(G, c)
-    trace.append((float(np.linalg.norm(c)), Fc, eig, 0.0))
+    cn = math.sqrt(c @ c)  # np.linalg.norm(c), bitwise
+    trace.append((cn, Fc, eig, 0.0))
     status = "stalled"
     g_prev = None
     s_prev = None
     alpha = None
 
     for _ in range(max_iter):
-        if np.linalg.norm(c) < _NORM_TOL and Fc < _VAR_TOL:
+        if cn < _NORM_TOL and Fc < _VAR_TOL:
             status = "converged_to_gauge"
             break
         g = _variance_gradient(Gz, c)  # the accepted state's product
-        gn = float(np.linalg.norm(g))
+        gn = math.sqrt(g @ g)
         if gn == 0.0:
             break
         if s_prev is not None:
@@ -277,12 +320,12 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
                 alpha *= 2.0
         if alpha is None:
             # first step: conservative scale from the gradient itself
-            alpha = min(1.0, 0.1 * max(np.linalg.norm(c), _NORM_TOL) / gn)
+            alpha = min(1.0, 0.1 * max(cn, _NORM_TOL) / gn)
         step = alpha
         accepted = False
         for _ in range(_MAX_BACKTRACK):
             c_try = c - step * g
-            eig = _min_eig(M0, MJ, c_try)
+            eig = _min_eig(F0, FJ, c_try)
             if eig >= _MIN_EIG_FLOOR:
                 F_try, Gz_try = _variance(G, c_try)
                 if F_try <= Fc:
@@ -296,9 +339,10 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         c = c_try
         Fc = F_try
         Gz = Gz_try
-        trace.append((float(np.linalg.norm(c)), Fc, eig, step))
+        cn = math.sqrt(c @ c)
+        trace.append((cn, Fc, eig, step))
 
-    if np.linalg.norm(c) < _NORM_TOL and Fc < _VAR_TOL:
+    if cn < _NORM_TOL and Fc < _VAR_TOL:
         status = "converged_to_gauge"
 
     return OptimizerTrace(iterations=trace, terminal_status=status,

@@ -16,9 +16,13 @@ from widthbright import lab
 from widthbright.body import _padded
 from widthbright.brightness import _cosine_operator, cosine_transform
 from widthbright.lab import (
-    _gauge_tables, _variance, _variance_gradient, _sigma_entries,
+    _gauge_tables, _min_eig, _upper, _variance, _variance_gradient,
+    _sigma_entries,
 )
-from widthbright.sphere import make_basis, make_grid, node_tables
+from widthbright.sphere import (
+    entries_eigmax, entries_eigmin, make_basis, make_grid, node_tables,
+    table_times,
+)
 
 
 def pure_harmonic(l, m, coeff=1.0):
@@ -220,9 +224,13 @@ def test_optimizer_input_validation(grid32):
 
 def relative_brightness_table(gauge, grid, degrees=(3, 5)):
     """The full per-node table RQ, one column per ordered pair (j, k), built
-    from the model's entry-major support matrices: relative brightness is
+    from entry-major support matrices M0 (3, N) and MJ (3, N, nv) taken from
+    the node tables, not from the model: relative brightness is
     1 + RQ vec(c c^T)."""
-    _, _, M0, MJ, _ = _gauge_tables(gauge, grid, degrees)
+    idx, basis, _, _, _ = _gauge_tables(gauge, grid, degrees)
+    M = node_tables(grid, basis).M
+    M0 = table_times(M, _padded(gauge.coeffs, gauge.lmax, basis.lmax)).T
+    MJ = M[:, :, idx].transpose(1, 0, 2)
     rows = MJ.transpose(1, 2, 0)
     quad = _sigma_entries(rows[:, :, None, :], rows[:, None, :, :])
     b0 = brightness_profile(gauge, grid).areas
@@ -331,6 +339,73 @@ def test_variance_gradient_matches_central_differences(grid32):
                 for e in np.eye(c.size)])
             g = _variance_gradient(_variance(G, c)[1], c)
             assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("nv", [18, 33])
+def test_index_maps_reproduce_the_triangle_formulas(nv):
+    # _variance gathers z_h through a flat index and _variance_gradient
+    # builds Y from a position map; both equal, bit for bit, the formulas
+    # z_h = outer(c, c)[triu_indices] and grad F = 2 (Y + Y^T) c with Y
+    # the upper triangle of G z_h
+    rng = np.random.default_rng(nv)
+    m = nv * (nv + 1) // 2
+    A = rng.standard_normal((m, m))
+    G = A.T @ A
+    for _ in range(5):
+        c = rng.standard_normal(nv) * 10.0 ** rng.uniform(-6, 0)
+        z = np.outer(c, c)[np.triu_indices(nv)]
+        Gz = G @ z
+        F, Gz_got = _variance(G, c)
+        assert F == float(z @ Gz)
+        assert np.array_equal(Gz_got, Gz)
+        Y = np.zeros((nv, nv))
+        Y[np.triu_indices(nv)] = Gz
+        assert np.array_equal(_variance_gradient(Gz, c), 2.0 * ((Y + Y.T) @ c))
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (11, 22), (13, 26)])
+def test_half_sphere_floor_matches_every_node(shape):
+    # the floor tables hold N/2 nodes; at the antipodes F0 - FJ c gives the
+    # same least eigenvalue as the full support matrix there, so _min_eig
+    # is the least eigenvalue over all N nodes
+    grid = make_grid(*shape)
+    n = grid.n_nodes
+    rng = np.random.default_rng(shape[0])
+    for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
+        idx, basis, F0, FJ, _ = _gauge_tables(gauge, grid, (3, 5))
+        assert F0.shape == (3, n // 2)
+        assert FJ.shape == (3 * (n // 2), idx.size)
+        M = node_tables(grid, basis).M
+        h = _padded(gauge.coeffs, gauge.lmax, basis.lmax)
+        for _ in range(200):
+            u = rng.standard_normal(idx.size)
+            c = u * (10.0 ** rng.uniform(-6, 0) / np.linalg.norm(u))
+            h[idx] = c
+            e = table_times(M, h)
+            want = entries_eigmin(e).min()
+            lam = max(np.abs(entries_eigmin(e)).max(),
+                      np.abs(entries_eigmax(e)).max())
+            assert abs(_min_eig(F0, FJ, c) - want) <= 64 * np.spacing(lam)
+
+
+def test_probe_model_is_read_only(grid32):
+    # the model is cached per gauge: a write into one of its arrays would
+    # reach every later probe on that gauge
+    idx, basis, F0, FJ, G = _gauge_tables(ellipsoid(1, 1, 2), grid32, (3, 5))
+    for table in (idx, F0, FJ, G, *_upper(idx.size)):
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e160])
+def test_optimizer_reports_a_far_or_nan_start_infeasible(grid32, value):
+    # 1e160 squares past the double range: under the commands' errstate
+    # that is a start outside the convexity region, not an overflow
+    with np.errstate(all="raise", under="ignore"):
+        trace = minimize_brightness_variance(ball(1.0), np.full(18, value),
+                                             grid32)
+    assert trace.terminal_status == "infeasible"
+    assert trace.iterations == []
 
 
 def test_gauge_tables_follow_coefficient_changes(grid32):
