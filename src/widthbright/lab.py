@@ -17,9 +17,10 @@ the nv(nv+1)/2 distinct products, it is z_h^T G z_h for a Gram matrix G
 built once per gauge, so the objective and its exact gradient cost one
 O(nv^4 / 4) product per call, whatever the grid. The convexity check on
 each trial point costs one (3N/2) x nv product and O(N) elementwise work:
-the gauge is even and every variable odd, so the support matrix at -u is
-that at u with the variables' part negated, and the least eigenvalue over
-all N nodes is read from the N/2 nodes of one half sphere.
+the gauge is even and every variable odd, so the support matrix at -u has
+the eigenvalues of that at u with the variables' part negated, and the
+least eigenvalue over all N nodes is read from the N/2 nodes of one half
+sphere.
 """
 
 import math
