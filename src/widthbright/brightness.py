@@ -35,7 +35,7 @@ import numpy as np
 
 from .body import TOL_PSD, inverse_gauss, require_convex
 from .boundary import export_mesh
-from .sphere import make_grid
+from .sphere import make_grid, _freeze
 
 _SYMMETRY_TOL = 1e-9
 _UNIT_TOL = 1e-12
@@ -86,8 +86,7 @@ def _kernel_chebyshev(lmax):
         Pm1, Pl = Pl, ((2 * l + 1) * t * Pl - l * Pm1) / (l + 1)
     coeffs = (2.0 / n) * (np.cos(np.multiply.outer(np.arange(n), theta)) @ samples)
     coeffs[0] *= 0.5
-    coeffs.flags.writeable = False
-    return coeffs
+    return _freeze(coeffs)
 
 
 def _kernel_from_dots(dots, lmax):
@@ -140,9 +139,8 @@ def _cosine_operator(grid):
     dots = np.clip(np.multiply.outer(ct, ct)[:, :, None]
                    + np.multiply.outer(st, st)[:, :, None] * cos_m, -1.0, 1.0)
     g = _kernel_from_dots(dots, grid.n_theta - 1) * grid.weights[::n_phi, None]
-    table = np.ascontiguousarray(np.fft.rfft(g, axis=2).real.transpose(2, 0, 1))
-    table.flags.writeable = False
-    return table
+    return _freeze(np.ascontiguousarray(
+        np.fft.rfft(g, axis=2).real.transpose(2, 0, 1)))
 
 
 def cosine_transform(f, grid, directions):

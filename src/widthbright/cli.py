@@ -23,6 +23,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -118,6 +119,8 @@ def _build_parser():
                          "(default %(default)s)")
     pv.add_argument("--start-scale", type=_FINITE, default=0.5,
                     help="seeded start size as a fraction of the convexity bound")
+    # take -5e-1 as a value: argparse's negative-number pattern has no exponents
+    pv._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     command("export", cmd_export, "write the boundary mesh as OBJ",
             "body spec JSON file")
     return ap
@@ -190,7 +193,7 @@ def _require_declared_lmax(args, obj):
     constant-width recipe's parts and as the largest l of a part's harmonics
     terms, before anything builds tables at it. Each value is read as the
     resolvers read it, so 40, 40.0 and "40" are all degree 40; the guard on
-    the loaded body covers an lmax left to a recipe's default, and resolving
+    the resolved recipe covers an lmax left to a recipe's default, and resolving
     reports values that are not degrees and malformed terms."""
     if not isinstance(obj, dict):
         return
@@ -218,7 +221,6 @@ def _load_body(args):
     if not h.coeffs[0] > 0.0:
         raise ValueError("c_00 = %r: the body's mean width must be positive"
                          % float(h.coeffs[0]))
-    _require_lmax(args, h.lmax)
     return h
 
 

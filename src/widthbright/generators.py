@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import make_grid, make_basis, basis_index, basis_values, \
-    entries_eigmax
+from .sphere import make_grid, make_basis, basis_index, basis_values
 from .body import NotConvexError, SupportFunction, certify_convex, \
     body_from_spec, inverse_gauss, _padded
 
@@ -89,9 +88,8 @@ def constant_width_body(gauge, p, eps_request, grid):
         raise NotConvexError("gauge must be certified convex with positive "
                              "margin (min eigenvalue %.3e)" % margin)
 
-    field = inverse_gauss(p, grid)
-    rho = float(np.maximum(np.abs(field.eigmin),
-                           np.abs(entries_eigmax(field.entries))).max())
+    # p is odd: the largest eigenvalue at u is minus the least at -u
+    rho = float(np.abs(inverse_gauss(p, grid).eigmin).max())
     if not math.isfinite(rho):
         raise ValueError("perturbation support matrix is not finite")
     if rho == 0.0:

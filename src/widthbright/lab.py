@@ -131,6 +131,49 @@ def _variable_indices(degrees):
     return np.concatenate([np.arange(l * l, (l + 1) ** 2) for l in degrees])
 
 
+@dataclass(frozen=True, eq=False)
+class ProbeModel:
+    """One gauge's read-only probe model, built by _quadratic_model. flat
+    gathers z_h from the nv x nv outer product c c^T, and pos maps a matrix
+    position (j, k) to the z_h entry of its unordered pair."""
+
+    idx: np.ndarray   # (nv,)
+    basis: object     # HarmonicBasis
+    F0: np.ndarray    # (3, N/2)
+    FJ: np.ndarray    # (3N/2, nv), column-major
+    G: np.ndarray     # (nv(nv+1)/2,) * 2
+    flat: np.ndarray  # (nv(nv+1)/2,)
+    pos: np.ndarray   # (nv, nv)
+
+    def variance(self, c):
+        """F(c) = z_h^T (G z_h) and the product G z_h, which is all that
+        gradient needs."""
+        z = np.outer(c, c).take(self.flat)
+        Gz = self.G @ z
+        return float(z @ Gz), Gz
+
+    def gradient(self, Gz, c):
+        """Exact gradient of variance at c from its product Gz: grad F = 2 Y c,
+        Y symmetric with Y_jk = (G z_h)_jk off the diagonal and
+        Y_jj = 2 (G z_h)_jj, since c_j c_k has gradient c_k e_j + c_j e_k and
+        c_j^2 has 2 c_j e_j."""
+        Y = Gz.take(self.pos)
+        Y.flat[::c.size + 1] *= 2.0
+        return 2.0 * (Y @ c)
+
+    def min_eig(self, c):
+        """Least support-matrix eigenvalue of gauge + p_c over all N nodes,
+        from the half-sphere floor tables: E = F0 + P at u and F0 - P at -u,
+        with P = FJ c, and the least eigenvalue mean - sqrt(d^2 + o^2)."""
+        P = (self.FJ @ c).reshape(3, -1)
+        E = np.concatenate((self.F0 + P, self.F0 - P), axis=1)
+        # a far trial point squares past the double range: its radius is inf
+        # and it is rejected, as np.hypot's finite radius rejected it
+        with np.errstate(over="ignore"):
+            r2 = E[1] * E[1] + E[2] * E[2]
+        return float((E[0] - np.sqrt(r2)).min())
+
+
 def _gauge_tables(gauge, grid, degrees):
     """_quadratic_model of the gauge, keyed by its coefficient values rather
     than the object, so a gauge changed in place gets fresh tables."""
@@ -143,8 +186,8 @@ def _gauge_tables(gauge, grid, degrees):
 # O(N nv^4 / 4) Gram product of the N x nv(nv+1)/2 result
 @lru_cache(maxsize=4)
 def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
-    """Gram matrix of the brightness variance, a quartic in c, and the
-    convexity floor's tables, as (idx, basis, F0, FJ, G), all read-only.
+    """The gauge's ProbeModel: the Gram matrix of the brightness variance, a
+    quartic in c, and the convexity floor's tables, all read-only.
 
     Per node, det(M0 + sum c_j Mj) = det M0 + 2 sigma(M0, Mj) c_j
     + sigma(Mj, Mk) c_j c_k. The gauge is even and each Mj has odd degree,
@@ -165,7 +208,7 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     gauge and FJ (3N/2, nv), column-major, for the variables. The gauge is
     even and the variables odd, so at the antipode -u the support matrix is
     M0 - MJ c written in the frame (e1, -e2), which flips the sign of m12
-    only and keeps the eigenvalues; F0 - FJ c gives them. _min_eig reads
+    only and keeps the eigenvalues; F0 - FJ c gives them. min_eig reads
     both halves from one product FJ c, on half the rows an all-node table
     would hold.
     """
@@ -198,57 +241,18 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
         S[:, col:col + nv - j] = sw * RQc
         col += nv - j
     G = S.T @ S  # numpy's syrk: exactly symmetric
-    return _freeze(idx), basis, _freeze(F0), _freeze(FJ), _freeze(G)
+    j, k = np.triu_indices(nv)
+    pos = np.empty((nv, nv), dtype=np.intp)
+    pos[j, k] = pos[k, j] = np.arange(j.size)
+    return ProbeModel(idx=_freeze(idx), basis=basis, F0=_freeze(F0),
+                      FJ=_freeze(FJ), G=_freeze(G), flat=_freeze(j * nv + k),
+                      pos=_freeze(pos))
 
 
 def _floor_rows(e):
     """Entry rows (m11, m12, m22) along axis 0 -> (mean, half-difference,
     off-diagonal), from which the least eigenvalue is mean - |(d, o)|."""
     return np.stack((0.5 * (e[0] + e[2]), 0.5 * (e[0] - e[2]), e[1]))
-
-
-@lru_cache(maxsize=None)
-def _upper(nv):
-    """Index maps of z_h = (c_j c_k), j <= k, in np.triu_indices order: the
-    flat positions in the nv x nv outer product that gather z_h, and the
-    (nv, nv) map from a matrix position (j, k) to the z_h entry of its
-    unordered pair."""
-    j, k = np.triu_indices(nv)
-    flat = j * nv + k
-    pos = np.empty((nv, nv), dtype=np.intp)
-    pos[j, k] = pos[k, j] = np.arange(j.size)
-    return _freeze(flat), _freeze(pos)
-
-
-def _variance(G, c):
-    """F(c) = z_h^T (G z_h) with z_h = (c_j c_k), j <= k, and the product
-    G z_h, which is all that _variance_gradient needs."""
-    z = np.outer(c, c).take(_upper(c.size)[0])
-    Gz = G @ z
-    return float(z @ Gz), Gz
-
-
-def _variance_gradient(Gz, c):
-    """Exact gradient of _variance at c from its product Gz: grad F = 2 Y c,
-    Y symmetric with Y_jk = (G z_h)_jk off the diagonal and
-    Y_jj = 2 (G z_h)_jj, since c_j c_k has gradient c_k e_j + c_j e_k and
-    c_j^2 has 2 c_j e_j."""
-    Y = Gz.take(_upper(c.size)[1])
-    Y.flat[::c.size + 1] *= 2.0
-    return 2.0 * (Y @ c)
-
-
-def _min_eig(F0, FJ, c):
-    """Least support-matrix eigenvalue of gauge + p_c over all N nodes, from
-    the half-sphere floor tables: E = F0 + P at u and F0 - P at -u, with
-    P = FJ c, and the least eigenvalue mean - sqrt(d^2 + o^2)."""
-    P = (FJ @ c).reshape(3, -1)
-    E = np.concatenate((F0 + P, F0 - P), axis=1)
-    # a far trial point squares past the double range: its radius is inf
-    # and it is rejected, as np.hypot's finite radius rejected it
-    with np.errstate(over="ignore"):
-        r2 = E[1] * E[1] + E[2] * E[2]
-    return float((E[0] - np.sqrt(r2)).min())
 
 
 def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
@@ -277,27 +281,27 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
         raise ValueError("gauge must be even")
 
-    idx, basis, F0, FJ, G = _gauge_tables(gauge, grid, degrees)
+    model = _gauge_tables(gauge, grid, degrees)
 
     if isinstance(init_odd, SupportFunction):
         full = _padded(init_odd.coeffs, init_odd.lmax,
-                       max(init_odd.lmax, basis.lmax))
-        c = full[idx]
-        full[idx] = 0.0
+                       max(init_odd.lmax, model.basis.lmax))
+        c = full[model.idx]
+        full[model.idx] = 0.0
         if np.any(full != 0.0):
             raise ValueError("init_odd has support outside the variable degrees")
     else:
         c = np.asarray(init_odd, float).copy()
-        if c.shape != (idx.size,):
+        if c.shape != (model.idx.size,):
             raise ValueError("init_odd length does not match the variable count")
 
     trace = []
-    eig = _min_eig(F0, FJ, c)
+    eig = model.min_eig(c)
     if not eig >= _MIN_EIG_FLOOR:
         return OptimizerTrace(iterations=trace, terminal_status="infeasible",
                               degrees=tuple(degrees), final_coeffs=c)
 
-    Fc, Gz = _variance(G, c)
+    Fc, Gz = model.variance(c)
     cn = math.sqrt(c @ c)  # np.linalg.norm(c), bitwise
     trace.append((cn, Fc, eig, 0.0))
     status = "stalled"
@@ -309,7 +313,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         if cn < _NORM_TOL and Fc < _VAR_TOL:
             status = "converged_to_gauge"
             break
-        g = _variance_gradient(Gz, c)  # the accepted state's product
+        g = model.gradient(Gz, c)  # the accepted state's product
         gn = math.sqrt(g @ g)
         if gn == 0.0:
             break
@@ -326,9 +330,9 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         accepted = False
         for _ in range(_MAX_BACKTRACK):
             c_try = c - step * g
-            eig = _min_eig(F0, FJ, c_try)
+            eig = model.min_eig(c_try)
             if eig >= _MIN_EIG_FLOOR:
-                F_try, Gz_try = _variance(G, c_try)
+                F_try, Gz_try = model.variance(c_try)
                 if F_try <= Fc:
                     accepted = True
                     break

@@ -400,9 +400,3 @@ def entries_eigmin(e):
     mean = 0.5 * (e[..., 0] + e[..., 2])
     rad = np.hypot(0.5 * (e[..., 0] - e[..., 2]), e[..., 1])
     return mean - rad
-
-
-def entries_eigmax(e):
-    mean = 0.5 * (e[..., 0] + e[..., 2])
-    rad = np.hypot(0.5 * (e[..., 0] - e[..., 2]), e[..., 1])
-    return mean + rad

@@ -571,6 +571,21 @@ def test_flag_values_the_commands_cannot_use_are_input_errors(
     assert os.listdir(tmp_path) == ["ball.json"]
 
 
+def test_start_scale_takes_a_negative_number_in_exponent_form(tmp_path, capsys):
+    # argparse took -5e-1 for an unknown option and exited 2, while -0.5
+    # and --start-scale=-5e-1 ran
+    body = write_json(tmp_path / "ball.json", ball_spec())
+    traces = []
+    for value in ("-0.5", "-5e-1"):
+        out = str(tmp_path / ("%s.trace.csv" % value))
+        assert main(["verify-theorem", body, "--start-scale", value,
+                     "--out", out]) == EXIT_OK
+        traces.append(open(out, "rb").read())
+    assert traces[0] == traces[1]
+    assert main(["verify-theorem", body, "--start-scale", "-1e400"]) == EXIT_INPUT
+    assert "--start-scale" in capsys.readouterr().err
+
+
 def test_flags_a_command_does_not_read_are_input_errors(tmp_path):
     body = write_json(tmp_path / "ball.json", ball_spec())
     assert main(["analyze", body, "--seed", "1"]) == EXIT_INPUT

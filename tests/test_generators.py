@@ -14,10 +14,7 @@ from widthbright import (
 )
 from widthbright.body import closed_form_values
 from widthbright.boundary import inverse_gauss
-from widthbright.sphere import (
-    make_basis, make_grid, entries_eigmin, entries_eigmax, node_tables,
-    basis_values,
-)
+from widthbright.sphere import make_basis, make_grid, node_tables, basis_values
 
 
 def pure_harmonic(l, m, coeff=1.0):
@@ -164,12 +161,17 @@ def test_translation_summand_is_neutral(grid32):
 
 
 def test_odd_eigenvalues_flip_across_antipodes(grid32):
-    # for odd p the support matrix at -u is minus a rotation of the one at
-    # u, so the spectrum flips sign exactly
+    # for odd p the support matrix at -u is minus the one at u, written in
+    # the frame (e1, -e2): m11 and m22 flip sign and m12 keeps it, so the
+    # least eigenvalue at -u is minus the largest at u and constant_width_body
+    # reads the spectral radius from the least eigenvalues alone
     p = random_odd(12, degrees=(3, 5, 7))
-    ent = inverse_gauss(p, grid32).entries
-    lo, hi = entries_eigmin(ent), entries_eigmax(ent)
-    assert np.array_equal(lo[grid32.antipode_index], -hi)
+    field = inverse_gauss(p, grid32)
+    ent = field.entries
+    assert np.array_equal(ent[grid32.antipode_index], ent * [-1.0, 1.0, -1.0])
+    hi = np.linalg.eigvalsh(ent[:, [0, 1, 1, 2]].reshape(-1, 2, 2))[:, 1]
+    np.testing.assert_allclose(-field.eigmin[grid32.antipode_index], hi,
+                               atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Determinant parity identities and the brightness-variance descent."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -15,13 +16,9 @@ from widthbright import (
 from widthbright import lab
 from widthbright.body import _padded
 from widthbright.brightness import _cosine_operator, cosine_transform
-from widthbright.lab import (
-    _gauge_tables, _min_eig, _upper, _variance, _variance_gradient,
-    _sigma_entries,
-)
+from widthbright.lab import _gauge_tables, _sigma_entries
 from widthbright.sphere import (
-    entries_eigmax, entries_eigmin, make_basis, make_grid, node_tables,
-    table_times,
+    entries_eigmin, make_basis, make_grid, node_tables, table_times,
 )
 
 
@@ -227,10 +224,10 @@ def relative_brightness_table(gauge, grid, degrees=(3, 5)):
     from entry-major support matrices M0 (3, N) and MJ (3, N, nv) taken from
     the node tables, not from the model: relative brightness is
     1 + RQ vec(c c^T)."""
-    idx, basis, _, _, _ = _gauge_tables(gauge, grid, degrees)
-    M = node_tables(grid, basis).M
-    M0 = table_times(M, _padded(gauge.coeffs, gauge.lmax, basis.lmax)).T
-    MJ = M[:, :, idx].transpose(1, 0, 2)
+    model = _gauge_tables(gauge, grid, degrees)
+    M = node_tables(grid, model.basis).M
+    M0 = table_times(M, _padded(gauge.coeffs, gauge.lmax, model.basis.lmax)).T
+    MJ = M[:, :, model.idx].transpose(1, 0, 2)
     rows = MJ.transpose(1, 2, 0)
     quad = _sigma_entries(rows[:, :, None, :], rows[:, None, :, :])
     b0 = brightness_profile(gauge, grid).areas
@@ -246,14 +243,14 @@ def weighted_variance(r, grid):
 
 
 def test_variance_fast_path_matches_brightness_profiles(grid32):
-    idx, basis, _, _, _ = _gauge_tables(ball(1.0), grid32, (3, 5))
+    model = _gauge_tables(ball(1.0), grid32, (3, 5))
     RQ, _, _ = relative_brightness_table(ball(1.0), grid32)
-    c = random_odd(4, degrees=(3, 5), scale=0.02).coeffs[idx]
+    c = random_odd(4, degrees=(3, 5), scale=0.02).coeffs[model.idx]
     r = RQ @ np.outer(c, c).ravel()
-    coeffs = np.zeros(basis.size)
+    coeffs = np.zeros(model.basis.size)
     coeffs[0] = 2.0 * math.sqrt(math.pi)
-    coeffs[idx] = c
-    h = SupportFunction(coeffs, basis.lmax)
+    coeffs[model.idx] = c
+    h = SupportFunction(coeffs, model.basis.lmax)
     ratio = brightness_profile(h, grid32).areas \
         / brightness_profile(ball(1.0), grid32).areas
     np.testing.assert_allclose(r, ratio - 1.0, atol=1e-12)
@@ -263,24 +260,24 @@ def test_gram_form_matches_the_direct_variance(grid32):
     # z^T G z against (a) the weighted variance of RQ z in longdouble and
     # (b) the weighted variance of the brightness ratio of gauge + p_c
     for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
-        idx, basis, _, _, G = _gauge_tables(gauge, grid32, (3, 5))
+        model = _gauge_tables(gauge, grid32, (3, 5))
         RQ, _, _ = relative_brightness_table(gauge, grid32)
-        u = random_odd(8, degrees=(3, 5)).coeffs[idx]
+        u = random_odd(8, degrees=(3, 5)).coeffs[model.idx]
         u /= np.linalg.norm(u)
         for norm in (1e-1, 1e-3, 1e-5):
             c = norm * u
             z = np.outer(c, c).ravel().astype(np.longdouble)
             want = weighted_variance(RQ.astype(np.longdouble) @ z, grid32)
-            assert abs(_variance(G, c)[0] / want - 1.0) < 1e-13
+            assert abs(model.variance(c)[0] / want - 1.0) < 1e-13
 
         c = 5e-2 * u  # convex: least support-matrix eigenvalue 0.23 or more
-        h = SupportFunction(_padded(gauge.coeffs, gauge.lmax, basis.lmax),
-                            basis.lmax)
-        h.coeffs[idx] = c
+        lmax = model.basis.lmax
+        h = SupportFunction(_padded(gauge.coeffs, gauge.lmax, lmax), lmax)
+        h.coeffs[model.idx] = c
         ratio = brightness_profile(h, grid32).areas \
             / brightness_profile(gauge, grid32).areas
         want = weighted_variance(ratio, grid32)
-        assert abs(_variance(G, c)[0] / want - 1.0) < 1e-12
+        assert abs(model.variance(c)[0] / want - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("degrees", [(3, 5), (3, 5, 7)])
@@ -289,9 +286,9 @@ def test_half_model_matches_the_full_gram_form(grid32, degrees):
     # Gram matrix of vec(c c^T), built here from the same sigma table,
     # gives the same F
     for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
-        idx, _, _, _, G = _gauge_tables(gauge, grid32, degrees)
-        nv = idx.size
-        assert G.shape == (nv * (nv + 1) // 2,) * 2
+        model = _gauge_tables(gauge, grid32, degrees)
+        nv = model.idx.size
+        assert model.G.shape == (nv * (nv + 1) // 2,) * 2
         RQ, _, _ = relative_brightness_table(gauge, grid32, degrees)
         wn = grid32.weights / (4 * np.pi)
         RQc = RQ - wn @ RQ
@@ -301,16 +298,16 @@ def test_half_model_matches_the_full_gram_form(grid32, degrees):
             c = 0.05 * rng.standard_normal(nv)
             z = np.outer(c, c).ravel()
             want = z @ (G_full @ z)
-            assert abs(_variance(G, c)[0] / want - 1.0) < 1e-13
+            assert abs(model.variance(c)[0] / want - 1.0) < 1e-13
 
 
 def test_variance_valley_is_quartic_for_even_gauges(grid32):
     # odd perturbations of an even gauge change brightness at second order,
     # so the variance is quartic near the bottom: F(2c) ~ 16 F(c)
-    idx, _, _, _, G = _gauge_tables(ball(1.0), grid32, (3, 5))
-    c = random_odd(6, degrees=(3, 5), scale=1e-3).coeffs[idx]
-    f1 = _variance(G, c)[0]
-    f2 = _variance(G, 2.0 * c)[0]
+    model = _gauge_tables(ball(1.0), grid32, (3, 5))
+    c = random_odd(6, degrees=(3, 5), scale=1e-3).coeffs[model.idx]
+    f1 = model.variance(c)[0]
+    f2 = model.variance(2.0 * c)[0]
     assert abs(f2 / f1 - 16.0) < 1e-3
 
 
@@ -330,71 +327,78 @@ def test_variance_gradient_matches_central_differences(grid32):
     step = 1e-5
     for gauge, degrees in ((ball(1.0), (3, 5)), (ellipsoid(1, 1, 2), (3, 5)),
                            (ellipsoid(1, 1, 2), (3, 5, 7))):
-        idx, _, _, _, G = _gauge_tables(gauge, grid32, degrees)
+        model = _gauge_tables(gauge, grid32, degrees)
         for _ in range(3):
-            c = 0.05 * rng.standard_normal(idx.size)
+            c = 0.05 * rng.standard_normal(model.idx.size)
             fd = np.array([
-                (_variance(G, c + step * e)[0] - _variance(G, c - step * e)[0])
+                (model.variance(c + step * e)[0] - model.variance(c - step * e)[0])
                 / (2.0 * step)
                 for e in np.eye(c.size)])
-            g = _variance_gradient(_variance(G, c)[1], c)
+            g = model.gradient(model.variance(c)[1], c)
             assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 @pytest.mark.parametrize("nv", [18, 33])
-def test_index_maps_reproduce_the_triangle_formulas(nv):
-    # _variance gathers z_h through a flat index and _variance_gradient
-    # builds Y from a position map; both equal, bit for bit, the formulas
+def test_index_maps_reproduce_the_triangle_formulas(grid32, nv):
+    # variance gathers z_h through the model's flat index and gradient
+    # builds Y from its position map; both equal, bit for bit, the formulas
     # z_h = outer(c, c)[triu_indices] and grad F = 2 (Y + Y^T) c with Y
-    # the upper triangle of G z_h
+    # the upper triangle of G z_h, here for a random Gram matrix G
     rng = np.random.default_rng(nv)
     m = nv * (nv + 1) // 2
     A = rng.standard_normal((m, m))
     G = A.T @ A
+    degrees = {18: (3, 5), 33: (3, 5, 7)}[nv]
+    model = dataclasses.replace(_gauge_tables(ball(1.0), grid32, degrees), G=G)
     for _ in range(5):
         c = rng.standard_normal(nv) * 10.0 ** rng.uniform(-6, 0)
         z = np.outer(c, c)[np.triu_indices(nv)]
         Gz = G @ z
-        F, Gz_got = _variance(G, c)
+        F, Gz_got = model.variance(c)
         assert F == float(z @ Gz)
         assert np.array_equal(Gz_got, Gz)
         Y = np.zeros((nv, nv))
         Y[np.triu_indices(nv)] = Gz
-        assert np.array_equal(_variance_gradient(Gz, c), 2.0 * ((Y + Y.T) @ c))
+        assert np.array_equal(model.gradient(Gz, c), 2.0 * ((Y + Y.T) @ c))
 
 
 @pytest.mark.parametrize("shape", [(32, 64), (11, 22), (13, 26)])
 def test_half_sphere_floor_matches_every_node(shape):
     # the floor tables hold N/2 nodes; at the antipodes F0 - FJ c gives the
-    # same least eigenvalue as the full support matrix there, so _min_eig
+    # same least eigenvalue as the full support matrix there, so min_eig
     # is the least eigenvalue over all N nodes
     grid = make_grid(*shape)
     n = grid.n_nodes
     rng = np.random.default_rng(shape[0])
     for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
-        idx, basis, F0, FJ, _ = _gauge_tables(gauge, grid, (3, 5))
-        assert F0.shape == (3, n // 2)
-        assert FJ.shape == (3 * (n // 2), idx.size)
-        M = node_tables(grid, basis).M
-        h = _padded(gauge.coeffs, gauge.lmax, basis.lmax)
+        model = _gauge_tables(gauge, grid, (3, 5))
+        nv = model.idx.size
+        assert model.F0.shape == (3, n // 2)
+        assert model.FJ.shape == (3 * (n // 2), nv)
+        M = node_tables(grid, model.basis).M
+        h = _padded(gauge.coeffs, gauge.lmax, model.basis.lmax)
         for _ in range(200):
-            u = rng.standard_normal(idx.size)
+            u = rng.standard_normal(nv)
             c = u * (10.0 ** rng.uniform(-6, 0) / np.linalg.norm(u))
-            h[idx] = c
+            h[model.idx] = c
             e = table_times(M, h)
             want = entries_eigmin(e).min()
-            lam = max(np.abs(entries_eigmin(e)).max(),
-                      np.abs(entries_eigmax(e)).max())
-            assert abs(_min_eig(F0, FJ, c) - want) <= 64 * np.spacing(lam)
+            # the spectral radius over all nodes
+            lam = np.abs(np.linalg.eigvalsh(e[:, [0, 1, 1, 2]].reshape(-1, 2, 2))).max()
+            assert abs(model.min_eig(c) - want) <= 64 * np.spacing(lam)
 
 
 def test_probe_model_is_read_only(grid32):
     # the model is cached per gauge: a write into one of its arrays would
     # reach every later probe on that gauge
-    idx, basis, F0, FJ, G = _gauge_tables(ellipsoid(1, 1, 2), grid32, (3, 5))
-    for table in (idx, F0, FJ, G, *_upper(idx.size)):
+    model = _gauge_tables(ellipsoid(1, 1, 2), grid32, (3, 5))
+    tables = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+    assert len(tables) == 6  # idx, F0, FJ, G, flat, pos
+    for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.G = np.zeros_like(model.G)
 
 
 @pytest.mark.parametrize("value", [np.nan, 1e160])

@@ -18,7 +18,7 @@ from widthbright import make_grid, make_basis, basis_index, integrate
 from widthbright import sphere
 from widthbright.sphere import (
     basis_values, node_tables,
-    entries_det, entries_eigmin, entries_eigmax, _solid_jets, _phi_table,
+    entries_det, entries_eigmin, _solid_jets, _phi_table,
     _PAIRS,
 )
 from conftest import unit_vectors
@@ -415,7 +415,6 @@ def test_entry_row_eigen_helpers_match_eigvalsh():
     mats[:, 1, 1] = rows[:, 2]
     eigs = np.linalg.eigvalsh(mats)
     np.testing.assert_allclose(entries_eigmin(rows), eigs[:, 0], atol=1e-12)
-    np.testing.assert_allclose(entries_eigmax(rows), eigs[:, 1], atol=1e-12)
     np.testing.assert_allclose(entries_det(rows), np.linalg.det(mats), atol=1e-12)
 
 
