@@ -255,6 +255,16 @@ def body_to_spec(h):
     return spec
 
 
+def declared_lmax(spec):
+    """The degree a body spec declares, read as body_from_spec reads it (40,
+    40.0 and "40" are all degree 40), or None where that read raises and
+    body_from_spec reports the error."""
+    try:
+        return int(spec["lmax"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+
+
 def body_from_spec(spec):
     if not isinstance(spec, dict):
         raise ValueError("body spec must be a JSON object")

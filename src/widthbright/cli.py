@@ -30,14 +30,14 @@ import numpy as np
 
 from .body import (
     TOL_PSD, NotConvexError, SupportFunction, body_from_spec, body_to_spec,
-    certify_convex, inverse_gauss, volume, width,
+    certify_convex, declared_lmax, inverse_gauss, volume, width,
 )
 from .boundary import export_mesh, export_obj
 from .brightness import brightness_profile, profile_to_csv
 from .generators import constant_width_body, random_odd, resolve_recipe
 from .lab import minimize_brightness_variance, parity_decomposition_check, \
-    trace_to_csv
-from .sphere import make_grid
+    require_variable_degrees, trace_to_csv
+from .sphere import make_grid, require_resolvable
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -76,10 +76,8 @@ _FINITE = _flag(float, "a finite number", math.isfinite)
 # every node's antipode is a node only for an even n_phi
 _GRID = _flag(_ints, "T,P: T >= 2 rings and an even P >= 2 azimuths",
               lambda g: len(g) == 2 and g[0] >= 2 and g[1] >= 2 and g[1] % 2 == 0)
-# the probe's variables; degree 1 is a translation
-_DEGREES = _flag(_ints, "distinct odd degrees >= 3, comma separated",
-                 lambda d: len(set(d)) == len(d)
-                 and all(l >= 3 and l % 2 == 1 for l in d))
+_DEGREES = _flag(lambda text: require_variable_degrees(_ints(text)),
+                 "distinct odd degrees >= 3, comma separated")
 _PSD_TOL = _flag(_psd, "psd=VAL with a finite VAL >= 0", lambda t: 0.0 <= t < math.inf)
 
 
@@ -126,13 +124,6 @@ def _build_parser():
     return ap
 
 
-def _require_lmax(args, lmax):
-    """Refuse a body of degree lmax that the grid cannot resolve."""
-    if args.grid[0] < lmax + 1:
-        raise ValueError("grid too coarse for lmax %d: need n_theta >= %d"
-                         % (lmax, lmax + 1))
-
-
 def _load_json(path):
     with open(path) as f:
         return json.load(f)
@@ -153,11 +144,9 @@ def _write_json(obj, path):
 
 def cmd_gen(args):
     grid = make_grid(*args.grid)
-    recipe = _load_json(args.body)
-    _require_declared_lmax(args, recipe)
-    resolved = resolve_recipe(recipe, grid)
+    # the resolver refuses each degree the grid cannot resolve as it reads it
+    resolved = resolve_recipe(_load_json(args.body), grid)
     h = resolved.resolved
-    _require_lmax(args, h.lmax)
     cert = certify_convex(h, grid, args.tol_psd)
     spec = body_to_spec(h)
     spec["normalization"] = ("orthonormal real spherical harmonics, "
@@ -179,42 +168,12 @@ def _jsonable(params):
     return out
 
 
-def _declared_degree(value):
-    """value as the resolvers read a degree, int(value), or None where that
-    raises (an infinite degree too) and resolving reports it."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
-def _require_declared_lmax(args, obj):
-    """Guard every lmax that a spec or recipe declares, also in a
-    constant-width recipe's parts and as the largest l of a part's harmonics
-    terms, before anything builds tables at it. Each value is read as the
-    resolvers read it, so 40, 40.0 and "40" are all degree 40; the guard on
-    the resolved recipe covers an lmax left to a recipe's default, and resolving
-    reports values that are not degrees and malformed terms."""
-    if not isinstance(obj, dict):
-        return
-    lmax = _declared_degree(obj.get("lmax"))
-    if lmax is not None:
-        _require_lmax(args, lmax)
-    terms = obj.get("harmonics")
-    if isinstance(terms, list):
-        degrees = [_declared_degree(t[0]) for t in terms
-                   if isinstance(t, list) and t]
-        degrees = [l for l in degrees if l is not None]
-        if degrees:
-            _require_lmax(args, max(degrees))
-    for part in ("gauge", "odd"):
-        _require_declared_lmax(args, obj.get(part))
-
-
 def _load_body(args):
     spec = _load_json(args.body)
     # body_from_spec's closed-form check evaluates the basis at the spec's lmax
-    _require_declared_lmax(args, spec)
+    lmax = declared_lmax(spec)
+    if lmax is not None:
+        require_resolvable(args.grid[0], lmax)
     h = body_from_spec(spec)
     # c_00 is sqrt(pi) times the mean width; at or below zero the body is a
     # point or empty and has no interior to measure
@@ -225,8 +184,8 @@ def _load_body(args):
 
 
 def cmd_analyze(args):
-    grid = make_grid(*args.grid)
     h = _load_body(args)
+    grid = make_grid(*args.grid)
     cert = certify_convex(h, grid, args.tol_psd)
     w = width(h, grid)
     wn = grid.weights
@@ -274,9 +233,9 @@ def cmd_analyze(args):
 
 def cmd_verify_theorem(args):
     # before random_odd builds a basis at the largest degree
-    _require_lmax(args, max(args.degrees))
-    grid = make_grid(*args.grid)
+    require_resolvable(args.grid[0], max(args.degrees))
     gauge = _load_body(args)
+    grid = make_grid(*args.grid)
     # seeded start, scaled into the convexity region like the generators do;
     # the gauge's margin sizes it, so a gauge without one is infeasible
     start = random_odd(args.seed, degrees=args.degrees, scale=1.0)
@@ -300,8 +259,8 @@ def cmd_verify_theorem(args):
 
 
 def cmd_export(args):
-    grid = make_grid(*args.grid)
     h = _load_body(args)
+    grid = make_grid(*args.grid)
     field = inverse_gauss(h, grid)
     mesh = export_mesh(field, grid, args.tol_psd)
     out = _out_path(args, ".obj")
@@ -319,7 +278,7 @@ def main(argv=None):
         # argparse already printed the message; normalize the code
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        _require_lmax(args, args.lmax)
+        require_resolvable(args.grid[0], args.lmax)
         # a body or recipe whose numbers overflow is an input error, not a
         # run that warns its way to a failure or writes NaNs: numpy raises
         # where it would have warned, before any output is written

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import make_grid, make_basis, basis_index, basis_values
+from .sphere import make_grid, make_basis, basis_index, basis_values, \
+    require_resolvable
 from .body import NotConvexError, SupportFunction, certify_convex, \
-    body_from_spec, inverse_gauss, _padded
+    body_from_spec, closed_form_values, declared_lmax, inverse_gauss, _padded
 
 _MIN_EIG_TARGET = 0.1
 _MAX_HALVINGS = 60
@@ -50,19 +51,17 @@ def ellipsoid(a, b, c, lmax=12, grid=None):
     """
     if min(a, b, c) <= 0.0:
         raise ValueError("ellipsoid semi-axes must be positive")
+    tag = "ellipsoid:%r,%r,%r" % (float(a), float(b), float(c))
     if grid is None:
         grid = make_grid(48, 96)
     basis = make_basis(lmax)
-    u = grid.nodes
-    hv = np.sqrt((a * u[:, 0]) ** 2 + (b * u[:, 1]) ** 2 + (c * u[:, 2]) ** 2)
-    V = basis_values(basis, u)
+    hv = closed_form_values(tag, grid.nodes)
+    V = basis_values(basis, grid.nodes)
     coeffs = V.T @ (grid.weights * hv)
     # the closed form is even; make the parity exact instead of 1e-16 noise
     coeffs[basis.degrees % 2 == 1] = 0.0
     trunc = float(np.abs(V @ coeffs - hv).max())
-    return SupportFunction(coeffs, lmax,
-                           closed_form="ellipsoid:%r,%r,%r"
-                           % (float(a), float(b), float(c)),
+    return SupportFunction(coeffs, lmax, closed_form=tag,
                            label="ellipsoid(%g,%g,%g)" % (a, b, c),
                            truncation_tol=trunc)
 
@@ -169,7 +168,10 @@ def resolve_recipe(recipe, grid):
     Kinds: ball {"r"}, ellipsoid {"axes", "lmax"}, random_convex {"seed",
     "lmax", "roughness"}, constant_width {"gauge": recipe or body spec,
     "odd": recipe or body spec or {"harmonics": [[l, m, coeff], ...]},
-    "eps": "auto" or number}.
+    "eps": "auto" or number}. Each degree is refused as it is read, before
+    anything is built at it, when grid's rings cannot resolve it: an lmax,
+    default included, the largest l of harmonics terms and a nested body
+    spec's lmax.
     """
     if not isinstance(recipe, dict) or "kind" not in recipe:
         raise ValueError("recipe must be an object with a 'kind' field")
@@ -180,10 +182,13 @@ def resolve_recipe(recipe, grid):
         if kind == "ellipsoid":
             a, b, c = recipe["axes"]
             lmax = int(recipe.get("lmax", 12))
+            require_resolvable(grid.n_theta, lmax)
             return BodyRecipe("ellipsoid", {"axes": [a, b, c], "lmax": lmax},
                               ellipsoid(a, b, c, lmax=lmax))
         if kind == "random_convex":
-            h = random_convex(recipe["seed"], int(recipe.get("lmax", 8)), grid,
+            lmax = int(recipe.get("lmax", 8))
+            require_resolvable(grid.n_theta, lmax)
+            h = random_convex(recipe["seed"], lmax, grid,
                               roughness=float(recipe.get("roughness", 0.3)))
             return BodyRecipe("random_convex",
                               {"seed": recipe["seed"], "lmax": h.lmax}, h)
@@ -209,8 +214,13 @@ def _resolve_part(part, grid):
     if "harmonics" in part:
         terms = part["harmonics"]
         lmax = max(int(l) for l, _, _ in terms)
+        require_resolvable(grid.n_theta, lmax)
         coeffs = np.zeros((lmax + 1) ** 2)
         for l, m, c in terms:
             coeffs[basis_index(int(l), int(m))] += float(c)
         return SupportFunction(coeffs, lmax, label="harmonics")
+    # body_from_spec's closed-form check evaluates the basis at the spec's lmax
+    lmax = declared_lmax(part)
+    if lmax is not None:
+        require_resolvable(grid.n_theta, lmax)
     return body_from_spec(part)

@@ -255,6 +255,16 @@ def _floor_rows(e):
     return np.stack((0.5 * (e[0] + e[2]), 0.5 * (e[0] - e[2]), e[1]))
 
 
+def require_variable_degrees(degrees):
+    """The probe's variable degrees, or ValueError unless they are distinct,
+    odd and at least 3 (degree 1 is a translation)."""
+    if any(int(d) % 2 == 0 or int(d) < 3 for d in degrees):
+        raise ValueError("variable degrees must be odd and >= 3")
+    if len({int(d) for d in degrees}) != len(degrees):
+        raise ValueError("variable degrees must not repeat")
+    return degrees
+
+
 def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
                                  max_iter=500):
     """Descend F(c) = weighted variance of brightness(gauge + p_c)/brightness(gauge).
@@ -270,10 +280,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     region). A gauge whose margin is not above the floor raises
     NotConvexError.
     """
-    if any(int(d) % 2 == 0 or int(d) < 3 for d in degrees):
-        raise ValueError("variable degrees must be odd and >= 3")
-    if len({int(d) for d in degrees}) != len(degrees):
-        raise ValueError("variable degrees must not repeat")
+    require_variable_degrees(degrees)
     margin = inverse_gauss(gauge, grid).min_eigenvalue
     if not margin > _MIN_EIG_FLOOR:
         raise NotConvexError("gauge margin %.3e is not above the probe's floor %g"

@@ -34,7 +34,6 @@ from functools import lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-FOUR_PI = 4.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +123,14 @@ def make_grid(n_theta, n_phi):
         frame=_freeze(frame.reshape(-1, 2, 3)),
     )
     return grid
+
+
+def require_resolvable(n_theta, lmax):
+    """Refuse degree lmax where a grid of n_theta rings cannot resolve it:
+    the rings resolve the degrees below n_theta."""
+    if n_theta < lmax + 1:
+        raise ValueError("grid too coarse for lmax %d: need n_theta >= %d"
+                         % (lmax, lmax + 1))
 
 
 def integrate(grid, f):

@@ -261,6 +261,27 @@ def test_resolve_recipe_rejects_garbage(grid32):
                         "odd": {"basis": "garbage"}}, grid32)
 
 
+def test_resolver_guards_every_degree_it_reads(grid16):
+    # the library resolver built tables at any degree; only the command
+    # line's own walk of the recipe guarded them
+    spec = {"basis": "real-sph-harm", "lmax": 16,
+            "coeffs": [2.0 * math.sqrt(math.pi)] + [0.0] * (17 ** 2 - 1)}
+    parts = [{"kind": "ellipsoid", "axes": [1, 1, 2], "lmax": 16},
+             {"kind": "random_convex", "seed": 1, "lmax": 16},
+             {"harmonics": [[3, 0, 1.0], [16, 0, 1.0]]}, spec]
+    gauge = {"kind": "ball", "r": 1.0}
+    odd = {"harmonics": [[3, 0, 1.0]]}
+    recipes = parts[:2]
+    for part in parts:
+        recipes += [{"kind": "constant_width", "gauge": part, "odd": odd},
+                    {"kind": "constant_width", "gauge": gauge, "odd": part}]
+    for recipe in recipes:
+        before = make_basis.cache_info(), node_tables.cache_info()
+        with pytest.raises(ValueError, match="grid too coarse for lmax 16"):
+            resolve_recipe(recipe, grid16)
+        assert (make_basis.cache_info(), node_tables.cache_info()) == before, recipe
+
+
 def test_infinite_degree_is_a_value_error(grid16):
     # int(inf) raises OverflowError, which the resolvers' callers, catching
     # ValueError, did not expect
