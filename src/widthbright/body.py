@@ -23,7 +23,8 @@ import numpy as np
 
 from .sphere import (
     make_basis, make_grid, integrate, node_tables, basis_values, entries_det,
-    entries_eigmin, table_times, _freeze, _solid_jets, _phi_table,
+    entries_eigmin, require_resolvable, table_times, _freeze, _solid_jets,
+    _phi_table,
 )
 
 TOL_PSD = 1e-9
@@ -255,23 +256,21 @@ def body_to_spec(h):
     return spec
 
 
-def declared_lmax(spec):
-    """The degree a body spec declares, read as body_from_spec reads it (40,
-    40.0 and "40" are all degree 40), or None where that read raises and
-    body_from_spec reports the error."""
-    try:
-        return int(spec["lmax"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-
-
-def body_from_spec(spec):
+def body_from_spec(spec, n_theta=None):
+    """The SupportFunction a body spec describes. Given the ring count of the
+    grid the spec is read for, a degree those rings cannot resolve is refused
+    before the closed-form check evaluates the basis at it."""
     if not isinstance(spec, dict):
         raise ValueError("body spec must be a JSON object")
     if spec.get("basis") != "real-sph-harm":
         raise ValueError("unsupported basis tag: %r" % spec.get("basis"))
     try:
         lmax = int(spec["lmax"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError("malformed body spec: %s" % exc) from None
+    if n_theta is not None:
+        require_resolvable(n_theta, lmax)
+    try:
         coeffs = np.asarray(spec["coeffs"], float)
         truncation_tol = float(spec.get("truncation_tol", 0.0))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .body import (
     TOL_PSD, NotConvexError, SupportFunction, body_from_spec, body_to_spec,
-    certify_convex, declared_lmax, inverse_gauss, volume, width,
+    certify_convex, inverse_gauss, volume, width,
 )
 from .boundary import export_mesh, export_obj
 from .brightness import brightness_profile, profile_to_csv
@@ -153,7 +153,7 @@ def cmd_gen(args):
                              "Y_00 = 1/(2 sqrt(pi)); a ball of radius r has "
                              "single l=0 coefficient 2 sqrt(pi) r")
     spec["recipe_kind"] = resolved.kind
-    spec["recipe_params"] = _jsonable(resolved.params)
+    spec["recipe_params"] = resolved.params
     spec["certificate"] = dataclasses.asdict(cert)
     out = _out_path(args, ".body.json")
     _write_json(spec, out)
@@ -161,31 +161,20 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _jsonable(params):
-    out = {}
-    for k, v in params.items():
-        out[k] = float(v) if hasattr(v, "__float__") and not isinstance(v, bool) else v
-    return out
-
-
 def _load_body(args):
-    spec = _load_json(args.body)
-    # body_from_spec's closed-form check evaluates the basis at the spec's lmax
-    lmax = declared_lmax(spec)
-    if lmax is not None:
-        require_resolvable(args.grid[0], lmax)
-    h = body_from_spec(spec)
+    """The body spec read for the --grid grid, and that grid, built only
+    once the spec's degree has passed the grid guard."""
+    h = body_from_spec(_load_json(args.body), args.grid[0])
     # c_00 is sqrt(pi) times the mean width; at or below zero the body is a
     # point or empty and has no interior to measure
     if not h.coeffs[0] > 0.0:
         raise ValueError("c_00 = %r: the body's mean width must be positive"
                          % float(h.coeffs[0]))
-    return h
+    return h, make_grid(*args.grid)
 
 
 def cmd_analyze(args):
-    h = _load_body(args)
-    grid = make_grid(*args.grid)
+    h, grid = _load_body(args)
     cert = certify_convex(h, grid, args.tol_psd)
     w = width(h, grid)
     wn = grid.weights
@@ -234,8 +223,7 @@ def cmd_analyze(args):
 def cmd_verify_theorem(args):
     # before random_odd builds a basis at the largest degree
     require_resolvable(args.grid[0], max(args.degrees))
-    gauge = _load_body(args)
-    grid = make_grid(*args.grid)
+    gauge, grid = _load_body(args)
     # seeded start, scaled into the convexity region like the generators do;
     # the gauge's margin sizes it, so a gauge without one is infeasible
     start = random_odd(args.seed, degrees=args.degrees, scale=1.0)
@@ -259,8 +247,7 @@ def cmd_verify_theorem(args):
 
 
 def cmd_export(args):
-    h = _load_body(args)
-    grid = make_grid(*args.grid)
+    h, grid = _load_body(args)
     field = inverse_gauss(h, grid)
     mesh = export_mesh(field, grid, args.tol_psd)
     out = _out_path(args, ".obj")

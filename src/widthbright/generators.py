@@ -16,7 +16,7 @@ import numpy as np
 from .sphere import make_grid, make_basis, basis_index, basis_values, \
     require_resolvable
 from .body import NotConvexError, SupportFunction, certify_convex, \
-    body_from_spec, closed_form_values, declared_lmax, inverse_gauss, _padded
+    body_from_spec, closed_form_values, inverse_gauss, _padded
 
 _MIN_EIG_TARGET = 0.1
 _MAX_HALVINGS = 60
@@ -124,6 +124,9 @@ def random_convex(seed, lmax, grid, roughness=0.3):
     Steiner point at the origin) with per-degree decay roughness / l^2,
     halved until the convexity certificate's min eigenvalue reaches 0.1.
     """
+    if seed is None:
+        raise ValueError("random_convex needs an integer seed: None draws "
+                         "fresh entropy on every run")
     if not 0.0 < roughness < 1.0:
         raise ValueError("roughness must be in (0, 1)")
     basis = make_basis(lmax)
@@ -219,8 +222,4 @@ def _resolve_part(part, grid):
         for l, m, c in terms:
             coeffs[basis_index(int(l), int(m))] += float(c)
         return SupportFunction(coeffs, lmax, label="harmonics")
-    # body_from_spec's closed-form check evaluates the basis at the spec's lmax
-    lmax = declared_lmax(part)
-    if lmax is not None:
-        require_resolvable(grid.n_theta, lmax)
-    return body_from_spec(part)
+    return body_from_spec(part, grid.n_theta)

@@ -114,7 +114,6 @@ class OptimizerTrace:
 
     iterations: list
     terminal_status: str  # converged_to_gauge | stalled | infeasible
-    degrees: tuple
     final_coeffs: np.ndarray  # variable-space odd coefficients
 
 
@@ -306,19 +305,17 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     eig = model.min_eig(c)
     if not eig >= _MIN_EIG_FLOOR:
         return OptimizerTrace(iterations=trace, terminal_status="infeasible",
-                              degrees=tuple(degrees), final_coeffs=c)
+                              final_coeffs=c)
 
     Fc, Gz = model.variance(c)
     cn = math.sqrt(c @ c)  # np.linalg.norm(c), bitwise
     trace.append((cn, Fc, eig, 0.0))
-    status = "stalled"
     g_prev = None
     s_prev = None
     alpha = None
 
     for _ in range(max_iter):
         if cn < _NORM_TOL and Fc < _VAR_TOL:
-            status = "converged_to_gauge"
             break
         g = model.gradient(Gz, c)  # the accepted state's product
         gn = math.sqrt(g @ g)
@@ -354,8 +351,8 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
         cn = math.sqrt(c @ c)
         trace.append((cn, Fc, eig, step))
 
-    if cn < _NORM_TOL and Fc < _VAR_TOL:
-        status = "converged_to_gauge"
-
-    return OptimizerTrace(iterations=trace, terminal_status=status,
-                          degrees=tuple(degrees), final_coeffs=c)
+    converged = cn < _NORM_TOL and Fc < _VAR_TOL
+    return OptimizerTrace(
+        iterations=trace,
+        terminal_status="converged_to_gauge" if converged else "stalled",
+        final_coeffs=c)

@@ -325,6 +325,21 @@ def test_body_from_spec_refuses_a_tolerance_that_is_not_finite_and_nonnegative()
         body_from_spec(dict(spec, closed_form=None, truncation_tol=math.nan))
 
 
+def test_body_from_spec_guards_the_degree_for_the_grid_it_is_read_for():
+    # the guard lived in each caller, which had to pre-read the spec's lmax
+    # before body_from_spec's closed-form check built a basis at it
+    spec = body_to_spec(ball(1.0))
+    spec["lmax"] = 16
+    spec["coeffs"] += [0.0] * (17 ** 2 - 1)
+    before = make_basis.cache_info(), node_tables.cache_info()
+    with pytest.raises(ValueError, match="grid too coarse for lmax 16"):
+        body_from_spec(spec, 16)
+    assert (make_basis.cache_info(), node_tables.cache_info()) == before
+    h = body_from_spec(spec)
+    assert h.lmax == 16 and h.closed_form == "ball:1.0"
+    assert body_from_spec(spec, 17).lmax == 16
+
+
 def test_closed_form_consistency_is_checked(grid32):
     # a closed_form tag whose samples disagree with the coefficients beyond
     # the recorded truncation tolerance is refused on load

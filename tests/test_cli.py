@@ -347,6 +347,32 @@ def test_gen_rejects_mistyped_recipe_fields(tmp_path, capsys):
         assert "input error" in capsys.readouterr().err
 
 
+def test_gen_refuses_a_null_seed(tmp_path, capsys):
+    # two runs of this recipe wrote two different bodies
+    path = write_json(tmp_path / "r.json",
+                      {"kind": "random_convex", "lmax": 6, "seed": None})
+    assert main(["gen", path, "--grid", "16,32", "--lmax", "8"]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "r.body.json").exists()
+
+
+def test_gen_recipe_params_resolve_to_the_same_body(tmp_path):
+    # the params were written as floats, and a float seed cannot be
+    # resolved again: {"seed": 3} came back as {"seed": 3.0}
+    for recipe in ({"kind": "ball", "r": 1},
+                   {"kind": "ellipsoid", "axes": [1, 1, 2], "lmax": 6},
+                   {"kind": "random_convex", "lmax": 6, "seed": 3}):
+        path = write_json(tmp_path / "r.json", recipe)
+        assert main(["gen", path, "--grid", "16,32", "--lmax", "8"]) == EXIT_OK
+        spec = json.loads((tmp_path / "r.body.json").read_text())
+        again = write_json(tmp_path / "again.json",
+                           dict(kind=spec["recipe_kind"], **spec["recipe_params"]))
+        assert main(["gen", again, "--grid", "16,32", "--lmax", "8"]) == EXIT_OK
+        respec = json.loads((tmp_path / "again.body.json").read_text())
+        assert np.array(respec["coeffs"]).tobytes() \
+            == np.array(spec["coeffs"]).tobytes(), recipe
+
+
 def test_gen_refuses_recipes_that_overflow_with_one_line(tmp_path):
     # each ran on through numpy's RuntimeWarnings ("overflow encountered in
     # square", "invalid value encountered in matmul") before its input
@@ -525,8 +551,16 @@ def recipes(depth):
 def test_gen_exits_with_a_documented_code_on_any_recipe(tmp_path_factory, recipe):
     # --lmax 7: 8 rings are too coarse for the default 12, and every run
     # would exit 2 at that guard before reading the recipe
-    path = write_json(tmp_path_factory.mktemp("fuzz") / "recipe.json", recipe)
-    assert main(["gen", path, "--grid", "8,16", "--lmax", "7"]) in (0, 2, 3, 4)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = write_json(tmp / "recipe.json", recipe)
+    argv = ["gen", path, "--grid", "8,16", "--lmax", "7"]
+    code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == EXIT_OK:
+        # a rerun writes the same bytes
+        first = (tmp / "recipe.body.json").read_bytes()
+        assert main(argv) == EXIT_OK
+        assert (tmp / "recipe.body.json").read_bytes() == first
 
 
 def test_spec_with_mistyped_closed_form_or_tolerance_is_input_error(tmp_path, capsys):

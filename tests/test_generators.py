@@ -198,6 +198,15 @@ def test_random_convex_rejects_bad_roughness(grid32):
         random_convex(0, 6, grid32, roughness=1.5)
 
 
+def test_random_convex_refuses_a_missing_seed(grid16):
+    # None made numpy draw fresh entropy: a "seed": null recipe resolved to
+    # a different body on every run
+    with pytest.raises(ValueError, match="seed"):
+        random_convex(None, 6, grid16)
+    with pytest.raises(ValueError, match="seed"):
+        resolve_recipe({"kind": "random_convex", "lmax": 6, "seed": None}, grid16)
+
+
 def test_random_odd_is_deterministic_unit_norm():
     a = random_odd(7)
     b = random_odd(7)
