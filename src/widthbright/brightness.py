@@ -11,6 +11,11 @@ accuracy, and only the tests keep it, as a cross-check. Only the even
 degrees carry weight, so the series is a polynomial in y = 2 t^2 - 1; it is
 converted once per degree into Chebyshev coefficients in y and evaluated by
 Clenshaw's recurrence, in half the steps of the Legendre recurrence.
+Off the grid the kernel is even in u and the grid antipodal bitwise, so the
+rows are built on the N/2 nodes of one half sphere (SphericalGrid.half)
+against w f folded as its value at u plus its value at -u. The series runs
+to n_theta - 1 for any f, and to min(n_theta - 1, 2 lmax) in the brightness
+profile: det(h I + hess h) of a degree-lmax body has no degree above 2 lmax.
 Between the grid's own nodes the kernel depends only on the two rings and
 the azimuth difference, so the on-grid transform is an azimuthal
 convolution (Driscoll & Healy 1994): an rfft along azimuth, one
@@ -113,11 +118,20 @@ def _kernel_from_dots(dots, lmax):
     return tmp
 
 
-def _kernel_matrix(grid, directions):
-    """Rows K[a, i] with sum_i K[a,i] w_i f_i = (Cf)(a) for bandlimited f;
-    the kernel's Legendre series stops at degree n_theta - 1."""
-    dots = np.clip(directions @ grid.nodes.T, -1.0, 1.0)
-    return _kernel_from_dots(dots, grid.n_theta - 1)
+def _offgrid_transform(f, grid, directions, lmax):
+    """(Cf)(a) at unit directions a off the grid, the kernel's Legendre
+    series stopped at degree lmax; exact for f whose quadrature projection
+    vanishes above lmax, and for any f at lmax = n_theta - 1.
+
+    The kernel is even in u and the grid's nodes and weights are antipodal
+    bitwise, so g = w f folds onto the half sphere, g[i] + g[antipode[i]]
+    for i in grid.half, and the kernel rows are built at N/2 nodes.
+    """
+    g = (grid.weights if f.ndim == 1 else grid.weights[:, None]) * f
+    half = grid.half
+    g = g[half] + g[grid.antipode_index[half]]
+    dots = np.clip(directions @ grid.nodes[half].T, -1.0, 1.0)
+    return _kernel_from_dots(dots, lmax) @ g
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +165,8 @@ def cosine_transform(f, grid, directions):
     for odd f. Directions that are the grid's own node array use the cached
     per-grid ring table: an rfft of f along azimuth, one real n_theta x
     n_theta product per mode on the real and imaginary parts, and an irfft.
-    Any other directions build their kernel rows.
+    Any other directions build their kernel rows, to degree n_theta - 1, on
+    the N/2 nodes of one half sphere.
     """
     f = np.asarray(f, float)
     if f.ndim not in (1, 2) or f.shape[0] != grid.n_nodes:
@@ -163,8 +178,8 @@ def cosine_transform(f, grid, directions):
         # a real matrix acts on the interleaved real and imaginary parts alike
         out = (_cosine_operator(grid) @ modes.view(float)).view(complex)
         return np.fft.irfft(out.transpose(1, 0, 2), n=n_phi, axis=1).reshape(f.shape)
-    weights = grid.weights if f.ndim == 1 else grid.weights[:, None]
-    return _kernel_matrix(grid, _unit_directions(directions)) @ (weights * f)
+    return _offgrid_transform(f, grid, _unit_directions(directions),
+                              grid.n_theta - 1)
 
 
 def _unit_directions(directions):
@@ -198,8 +213,12 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
     else:
         directions = _unit_directions(directions)
     field = require_convex(inverse_gauss(h, grid), "brightness", tol_psd)
-    if method == "support_formula":
+    if method == "support_formula" and on_grid:
         areas = 0.5 * cosine_transform(field.detfield, grid, directions)
+    elif method == "support_formula":
+        # det(h I + hess h) of a degree-L body has no degree above 2L
+        areas = 0.5 * _offgrid_transform(field.detfield, grid, directions,
+                                         min(grid.n_theta - 1, 2 * h.lmax))
     elif method == "mesh_shadow":
         fine = make_grid(2 * grid.n_theta, 2 * grid.n_phi)
         mesh = export_mesh(inverse_gauss(h, fine), fine, tol_psd)

@@ -191,10 +191,10 @@ def resolve_recipe(recipe, grid):
         if kind == "random_convex":
             lmax = int(recipe.get("lmax", 8))
             require_resolvable(grid.n_theta, lmax)
-            h = random_convex(recipe["seed"], lmax, grid,
-                              roughness=float(recipe.get("roughness", 0.3)))
-            return BodyRecipe("random_convex",
-                              {"seed": recipe["seed"], "lmax": h.lmax}, h)
+            roughness = float(recipe.get("roughness", 0.3))
+            h = random_convex(recipe["seed"], lmax, grid, roughness=roughness)
+            return BodyRecipe("random_convex", {"seed": recipe["seed"],
+                              "lmax": h.lmax, "roughness": roughness}, h)
         if kind == "constant_width":
             gauge = _resolve_part(recipe["gauge"], grid)
             p = _resolve_part(recipe["odd"], grid)

@@ -218,7 +218,7 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     M = node_tables(grid, basis).M
     MJ = M[:, :, idx]                              # (N, 3, nv)
     n, _, nv = MJ.shape
-    half = np.flatnonzero(np.arange(n) < grid.antipode_index)
+    half = grid.half
     e0 = table_times(M, cg)                        # (N, 3)
     F0 = _floor_rows(e0[half].T)                   # (3, N/2)
     FJ = np.asfortranarray(

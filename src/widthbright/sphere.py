@@ -45,7 +45,8 @@ class SphericalGrid:
 
     nodes[antipode_index[i]] == -nodes[i] holds bitwise, and the tangent
     frame at the antipode is (e1, -e2), so the frame change between u and -u
-    is the constant matrix diag(1, -1).
+    is the constant matrix diag(1, -1). half indexes one half sphere, the
+    nodes i < antipode_index[i]; with their antipodes they are every node once.
     """
 
     n_theta: int
@@ -54,6 +55,7 @@ class SphericalGrid:
     weights: np.ndarray          # (N,) positive, sum 4 pi
     antipode_index: np.ndarray   # (N,) involutive permutation
     frame: np.ndarray            # (N, 2, 3) orthonormal tangent pairs, e1 x e2 = u
+    half: np.ndarray             # (N/2,) ascending node indices
 
     @property
     def n_nodes(self):
@@ -112,15 +114,16 @@ def make_grid(n_theta, n_phi):
     weights = np.broadcast_to(wt[:, None] * (TWO_PI / n_phi), (n_theta, n_phi))
 
     ii, jj = np.meshgrid(np.arange(n_theta), np.arange(n_phi), indexing="ij")
-    anti = (n_theta - 1 - ii) * n_phi + (jj + half) % n_phi
+    anti = ((n_theta - 1 - ii) * n_phi + (jj + half) % n_phi).reshape(-1)
 
     grid = SphericalGrid(
         n_theta=n_theta,
         n_phi=n_phi,
         nodes=_freeze(nodes.reshape(-1, 3)),
         weights=_freeze(np.ascontiguousarray(weights.reshape(-1))),
-        antipode_index=_freeze(anti.reshape(-1)),
+        antipode_index=_freeze(anti),
         frame=_freeze(frame.reshape(-1, 2, 3)),
+        half=_freeze(np.flatnonzero(np.arange(anti.size) < anti)),
     )
     return grid
 

@@ -20,11 +20,9 @@ from widthbright import (
     SupportFunction, NotConvexError, ball, ellipsoid, basis_index,
     random_convex, cosine_multipliers, cosine_transform, brightness_profile,
     mesh_shadow, profile_to_csv,
-    constant_width_body, central_symmetral,
+    constant_width_body, central_symmetral, random_odd,
 )
-from widthbright.brightness import (
-    _cosine_operator, _kernel_from_dots, _kernel_matrix,
-)
+from widthbright.brightness import _cosine_operator, _kernel_from_dots
 from widthbright.boundary import BodyMesh, inverse_gauss, export_mesh
 from widthbright.sphere import make_basis, make_grid, basis_values
 
@@ -122,6 +120,13 @@ def test_transform_rejects_length_mismatch(grid32):
         cosine_transform(np.ones(10), grid32, [[0.0, 0.0, 1.0]])
 
 
+def _kernel_rows(grid, directions):
+    # the kernel rows at every node, to the full degree n_theta - 1: the
+    # transform with no ring table, no folding and no truncation
+    dots = np.clip(directions @ grid.nodes.T, -1.0, 1.0)
+    return _kernel_from_dots(dots, grid.n_theta - 1)
+
+
 @pytest.mark.parametrize("shape", [(12, 24), (13, 26), (32, 64)],
                          ids=lambda s: "%dx%d" % s)
 def test_on_grid_transform_matches_kernel_rows(shape):
@@ -130,7 +135,7 @@ def test_on_grid_transform_matches_kernel_rows(shape):
     grid = make_grid(*shape)
     rng = np.random.default_rng(shape[0])
     f = rng.standard_normal((grid.n_nodes, 50))
-    rows = _kernel_matrix(grid, grid.nodes)
+    rows = _kernel_rows(grid, grid.nodes)
     for block in (f[:, 0], f):
         got = cosine_transform(block, grid, grid.nodes)
         weights = grid.weights if block.ndim == 1 else grid.weights[:, None]
@@ -170,6 +175,49 @@ def test_on_grid_operator_is_a_ring_table():
     assert table.base is None
     assert table.nbytes <= 8 * 48 ** 2 * (96 // 2 + 1) < 2 ** 20
     assert peak < 8 * grid.n_nodes ** 2 / 4
+
+
+def _truncation_bodies(grid):
+    # degrees 0, 12, 8 and 5: a constant, a closed form, a rough body and a
+    # constant-width body, whose odd part makes the field's odd degrees
+    return [ball(1.0), ellipsoid(1, 1, 2), random_convex(4, 8, grid),
+            constant_width_body(ball(1.0), random_odd(0, (3, 5)), math.inf,
+                                grid).resolved]
+
+
+@pytest.mark.parametrize("shape", [(25, 50), (32, 64)],
+                         ids=lambda s: "%dx%d" % s)
+def test_curvature_field_has_no_degree_above_twice_the_body_degree(shape):
+    # the off-grid profile stops the kernel at degree 2 lmax, which is exact
+    # because the quadrature projection of det(h I + hess h) vanishes above it
+    grid = make_grid(*shape)
+    basis = make_basis(grid.n_theta - 1)
+    Y = basis_values(basis, grid.nodes)
+    for h in _truncation_bodies(grid):
+        coeffs = Y.T @ (grid.weights * inverse_gauss(h, grid).detfield)
+        high = np.abs(coeffs[basis.degrees > 2 * h.lmax])
+        assert high.max(initial=0.0) <= 1e-13 * np.abs(coeffs).max(), h.label
+
+
+@pytest.mark.parametrize("shape", [(25, 50), (32, 64)],
+                         ids=lambda s: "%dx%d" % s)
+def test_offgrid_transform_matches_full_degree_kernel_rows(shape):
+    # the off-grid route folds w f onto the half sphere; the profile also
+    # stops the series at 2 lmax, and any other field keeps the full degree
+    grid = make_grid(*shape)
+    dirs = unit_vectors(11, 30)
+    rows = _kernel_rows(grid, dirs)
+    for h in _truncation_bodies(grid):
+        ref = 0.5 * rows @ (grid.weights * inverse_gauss(h, grid).detfield)
+        got = brightness_profile(h, grid, directions=dirs).areas
+        assert np.abs(got / ref - 1.0).max() <= 1e-14, h.label
+    f = np.random.default_rng(shape[0]).standard_normal((grid.n_nodes, 3))
+    for block in (f[:, 0], f):
+        weights = grid.weights if block.ndim == 1 else grid.weights[:, None]
+        ref = rows @ (weights * block)
+        got = cosine_transform(block, grid, dirs)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def _cosine_transform_direct(f, grid, directions):

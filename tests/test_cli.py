@@ -356,21 +356,33 @@ def test_gen_refuses_a_null_seed(tmp_path, capsys):
     assert not (tmp_path / "r.body.json").exists()
 
 
+def assert_recipe_params_resolve_again(tmp_path, recipe):
+    path = write_json(tmp_path / "r.json", recipe)
+    assert main(["gen", path, "--grid", "16,32", "--lmax", "8"]) == EXIT_OK
+    spec = json.loads((tmp_path / "r.body.json").read_text())
+    again = write_json(tmp_path / "again.json",
+                       dict(kind=spec["recipe_kind"], **spec["recipe_params"]))
+    assert main(["gen", again, "--grid", "16,32", "--lmax", "8"]) == EXIT_OK
+    respec = json.loads((tmp_path / "again.body.json").read_text())
+    assert np.array(respec["coeffs"]).tobytes() \
+        == np.array(spec["coeffs"]).tobytes(), recipe
+
+
 def test_gen_recipe_params_resolve_to_the_same_body(tmp_path):
     # the params were written as floats, and a float seed cannot be
     # resolved again: {"seed": 3} came back as {"seed": 3.0}
     for recipe in ({"kind": "ball", "r": 1},
                    {"kind": "ellipsoid", "axes": [1, 1, 2], "lmax": 6},
                    {"kind": "random_convex", "lmax": 6, "seed": 3}):
-        path = write_json(tmp_path / "r.json", recipe)
-        assert main(["gen", path, "--grid", "16,32", "--lmax", "8"]) == EXIT_OK
-        spec = json.loads((tmp_path / "r.body.json").read_text())
-        again = write_json(tmp_path / "again.json",
-                           dict(kind=spec["recipe_kind"], **spec["recipe_params"]))
-        assert main(["gen", again, "--grid", "16,32", "--lmax", "8"]) == EXIT_OK
-        respec = json.loads((tmp_path / "again.body.json").read_text())
-        assert np.array(respec["coeffs"]).tobytes() \
-            == np.array(spec["coeffs"]).tobytes(), recipe
+        assert_recipe_params_resolve_again(tmp_path, recipe)
+
+
+def test_gen_recipe_params_keep_the_roughness(tmp_path):
+    # the params left the roughness out, so a rough body came back at the
+    # default roughness 0.3
+    assert_recipe_params_resolve_again(
+        tmp_path, {"kind": "random_convex", "lmax": 6, "seed": 3,
+                   "roughness": 0.9})
 
 
 def test_gen_refuses_recipes_that_overflow_with_one_line(tmp_path):

@@ -62,6 +62,20 @@ def test_antipode_is_involution_with_exact_negation(grid16):
     assert np.array_equal(g.nodes[anti], -g.nodes)
 
 
+@pytest.mark.parametrize("shape", [(11, 22), (13, 26), (16, 32)],
+                         ids=lambda s: "%dx%d" % s)
+def test_half_and_its_antipodes_are_every_node_once(shape):
+    # the off-grid transform folds w f onto grid.half, so the weights must
+    # be antipodal bitwise; an odd ring count puts the equator on itself
+    g = make_grid(*shape)
+    half, anti = g.half, g.antipode_index
+    assert half.size == g.n_nodes // 2 and not half.flags.writeable
+    assert np.all(np.diff(half) > 0) and np.all(half < anti[half])
+    assert np.array_equal(np.sort(np.concatenate([half, anti[half]])),
+                          np.arange(g.n_nodes))
+    assert np.array_equal(g.weights[anti], g.weights)
+
+
 def test_antipodal_frame_flip_is_diag_1_minus1(grid16):
     g = grid16
     anti = g.antipode_index
