@@ -37,11 +37,10 @@ from .body import (
     inverse_gauss, width, central_symmetral, odd_part, minkowski_sum,
     certify_convex, volume, body_to_spec, body_from_spec,
 )
-from .boundary import BodyMesh, export_mesh, export_obj
+from .boundary import BodyMesh, export_mesh
 from .brightness import (
     BrightnessProfile,
     cosine_transform, cosine_multipliers, brightness_profile, mesh_shadow,
-    profile_to_csv,
 )
 from .generators import (
     BodyRecipe,
@@ -51,7 +50,7 @@ from .generators import (
 from .lab import (
     ParityReport, OptimizerTrace,
     parity_decomposition_check, odd_sign_obstruction,
-    minimize_brightness_variance, trace_to_csv,
+    minimize_brightness_variance,
 )
 
 __version__ = "0.1.0"

@@ -256,6 +256,16 @@ def body_to_spec(h):
     return spec
 
 
+def read_degree(value, name="lmax"):
+    """An integer field as JSON gives it: 40, 40.0 and "40" all read as 40.
+    A boolean or a fractional number is refused with ValueError rather than
+    truncated; a value int() cannot read raises what int() raises."""
+    degree = int(value)
+    if isinstance(value, bool) or (degree != value and not isinstance(value, str)):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return degree
+
+
 def body_from_spec(spec, n_theta=None):
     """The SupportFunction a body spec describes. Given the ring count of the
     grid the spec is read for, a degree those rings cannot resolve is refused
@@ -265,7 +275,7 @@ def body_from_spec(spec, n_theta=None):
     if spec.get("basis") != "real-sph-harm":
         raise ValueError("unsupported basis tag: %r" % spec.get("basis"))
     try:
-        lmax = int(spec["lmax"])
+        lmax = read_degree(spec["lmax"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError("malformed body spec: %s" % exc) from None
     if n_theta is not None:

@@ -92,14 +92,3 @@ def export_mesh(field, grid, tol_psd=TOL_PSD):
                               % n_degenerate)
     return mesh
 
-
-def export_obj(mesh, path):
-    """Write Wavefront OBJ: 'v x y z' lines then 1-based 'f i j k' lines."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v %.17g %.17g %.17g" % (v[0], v[1], v[2]))
-    for t in mesh.triangles:
-        lines.append("f %d %d %d" % (t[0] + 1, t[1] + 1, t[2] + 1))
-    with open(path, "w") as f:
-        f.write("\n".join(lines))
-        f.write("\n")

@@ -48,9 +48,7 @@ _UNIT_TOL = 1e-12
 
 @dataclass(eq=False)
 class BrightnessProfile:
-    directions: np.ndarray  # (D, 3) unit vectors
-    areas: np.ndarray       # (D,)
-    method: str             # "support_formula" or "mesh_shadow"
+    areas: np.ndarray  # (D,), one per direction (the grid nodes by default)
 
 
 def cosine_multipliers(lmax):
@@ -208,10 +206,7 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
     ArithmeticError.
     """
     on_grid = directions is None
-    if on_grid:
-        directions = grid.nodes
-    else:
-        directions = _unit_directions(directions)
+    directions = grid.nodes if on_grid else _unit_directions(directions)
     field = require_convex(inverse_gauss(h, grid), "brightness", tol_psd)
     if method == "support_formula" and on_grid:
         areas = 0.5 * cosine_transform(field.detfield, grid, directions)
@@ -236,7 +231,7 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
         # checked on the values as computed; the area is even in a, so each
         # antipodal pair takes the value of its lower-indexed node
         areas = np.where(np.arange(areas.size) <= anti, areas, areas[anti])
-    return BrightnessProfile(directions=directions, areas=areas, method=method)
+    return BrightnessProfile(areas=areas)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +260,3 @@ def mesh_shadow(mesh, directions):
         raise ValueError("degenerate shadow: zero projected area")
     return areas
 
-
-def profile_to_csv(profile, path):
-    lines = ["ax,ay,az,area,method"]
-    for d, area in zip(profile.directions, profile.areas):
-        lines.append("%.17g,%.17g,%.17g,%.17g,%s"
-                     % (d[0], d[1], d[2], area, profile.method))
-    with open(path, "w") as f:
-        f.write("\n".join(lines))
-        f.write("\n")

@@ -10,7 +10,8 @@ flag value as it parses it, so a value the commands cannot use exits 2
 before any file is read, and the parsed namespace is the run's whole
 configuration. Reproducibility is part of the contract: identical flags
 and seed give byte-identical outputs, so every float is printed with 17
-significant digits and all randomness flows through the --seed flag.
+significant digits and all randomness flows through the --seed flag. The
+library only computes: every output file is written here, by _write_lines.
 
 WIDTHBRIGHT_THREADS caps BLAS parallelism; the package's __init__ applies
 it before numpy loads, since every way into this module imports the
@@ -32,11 +33,11 @@ from .body import (
     TOL_PSD, NotConvexError, SupportFunction, body_from_spec, body_to_spec,
     certify_convex, inverse_gauss, volume, width,
 )
-from .boundary import export_mesh, export_obj
-from .brightness import brightness_profile, profile_to_csv
+from .boundary import export_mesh
+from .brightness import brightness_profile
 from .generators import constant_width_body, random_odd, resolve_recipe
 from .lab import minimize_brightness_variance, parity_decomposition_check, \
-    require_variable_degrees, trace_to_csv
+    require_variable_degrees
 from .sphere import make_grid, require_resolvable
 
 EXIT_OK = 0
@@ -136,10 +137,15 @@ def _out_path(args, suffix):
     return stem + suffix
 
 
-def _write_json(obj, path):
+def _write_lines(path, lines):
+    """Write the lines to path, each ending in a newline."""
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n".join(lines))
         f.write("\n")
+
+
+def _write_json(obj, path):
+    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
 def cmd_gen(args):
@@ -208,7 +214,9 @@ def cmd_analyze(args):
             "identity_residual_max": float(np.abs(parity.identity_residual).max()),
         }
         csv_path = os.path.splitext(args.out or args.body)[0] + "_brightness.csv"
-        profile_to_csv(profile, csv_path)
+        _write_lines(csv_path, ["ax,ay,az,area,method"] + [
+            "%.17g,%.17g,%.17g,%.17g,%s" % (d[0], d[1], d[2], area, "support_formula")
+            for d, area in zip(grid.nodes, profile.areas)])
         report["brightness_csv"] = os.path.basename(csv_path)
     else:
         report["note"] = "body is not certified convex; brightness/volume skipped"
@@ -234,7 +242,9 @@ def cmd_verify_theorem(args):
                                          degrees=args.degrees,
                                          max_iter=args.max_iter)
     out = _out_path(args, ".trace.csv")
-    trace_to_csv(trace, out)
+    _write_lines(out, ["iter,coeff_norm,variance,min_eig,step"] + [
+        "%d,%.17g,%.17g,%.17g,%.17g" % (k, cn, var, eig, step)
+        for k, (cn, var, eig, step) in enumerate(trace.iterations)])
     if trace.terminal_status == "infeasible":
         print("infeasible start (gauge margin too small)")
         return EXIT_INFEASIBLE
@@ -251,7 +261,10 @@ def cmd_export(args):
     field = inverse_gauss(h, grid)
     mesh = export_mesh(field, grid, args.tol_psd)
     out = _out_path(args, ".obj")
-    export_obj(mesh, out)
+    _write_lines(out, ["v %.17g %.17g %.17g" % (v[0], v[1], v[2])
+                       for v in mesh.vertices]
+                 + ["f %d %d %d" % (t[0] + 1, t[1] + 1, t[2] + 1)
+                    for t in mesh.triangles])
     print("wrote %s (%d vertices, %d triangles)"
           % (out, len(mesh.vertices), len(mesh.triangles)))
     return EXIT_OK

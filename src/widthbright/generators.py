@@ -15,8 +15,8 @@ import numpy as np
 
 from .sphere import make_grid, make_basis, basis_index, basis_values, \
     require_resolvable
-from .body import NotConvexError, SupportFunction, certify_convex, \
-    body_from_spec, closed_form_values, inverse_gauss, _padded
+from .body import NotConvexError, SupportFunction, body_from_spec, \
+    closed_form_values, inverse_gauss, read_degree, _padded
 
 _MIN_EIG_TARGET = 0.1
 _MAX_HALVINGS = 60
@@ -77,7 +77,7 @@ def constant_width_body(gauge, p, eps_request, grid):
     """
     if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
         raise ValueError("gauge must be even (odd coefficients zero)")
-    margin = certify_convex(gauge, grid).min_eigenvalue
+    margin = inverse_gauss(gauge, grid).min_eigenvalue
     even_p = p.basis.degrees % 2 == 0
     if np.any(p.coeffs[even_p] != 0.0):
         raise ValueError("perturbation must be odd (even coefficients zero)")
@@ -127,6 +127,8 @@ def random_convex(seed, lmax, grid, roughness=0.3):
     if seed is None:
         raise ValueError("random_convex needs an integer seed: None draws "
                          "fresh entropy on every run")
+    if isinstance(seed, bool):
+        raise ValueError("random_convex needs an integer seed, got %r" % seed)
     if not 0.0 < roughness < 1.0:
         raise ValueError("roughness must be in (0, 1)")
     basis = make_basis(lmax)
@@ -139,7 +141,7 @@ def random_convex(seed, lmax, grid, roughness=0.3):
     for _ in range(_MAX_HALVINGS):
         h = SupportFunction(base + pert, lmax,
                             label="random_convex(seed=%s)" % seed)
-        if certify_convex(h, grid).min_eigenvalue >= _MIN_EIG_TARGET:
+        if inverse_gauss(h, grid).min_eigenvalue >= _MIN_EIG_TARGET:
             return h
         pert *= 0.5
     raise ArithmeticError("random_convex failed to certify after %d halvings"
@@ -184,12 +186,12 @@ def resolve_recipe(recipe, grid):
             return BodyRecipe("ball", {"r": recipe["r"]}, ball(recipe["r"]))
         if kind == "ellipsoid":
             a, b, c = recipe["axes"]
-            lmax = int(recipe.get("lmax", 12))
+            lmax = read_degree(recipe.get("lmax", 12))
             require_resolvable(grid.n_theta, lmax)
             return BodyRecipe("ellipsoid", {"axes": [a, b, c], "lmax": lmax},
                               ellipsoid(a, b, c, lmax=lmax))
         if kind == "random_convex":
-            lmax = int(recipe.get("lmax", 8))
+            lmax = read_degree(recipe.get("lmax", 8))
             require_resolvable(grid.n_theta, lmax)
             roughness = float(recipe.get("roughness", 0.3))
             h = random_convex(recipe["seed"], lmax, grid, roughness=roughness)
@@ -216,10 +218,13 @@ def _resolve_part(part, grid):
         return resolve_recipe(part, grid).resolved
     if "harmonics" in part:
         terms = part["harmonics"]
-        lmax = max(int(l) for l, _, _ in terms)
+        degrees = [read_degree(l, "harmonics l") for l, _, _ in terms]
+        if not degrees:
+            raise ValueError("harmonics must list at least one [l, m, coeff] term")
+        lmax = max(degrees)
         require_resolvable(grid.n_theta, lmax)
         coeffs = np.zeros((lmax + 1) ** 2)
-        for l, m, c in terms:
-            coeffs[basis_index(int(l), int(m))] += float(c)
+        for l, (_, m, c) in zip(degrees, terms):
+            coeffs[basis_index(l, read_degree(m, "harmonics m"))] += float(c)
         return SupportFunction(coeffs, lmax, label="harmonics")
     return body_from_spec(part, grid.n_theta)

@@ -117,15 +117,6 @@ class OptimizerTrace:
     final_coeffs: np.ndarray  # variable-space odd coefficients
 
 
-def trace_to_csv(trace, path):
-    lines = ["iter,coeff_norm,variance,min_eig,step"]
-    for k, (cn, var, eig, step) in enumerate(trace.iterations):
-        lines.append("%d,%.17g,%.17g,%.17g,%.17g" % (k, cn, var, eig, step))
-    with open(path, "w") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
-
-
 def _variable_indices(degrees):
     return np.concatenate([np.arange(l * l, (l + 1) ** 2) for l in degrees])
 

@@ -2,7 +2,7 @@ import re
 
 # widthbright first: importing it applies WIDTHBRIGHT_THREADS, which has to
 # reach the environment before numpy loads BLAS.
-from widthbright import make_grid
+from widthbright import SupportFunction, basis_index, make_grid
 
 import numpy as np
 import pytest
@@ -16,6 +16,12 @@ def grid32():
 @pytest.fixture(scope="session")
 def grid16():
     return make_grid(16, 32)
+
+
+def pure_harmonic(l, m, coeff=1.0):
+    coeffs = np.zeros((l + 1) ** 2)
+    coeffs[basis_index(l, m)] = coeff
+    return SupportFunction(coeffs, l)
 
 
 def unit_vectors(seed, n):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from conftest import unit_vectors
+from conftest import pure_harmonic, unit_vectors
 from widthbright import (
     ball, ellipsoid, basis_index, SupportFunction,
     width, central_symmetral, odd_part, minkowski_sum, certify_convex,
@@ -26,12 +26,6 @@ def _cached(key, maker):
     if key not in _RESULTS:
         _RESULTS[key] = maker()
     return _RESULTS[key]
-
-
-def pure_harmonic(l, m, coeff=1.0):
-    coeffs = np.zeros((l + 1) ** 2)
-    coeffs[basis_index(l, m)] = coeff
-    return SupportFunction(coeffs, l)
 
 
 # --------------------------------------------------------------------------

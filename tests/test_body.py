@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pure_harmonic
 import widthbright as wb
 from widthbright import (
     SupportFunction, NotConvexError,
@@ -21,7 +22,7 @@ from widthbright import (
     minkowski_sum, certify_convex, volume,
 )
 from widthbright.body import (
-    _field, _pole_table, body_to_spec, body_from_spec, inverse_gauss,
+    _field, _pole_table, body_to_spec, body_from_spec, inverse_gauss, read_degree,
 )
 from widthbright.sphere import (
     basis_values, make_grid, node_tables, _phi_table, _solid_jets,
@@ -38,12 +39,6 @@ def harmonic(l, m, coeff=1.0, lmax=None, extra=None):
     for le, me, ce in extra or []:
         coeffs[basis_index(le, me)] = ce
     return SupportFunction(coeffs, lmax)
-
-
-def pure_harmonic(l, m, coeff=1.0):
-    coeffs = np.zeros((l + 1) ** 2)
-    coeffs[basis_index(l, m)] = coeff
-    return SupportFunction(coeffs, l)
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +353,18 @@ def test_closed_form_check_reads_values_only():
     for spec in specs:
         assert body_from_spec(spec).closed_form == spec["closed_form"]
     assert (node_tables.cache_info(), _field.cache_info()) == before
+
+
+# ---------------------------------------------------------------------------
+# integer fields
+
+def test_read_degree_takes_whole_numbers_and_refuses_booleans_and_fractions():
+    for value in (40, 40.0, "40"):
+        assert read_degree(value) == 40
+    for value in (True, False, 6.7, 0.9, -0.5):
+        with pytest.raises(ValueError, match="lmax must be an integer"):
+            read_degree(value)
+    with pytest.raises(TypeError):
+        read_degree(None)
+    with pytest.raises(OverflowError):
+        read_degree(float("inf"))

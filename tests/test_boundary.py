@@ -6,17 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pure_harmonic
 from widthbright import (
     SupportFunction, NotConvexError, ball, ellipsoid, basis_index,
-    random_convex, inverse_gauss, export_mesh, export_obj,
+    random_convex, inverse_gauss, export_mesh,
 )
 from widthbright.sphere import make_grid
-
-
-def pure_harmonic(l, m, coeff=1.0):
-    coeffs = np.zeros((l + 1) ** 2)
-    coeffs[basis_index(l, m)] = coeff
-    return SupportFunction(coeffs, l)
 
 
 def mesh_is_closed(mesh):
@@ -203,23 +198,3 @@ def test_export_mesh_reports_collapsed_triangles(grid16):
     field = inverse_gauss(SupportFunction(np.zeros(1), 0), grid16)
     with pytest.raises(ArithmeticError, match="degenerate"):
         export_mesh(field, grid16)
-
-
-# ---------------------------------------------------------------------------
-# OBJ output
-
-def test_export_obj_roundtrip(tmp_path, grid16):
-    mesh = export_mesh(inverse_gauss(ball(1.0), grid16), grid16)
-    path = tmp_path / "ball.obj"
-    export_obj(mesh, path)
-    verts, faces = [], []
-    for line in path.read_text().splitlines():
-        kind, *rest = line.split()
-        if kind == "v":
-            verts.append([float(s) for s in rest])
-        elif kind == "f":
-            faces.append([int(s) - 1 for s in rest])
-        else:
-            raise AssertionError("unexpected OBJ line: %r" % line)
-    np.testing.assert_allclose(np.array(verts), mesh.vertices, rtol=1e-15)
-    assert np.array_equal(np.array(faces), mesh.triangles)

@@ -15,11 +15,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import unit_vectors
+from conftest import pure_harmonic, unit_vectors
 from widthbright import (
     SupportFunction, NotConvexError, ball, ellipsoid, basis_index,
     random_convex, cosine_multipliers, cosine_transform, brightness_profile,
-    mesh_shadow, profile_to_csv,
+    mesh_shadow,
     constant_width_body, central_symmetral, random_odd,
 )
 from widthbright.brightness import _cosine_operator, _kernel_from_dots
@@ -31,12 +31,6 @@ EXACT_MULTIPLIERS = [
     0.0, 0.09817477042468103, 0.0, -0.04908738521234052, 0.0,
     0.02863430804053197, 0.0, -0.018407769454627694,
 ]
-
-
-def pure_harmonic(l, m, coeff=1.0):
-    coeffs = np.zeros((l + 1) ** 2)
-    coeffs[basis_index(l, m)] = coeff
-    return SupportFunction(coeffs, l)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +237,6 @@ def test_ball_brightness_is_disk_area(grid32):
     for r in (0.5, 2.0):
         prof = brightness_profile(ball(r), grid32)
         np.testing.assert_allclose(prof.areas, math.pi * r * r, rtol=1e-10)
-        assert prof.method == "support_formula"
 
 
 def test_brightness_antipodal_symmetry_is_exact(grid32):
@@ -491,21 +484,3 @@ def test_asymmetric_body_is_dimmer_than_its_symmetral(grid32):
     assert beta < 1.0
     assert beta > 0.9
     assert max_even > 1e-3
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-
-def test_profile_to_csv(tmp_path, grid32):
-    prof = brightness_profile(ball(1.0), grid32,
-                              directions=[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    path = tmp_path / "profile.csv"
-    profile_to_csv(prof, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "ax,ay,az,area,method"
-    assert len(lines) == 3
-    fields = lines[1].split(",")
-    assert fields[4] == "support_formula"
-    assert abs(float(fields[3]) - math.pi) < 1e-10
-    profile_to_csv(prof, tmp_path / "again.csv")
-    assert (tmp_path / "again.csv").read_text() == path.read_text()

@@ -8,6 +8,7 @@ so the suite remains fast.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import widthbright
-from widthbright.body import _field, body_to_spec
+from widthbright.body import _field, body_from_spec, body_to_spec, inverse_gauss
+from widthbright.boundary import export_mesh
 from widthbright.cli import main, EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE
 from widthbright.generators import random_convex
 from widthbright.sphere import make_basis, make_grid, node_tables
@@ -104,6 +106,25 @@ def test_analyze_ball(tmp_path):
     csv = (tmp_path / "ball_brightness.csv").read_text().splitlines()
     assert csv[0] == "ax,ay,az,area,method"
     assert len(csv) == 32 * 64 + 1
+
+
+def test_analyze_brightness_csv(tmp_path):
+    # one 17-digit row per grid node, its direction that node bitwise
+    body = write_json(tmp_path / "ball.json", ball_spec())
+    argv = ["analyze", body, "--grid", "16,32", "--lmax", "8"]
+    assert main(argv) == EXIT_OK
+    path = tmp_path / "ball_brightness.csv"
+    first = path.read_bytes()
+    lines = first.decode().splitlines()
+    assert lines[0] == "ax,ay,az,area,method"
+    assert len(lines) == 16 * 32 + 1
+    fields = lines[1].split(",")
+    assert fields[4] == "support_formula"
+    assert abs(float(fields[3]) - math.pi) < 1e-10
+    dirs = np.array([[float(s) for s in line.split(",")[:3]] for line in lines[1:]])
+    assert np.array_equal(dirs, make_grid(16, 32).nodes)
+    assert main(argv) == EXIT_OK
+    assert path.read_bytes() == first
 
 
 def test_analyze_constant_width_body(tmp_path):
@@ -198,6 +219,21 @@ def test_verify_theorem_on_ball(tmp_path, capsys):
     assert float(last[2]) < 1e-10
 
 
+def test_verify_theorem_trace_csv(tmp_path, capsys):
+    body = write_json(tmp_path / "ball.json", ball_spec())
+    argv = ["verify-theorem", body, "--seed", "5", "--grid", "16,32", "--lmax", "8"]
+    assert main(argv) == EXIT_OK
+    states = re.search(r"\((\d+) accepted states\)", capsys.readouterr().out)
+    path = tmp_path / "ball.trace.csv"
+    first = path.read_bytes()
+    lines = first.decode().splitlines()
+    assert lines[0] == "iter,coeff_norm,variance,min_eig,step"
+    assert len(lines) == int(states.group(1)) + 1
+    assert lines[1].startswith("0,")
+    assert main(argv) == EXIT_OK
+    assert path.read_bytes() == first
+
+
 def test_verify_theorem_infeasible_start(tmp_path):
     body = write_json(tmp_path / "ball.json", ball_spec())
     assert main(["verify-theorem", body, "--start-scale", "1.2"]) \
@@ -253,6 +289,29 @@ def test_export_ball_obj(tmp_path):
     assert len(verts) == 16 * 32 + 2
     assert np.abs(np.linalg.norm(verts, axis=1) - 1.0).max() < 1e-12
     assert len(faces) == 2 * 15 * 32 + 2 * 32
+
+
+def test_export_obj_roundtrip(tmp_path):
+    body = write_json(tmp_path / "ball.json", ball_spec())
+    argv = ["export", body, "--grid", "16,32", "--lmax", "8"]
+    assert main(argv) == EXIT_OK
+    path = tmp_path / "ball.obj"
+    first = path.read_bytes()
+    verts, faces = [], []
+    for line in first.decode().splitlines():
+        kind, *rest = line.split()
+        if kind == "v":
+            verts.append([float(s) for s in rest])
+        elif kind == "f":
+            faces.append([int(s) - 1 for s in rest])
+        else:
+            raise AssertionError("unexpected OBJ line: %r" % line)
+    grid = make_grid(16, 32)
+    mesh = export_mesh(inverse_gauss(body_from_spec(ball_spec()), grid), grid)
+    np.testing.assert_allclose(np.array(verts), mesh.vertices, rtol=1e-15)
+    assert np.array_equal(np.array(faces), mesh.triangles)
+    assert main(argv) == EXIT_OK
+    assert path.read_bytes() == first
 
 
 def test_export_refuses_non_convex(tmp_path):
@@ -354,6 +413,37 @@ def test_gen_refuses_a_null_seed(tmp_path, capsys):
     assert main(["gen", path, "--grid", "16,32", "--lmax", "8"]) == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
     assert not (tmp_path / "r.body.json").exists()
+
+
+def test_integer_fields_that_are_booleans_or_fractions_are_input_errors(
+        tmp_path, capsys):
+    # each was truncated: analyzed at degree 0 or 1, resolved at degree 6 or
+    # l = 3, or seeded as 1, and gen or analyze exited 0
+    ball_l1 = [2.0 * math.sqrt(math.pi), 0.0, 0.0, 0.0]
+    odd = {"kind": "constant_width", "gauge": {"kind": "ball", "r": 1.0}}
+    runs = [("analyze", dict(ball_spec(), lmax=0.9)),
+            ("analyze", {"basis": "real-sph-harm", "lmax": True, "coeffs": ball_l1}),
+            ("gen", {"kind": "ellipsoid", "axes": [1, 1, 2], "lmax": 6.7}),
+            ("gen", {"kind": "ellipsoid", "axes": [1, 1, 2], "lmax": True}),
+            ("gen", {"kind": "random_convex", "lmax": 6, "seed": True}),
+            ("gen", dict(odd, odd={"harmonics": [[3.5, 0, 1.0]]})),
+            ("gen", dict(odd, odd={"harmonics": [[3, 0.5, 1.0]]}))]
+    for command, obj in runs:
+        path = write_json(tmp_path / "in.json", obj)
+        assert main([command, path, "--grid", "16,32", "--lmax", "8"]) \
+            == EXIT_INPUT, obj
+        err = capsys.readouterr().err
+        assert "input error" in err and "integer" in err, (obj, err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"], obj
+
+
+def test_gen_names_an_empty_harmonics_list(tmp_path, capsys):
+    # the message was "max() arg is an empty sequence"
+    path = write_json(tmp_path / "r.json", {
+        "kind": "constant_width", "gauge": {"kind": "ball", "r": 1.0},
+        "odd": {"harmonics": []}})
+    assert main(["gen", path, "--grid", "16,32", "--lmax", "8"]) == EXIT_INPUT
+    assert "harmonics must list" in capsys.readouterr().err
 
 
 def assert_recipe_params_resolve_again(tmp_path, recipe):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pure_harmonic
 import widthbright as wb
 from widthbright import (
     NotConvexError, SupportFunction, ball, ellipsoid, basis_index,
@@ -15,12 +16,6 @@ from widthbright import (
 from widthbright.body import closed_form_values
 from widthbright.boundary import inverse_gauss
 from widthbright.sphere import make_basis, make_grid, node_tables, basis_values
-
-
-def pure_harmonic(l, m, coeff=1.0):
-    coeffs = np.zeros((l + 1) ** 2)
-    coeffs[basis_index(l, m)] = coeff
-    return SupportFunction(coeffs, l)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +200,13 @@ def test_random_convex_refuses_a_missing_seed(grid16):
         random_convex(None, 6, grid16)
     with pytest.raises(ValueError, match="seed"):
         resolve_recipe({"kind": "random_convex", "lmax": 6, "seed": None}, grid16)
+
+
+def test_random_convex_refuses_a_boolean_seed(grid16):
+    # True seeded the body as 1 and was written back as "seed": true
+    for seed in (True, False):
+        with pytest.raises(ValueError, match="integer seed"):
+            random_convex(seed, 6, grid16)
 
 
 def test_random_odd_is_deterministic_unit_norm():

@@ -7,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import pure_harmonic
 from widthbright import (
     SupportFunction, ball, ellipsoid, basis_index, random_convex, random_odd,
     constant_width_body, brightness_profile, central_symmetral, odd_part,
     inverse_gauss, parity_decomposition_check, odd_sign_obstruction,
-    minimize_brightness_variance, trace_to_csv,
+    minimize_brightness_variance,
 )
 from widthbright import lab
 from widthbright.body import _padded
@@ -20,12 +21,6 @@ from widthbright.lab import _gauge_tables, _sigma_entries
 from widthbright.sphere import (
     entries_eigmin, make_basis, make_grid, node_tables, table_times,
 )
-
-
-def pure_harmonic(l, m, coeff=1.0):
-    coeffs = np.zeros((l + 1) ** 2)
-    coeffs[basis_index(l, m)] = coeff
-    return SupportFunction(coeffs, l)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +447,3 @@ def test_one_cosine_operator_per_grid():
     minimize_brightness_variance(ball(1.0), np.zeros(18), grid)
     info = _cosine_operator.cache_info()
     assert info.hits >= 1 and info.currsize == 1
-
-
-def test_trace_outputs(tmp_path, grid32):
-    init = random_odd(5, degrees=(3, 5), scale=0.05)
-    trace = minimize_brightness_variance(ball(1.0), init, grid32)
-    path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iter,coeff_norm,variance,min_eig,step"
-    assert len(lines) == len(trace.iterations) + 1
-    assert lines[1].startswith("0,")
