@@ -12,7 +12,7 @@ inverse_gauss is the one place a body is evaluated on a grid: it returns a
 read-only BoundaryField (h, the support matrix, its least eigenvalue and
 determinant, and phi = h u + grad h at the nodes), cached per (grid, lmax,
 coefficient values). The certificate, width, volume, brightness, parity
-diagnostics and mesh export all read that record.
+diagnostics, mesh export and the probe model all read that record.
 """
 
 import math
@@ -23,8 +23,7 @@ import numpy as np
 
 from .sphere import (
     make_basis, make_grid, integrate, node_tables, basis_values, entries_det,
-    entries_eigmin, require_resolvable, table_times, _freeze, _solid_jets,
-    _phi_table,
+    entries_eigmin, require_resolvable, table_times, _freeze,
 )
 
 TOL_PSD = 1e-9
@@ -128,9 +127,9 @@ def inverse_gauss(h, grid):
 # grid and its 2x refinement, and a probe between its gauge and the starts
 @lru_cache(maxsize=8)
 def _field(grid, lmax, coeff_bytes):
+    """inverse_gauss's record: one node-table product per array, poles too."""
     c = np.frombuffer(coeff_bytes)
-    basis = make_basis(lmax)
-    tab = node_tables(grid, basis)
+    tab = node_tables(grid, make_basis(lmax))
     ent = table_times(tab.M, c)
     eigmin = entries_eigmin(ent)
     return BoundaryField(
@@ -139,19 +138,9 @@ def _field(grid, lmax, coeff_bytes):
         eigmin=_freeze(eigmin),
         detfield=_freeze(entries_det(ent)),
         phi=_freeze(table_times(tab.PHI, c)),
-        pole_points=_freeze(_pole_table(basis) @ c),
+        pole_points=_freeze(tab.POLES @ c),
         min_eigenvalue=float(eigmin.min()),
     )
-
-
-@lru_cache(maxsize=None)
-def _pole_table(basis):
-    """_phi_table at the north and south poles, (2, 3, B), one per basis. It
-    is kept as the strided view _phi_table returns: a contiguous copy
-    changes some pole points in the last bit, since matmul then takes
-    another path."""
-    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    return _freeze(_phi_table(basis, _solid_jets(poles, basis.lmax), poles))
 
 
 def require_convex(field, what, tol_psd=TOL_PSD):

@@ -35,9 +35,9 @@ from .body import (
 )
 from .boundary import export_mesh
 from .brightness import brightness_profile
-from .generators import constant_width_body, random_odd, resolve_recipe
-from .lab import minimize_brightness_variance, parity_decomposition_check, \
-    require_variable_degrees
+from .generators import constant_width_body, random_odd, \
+    require_variable_degrees, resolve_recipe
+from .lab import minimize_brightness_variance, parity_decomposition_check
 from .sphere import make_grid, require_resolvable
 
 EXIT_OK = 0

@@ -148,14 +148,20 @@ def random_convex(seed, lmax, grid, roughness=0.3):
                           % _MAX_HALVINGS)
 
 
+def require_variable_degrees(degrees):
+    """The probe's variable degrees, or ValueError unless they are distinct,
+    odd and at least 3 (degree 1 is a translation)."""
+    if any(int(d) % 2 == 0 or int(d) < 3 for d in degrees):
+        raise ValueError("variable degrees must be odd and >= 3")
+    if len({int(d) for d in degrees}) != len(degrees):
+        raise ValueError("variable degrees must not repeat")
+    return degrees
+
+
 def random_odd(seed, degrees=(3, 5, 7), scale=1.0):
     """Seeded odd coefficient field, unit L2 norm times scale, on the given
-    distinct degrees."""
-    degrees = tuple(int(d) for d in degrees)
-    if any(d % 2 == 0 for d in degrees):
-        raise ValueError("odd degrees only")
-    if len(set(degrees)) != len(degrees):
-        raise ValueError("degrees must not repeat")
+    degrees, which require_variable_degrees checks."""
+    degrees = require_variable_degrees(tuple(int(d) for d in degrees))
     lmax = max(degrees)
     basis = make_basis(lmax)
     rng = np.random.default_rng(seed)

@@ -34,9 +34,10 @@ from .sphere import (
 )
 from .body import (
     TOL_PSD, SupportFunction, NotConvexError, inverse_gauss, require_convex,
-    _padded,
+    _field, _padded,
 )
 from .brightness import cosine_transform
+from .generators import require_variable_degrees
 
 _MIN_EIG_FLOOR = 0.01
 _NORM_TOL = 1e-3
@@ -200,22 +201,21 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     M0 - MJ c written in the frame (e1, -e2), which flips the sign of m12
     only and keeps the eigenvalues; F0 - FJ c gives them. min_eig reads
     both halves from one product FJ c, on half the rows an all-node table
-    would hold.
+    would hold. The gauge's M0 and det M0 are read from the record that
+    inverse_gauss cached for the margin check; node tables give MJ only.
     """
     basis = make_basis(max(gauge_lmax, max(degrees)))
     idx = _variable_indices(degrees)
-    cg = _padded(np.frombuffer(gauge_bytes), gauge_lmax, basis.lmax)
+    field = _field(grid, gauge_lmax, gauge_bytes)
 
-    M = node_tables(grid, basis).M
-    MJ = M[:, :, idx]                              # (N, 3, nv)
+    MJ = node_tables(grid, basis).M[:, :, idx]     # (N, 3, nv)
     n, _, nv = MJ.shape
     half = grid.half
-    e0 = table_times(M, cg)                        # (N, 3)
-    F0 = _floor_rows(e0[half].T)                   # (3, N/2)
+    F0 = _floor_rows(field.entries[half].T)        # (3, N/2)
     FJ = np.asfortranarray(
         _floor_rows(MJ[half].transpose(1, 0, 2)).reshape(-1, nv))
 
-    b0 = 0.5 * cosine_transform(entries_det(e0), grid, grid.nodes)
+    b0 = 0.5 * cosine_transform(field.detfield, grid, grid.nodes)
     if np.any(b0 <= 0.0):
         raise NotConvexError("gauge brightness must be positive")
     wn = grid.weights / (4.0 * math.pi)
@@ -243,16 +243,6 @@ def _floor_rows(e):
     """Entry rows (m11, m12, m22) along axis 0 -> (mean, half-difference,
     off-diagonal), from which the least eigenvalue is mean - |(d, o)|."""
     return np.stack((0.5 * (e[0] + e[2]), 0.5 * (e[0] - e[2]), e[1]))
-
-
-def require_variable_degrees(degrees):
-    """The probe's variable degrees, or ValueError unless they are distinct,
-    odd and at least 3 (degree 1 is a translation)."""
-    if any(int(d) % 2 == 0 or int(d) < 3 for d in degrees):
-        raise ValueError("variable degrees must be odd and >= 3")
-    if len({int(d) for d in degrees}) != len(degrees):
-        raise ValueError("variable degrees must not repeat")
-    return degrees
 
 
 def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),

@@ -274,15 +274,6 @@ def _solid_jets(pts, lmax, values_only=False):
     return J
 
 
-def _phi_table(basis, jets, pts):
-    """PHI[i, :, q] = dR_q(u_i) + (1 - l_q) R_q(u_i) u_i at unit points u_i,
-    from their _solid_jets, as an (N, 3, B) view; phi = h u + grad h is
-    PHI @ c."""
-    one_minus_l = (1.0 - basis.degrees)[:, None]
-    phi = jets[1:4] + (one_minus_l * jets[0]) * pts.T[:, None, :]
-    return phi.transpose(2, 0, 1)
-
-
 def basis_values(basis, pts):
     """Values of every basis function at the given unit points, shape (N, B)."""
     return np.ascontiguousarray(
@@ -300,11 +291,13 @@ class NodeTables:
     PHI[i, :, q] = dR_q(u_i) + (1 - l_q) Y_q(u_i) u_i       (phi is PHI @ c)
     M[i, :, q]   = (m11, m12, m22) of Y_q I + hess Y_q in the node frame,
                    so the support matrix h I + hess h is M @ c per node.
+    POLES[k, :, q] = the PHI row at the north (k = 0) and south pole, not nodes
     """
 
-    V: np.ndarray    # (N, B)
-    PHI: np.ndarray  # (N, 3, B)
-    M: np.ndarray    # (N, 3, B)
+    V: np.ndarray      # (N, B)
+    PHI: np.ndarray    # (N, 3, B)
+    M: np.ndarray      # (N, 3, B)
+    POLES: np.ndarray  # (2, 3, B): north (+e3), south (-e3)
 
 
 def table_times(table, c):
@@ -345,19 +338,22 @@ def node_tables(grid, basis):
     azimuths, and the second half is (-1)^m times the first, exactly.
     Rings i and n_theta-1-i are mirror images in z, which the recurrence
     keeps bitwise, so the antipodal parity of every table is bitwise too.
-    Peak memory is the tables plus one (N, B) scratch array.
+    Peak memory is the tables plus one (N, B) scratch array. The poles ride
+    on the meridian's recurrence call; POLES is their (3, B, 2) phi block
+    transposed, not made contiguous: matmul hands a contiguous table to
+    BLAS, and that moves some pole points in the last bit.
     """
     n_theta, n_phi, size = grid.n_theta, grid.n_phi, basis.size
-    pts = grid.nodes[::n_phi]
-    jets = _solid_jets(pts, basis.lmax)  # (component, q, ring)
-    e1 = grid.frame[::n_phi, 0, :].T
-    e2 = grid.frame[::n_phi, 1, :].T
-    hess = jets[4:]
+    pts = np.concatenate([grid.nodes[::n_phi], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    jets = _solid_jets(pts, basis.lmax)  # (component, q, ring or pole)
     one_minus_l = (1.0 - basis.degrees)[:, None]
-    phi = _phi_table(basis, jets, pts)
-    m11 = (_frame_form(e1, e1, hess) + one_minus_l * jets[0]).T
-    m12 = _frame_form(e1, e2, hess).T
-    m22 = (_frame_form(e2, e2, hess) + one_minus_l * jets[0]).T
+    phi = jets[1:4] + (one_minus_l * jets[0]) * pts.T[:, None, :]
+    poles = phi[:, :, n_theta:].copy().transpose(2, 0, 1)
+    jets, phi = jets[:, :, :n_theta], phi[:, :, :n_theta].transpose(2, 0, 1)
+    e1, e2 = grid.frame[::n_phi].transpose(1, 2, 0)
+    m11 = (_frame_form(e1, e1, jets[4:]) + one_minus_l * jets[0]).T
+    m12 = _frame_form(e1, e2, jets[4:]).T
+    m22 = (_frame_form(e2, e2, jets[4:]) + one_minus_l * jets[0]).T
 
     # column q = (l, m) reads the meridian rows that are even in y from its
     # cosine partner (l, |m|), with factor a, and those odd in y from its
@@ -397,7 +393,8 @@ def node_tables(grid, basis):
     n = grid.n_nodes
     return NodeTables(V=_freeze(V.reshape(n, size)),
                       PHI=_freeze(PHI.reshape(n, 3, size)),
-                      M=_freeze(M.reshape(n, 3, size)))
+                      M=_freeze(M.reshape(n, 3, size)),
+                      POLES=_freeze(poles))
 
 
 def entries_det(e):

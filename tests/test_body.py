@@ -22,10 +22,10 @@ from widthbright import (
     minkowski_sum, certify_convex, volume,
 )
 from widthbright.body import (
-    _field, _pole_table, body_to_spec, body_from_spec, inverse_gauss, read_degree,
+    _field, body_to_spec, body_from_spec, inverse_gauss, read_degree,
 )
 from widthbright.sphere import (
-    basis_values, make_grid, node_tables, _phi_table, _solid_jets,
+    basis_values, make_grid, node_tables, _solid_jets,
 )
 
 FOUR_PI = 4.0 * math.pi
@@ -201,30 +201,42 @@ def test_record_is_read_only(grid16):
 
 
 def test_pole_points_match_a_direct_evaluation():
-    # the record reads the poles' phi rows from one cached table per basis;
-    # they stay bitwise what a fresh recurrence at the poles gives
+    # the record reads the poles' phi rows from the node tables; they stay
+    # bitwise what a fresh recurrence at the poles gives, with phi[i, :, q] =
+    # dR_q(u_i) + (1 - l_q) R_q(u_i) u_i
     grid = make_grid(4, 8)
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     rng = np.random.default_rng(3)
     for lmax in range(17):
         basis = make_basis(lmax)
         c = rng.standard_normal(basis.size)
-        direct = _phi_table(basis, _solid_jets(poles, lmax), poles) @ c
+        jets = _solid_jets(poles, lmax)
+        phi = jets[1:4] + ((1.0 - basis.degrees)[:, None] * jets[0]) \
+            * poles.T[:, None, :]
+        direct = phi.transpose(2, 0, 1) @ c
         got = inverse_gauss(SupportFunction(c, lmax), grid).pole_points
         assert np.array_equal(got, direct), lmax
 
 
-def test_pole_table_builds_once_per_basis():
-    _pole_table.cache_clear()
-    _field.cache_clear()
+def test_pole_rows_are_built_with_their_node_tables():
+    # the pole rows had a cache of their own per basis; they are read-only
+    # rows of each (grid, basis) table, the same on every grid
+    basis = make_basis(5)
     rng = np.random.default_rng(4)
+    rows = []
     for grid in (make_grid(4, 8), make_grid(6, 12)):
-        for _ in range(2):
-            inverse_gauss(SupportFunction(rng.standard_normal(36), 5), grid)
-    info = _pole_table.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
-    assert _pole_table(make_basis(5)) is _pole_table(make_basis(5))
-    assert not _pole_table(make_basis(5)).flags.writeable
+        tab = node_tables(grid, basis)
+        assert tab.POLES.shape == (2, 3, basis.size)
+        assert not tab.POLES.flags.writeable
+        with pytest.raises(ValueError):
+            tab.POLES[0, 0, 0] = 0.0
+        assert np.array_equal(node_tables.__wrapped__(grid, basis).POLES,
+                              tab.POLES)
+        c = rng.standard_normal(basis.size)
+        got = inverse_gauss(SupportFunction(c, 5), grid).pole_points
+        assert np.array_equal(got, tab.POLES @ c)
+        rows.append(tab.POLES)
+    assert np.array_equal(*rows)
 
 
 def test_zonal_oracle_matrix_entries(grid32):

@@ -222,6 +222,9 @@ def test_random_odd_is_deterministic_unit_norm():
         random_odd(7, degrees=(2, 3))
     with pytest.raises(ValueError, match="must not repeat"):
         random_odd(7, degrees=(3, 3))
+    # degree 1 is a translation: the probe's degree rule refuses it here too
+    with pytest.raises(ValueError, match="odd and >= 3"):
+        random_odd(7, degrees=(1, 3))
 
 
 def test_every_generator_clears_the_convexity_floor(grid32):

@@ -438,6 +438,26 @@ def test_gauge_model_holds_no_table_of_sigma_columns(grid32):
         assert peak < bound_mib * 2 ** 20, degrees
 
 
+def test_gauge_model_reads_the_gauge_record(grid32, monkeypatch):
+    # the model evaluated the gauge a second time, with its own product of
+    # the node tables, after the margin check had evaluated it already
+    gauge = ellipsoid(1, 1.5, 2)
+    inverse_gauss(gauge, grid32)
+    calls = []
+
+    def spy(table, c):
+        calls.append(table.shape)
+        return table_times(table, c)
+
+    monkeypatch.setattr(lab, "table_times", spy)
+    model = lab._quadratic_model.__wrapped__(grid32, (3, 5), gauge.lmax,
+                                             gauge.coeffs.tobytes())
+    assert calls == []
+    field = inverse_gauss(gauge, grid32)
+    e = field.entries[grid32.half]
+    assert np.array_equal(model.F0[0], 0.5 * (e[:, 0] + e[:, 2]))
+
+
 def test_one_cosine_operator_per_grid():
     # the on-grid transform and the gauge tables share one ring table
     grid = make_grid(12, 24)

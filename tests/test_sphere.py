@@ -18,7 +18,7 @@ from widthbright import make_grid, make_basis, basis_index, integrate
 from widthbright import sphere
 from widthbright.sphere import (
     basis_values, node_tables,
-    entries_det, entries_eigmin, _solid_jets, _phi_table,
+    entries_det, entries_eigmin, _solid_jets,
     _PAIRS,
 )
 from conftest import unit_vectors
@@ -450,7 +450,8 @@ def _whole_grid_tables(grid, basis):
 
     M = np.stack([form(e1, e1) + one_minus_l * jets[0], form(e1, e2),
                   form(e2, e2) + one_minus_l * jets[0]])  # (3, B, N)
-    return jets[0].T, _phi_table(basis, jets, pts), M.transpose(2, 0, 1)
+    PHI = jets[1:4] + (one_minus_l * jets[0]) * pts.T[:, None, :]  # (3, B, N)
+    return jets[0].T, PHI.transpose(2, 0, 1), M.transpose(2, 0, 1)
 
 
 @pytest.mark.parametrize("n_theta, lmax", [(33, 8), (33, 12), (6, 5), (13, 8)])
@@ -481,6 +482,7 @@ def test_node_table_antipodal_parity_is_bitwise(n_theta, lmax):
 
 
 def test_node_tables_run_the_recurrence_on_one_meridian(monkeypatch):
+    # one call, on the meridian's nodes and then the two poles
     grid = make_grid(12, 24)
     calls = []
 
@@ -490,7 +492,7 @@ def test_node_tables_run_the_recurrence_on_one_meridian(monkeypatch):
 
     monkeypatch.setattr(sphere, "_solid_jets", spy)
     node_tables.__wrapped__(grid, make_basis(6))  # cold: not cached
-    assert calls == [grid.n_theta]
+    assert calls == [grid.n_theta + 2]
 
 
 def test_node_tables_peak_is_the_tables():
