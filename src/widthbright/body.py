@@ -23,7 +23,7 @@ import numpy as np
 
 from .sphere import (
     make_basis, make_grid, integrate, node_tables, basis_values, entries_det,
-    entries_eigmin, require_resolvable, table_times, _freeze,
+    entries_eigmin, require_resolvable, synthesize, _freeze,
 )
 
 TOL_PSD = 1e-9
@@ -127,17 +127,17 @@ def inverse_gauss(h, grid):
 # grid and its 2x refinement, and a probe between its gauge and the starts
 @lru_cache(maxsize=8)
 def _field(grid, lmax, coeff_bytes):
-    """inverse_gauss's record: one node-table product per array, poles too."""
+    """inverse_gauss's record: one synthesis from the meridian tables, poles too."""
     c = np.frombuffer(coeff_bytes)
     tab = node_tables(grid, make_basis(lmax))
-    ent = table_times(tab.M, c)
+    values, ent, phi = synthesize(tab, c)
     eigmin = entries_eigmin(ent)
     return BoundaryField(
-        values=_freeze(tab.V @ c),
+        values=_freeze(values),
         entries=_freeze(ent),
         eigmin=_freeze(eigmin),
         detfield=_freeze(entries_det(ent)),
-        phi=_freeze(table_times(tab.PHI, c)),
+        phi=_freeze(phi),
         pole_points=_freeze(tab.POLES @ c),
         min_eigenvalue=float(eigmin.min()),
     )
@@ -284,8 +284,8 @@ def body_from_spec(spec, n_theta=None):
                         label=spec.get("label", ""), truncation_tol=truncation_tol)
     if h.closed_form is not None:
         # the values alone, with no node tables or field record cached for a
-        # grid the caller never asked for; the rows equal node_tables' V to
-        # roundoff
+        # grid the caller never asked for; they equal the synthesized values
+        # to roundoff
         nodes = make_grid(16, 32).nodes
         dev = np.abs(basis_values(h.basis, nodes) @ h.coeffs
                      - closed_form_values(h.closed_form, nodes)).max()

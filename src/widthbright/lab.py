@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .sphere import (
-    make_basis, node_tables, entries_det, table_times, _freeze,
+    make_basis, node_tables, node_columns, entries_det, synthesize, _freeze,
 )
 from .body import (
     TOL_PSD, SupportFunction, NotConvexError, inverse_gauss, require_convex,
@@ -80,8 +80,8 @@ def parity_decomposition_check(h, grid, tol_psd=TOL_PSD):
     plus the parity of the two cross terms (det M_p even, sigma odd)."""
     Dh = require_convex(inverse_gauss(h, grid), "parity check", tol_psd).detfield
     c_even = np.where(h.basis.degrees % 2 == 0, h.coeffs, 0.0)
-    M = node_tables(grid, h.basis).M
-    e0, ep = table_times(M, c_even), table_times(M, h.coeffs - c_even)
+    tab = node_tables(grid, h.basis)
+    e0, ep = synthesize(tab, c_even)[1], synthesize(tab, h.coeffs - c_even)[1]
     D0 = entries_det(e0)
     Dp = entries_det(ep)
     S = _sigma_entries(ep, e0)
@@ -202,13 +202,13 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     only and keeps the eigenvalues; F0 - FJ c gives them. min_eig reads
     both halves from one product FJ c, on half the rows an all-node table
     would hold. The gauge's M0 and det M0 are read from the record that
-    inverse_gauss cached for the margin check; node tables give MJ only.
+    inverse_gauss cached for the margin check; node_columns gives MJ only.
     """
     basis = make_basis(max(gauge_lmax, max(degrees)))
     idx = _variable_indices(degrees)
     field = _field(grid, gauge_lmax, gauge_bytes)
 
-    MJ = node_tables(grid, basis).M[:, :, idx]     # (N, 3, nv)
+    MJ = node_columns(node_tables(grid, basis), idx)  # (N, 3, nv)
     n, _, nv = MJ.shape
     half = grid.half
     F0 = _floor_rows(field.entries[half].T)        # (3, N/2)

@@ -16,15 +16,9 @@ of p at |u| = 1 comes from R alone:
 
 which is the tangential part of d2p~(u) minus p(u) I.
 
-The per-node tables need the recurrence on one meridian only. A rotation R
-about e3 through the azimuth phi moves each ring onto itself and mixes the
-harmonics of order +-m by a rotation through m phi,
-
-    Y_{l,m} o R = cos(m phi) Y_{l,m} - sin(m phi) Y_{l,-m}        (m >= 0)
-
-and its partner for Y_{l,-m}, so node_tables rotates the meridian's jets
-to every azimuth with a trig table whose second half is (-1)^m times its
-first, exactly, which keeps antipodal parity bitwise.
+node_tables runs the recurrence on one meridian only, and synthesize turns
+its rows to every azimuth and sums a field from them in two small products
+(Driscoll & Healy's semi-naive synthesis); no (N, B) table is built.
 """
 
 import math
@@ -281,30 +275,30 @@ def basis_values(basis, pts):
 
 
 # ---------------------------------------------------------------------------
-# per-(grid, basis) node tables
+# per-(grid, basis) meridian tables
 
 @dataclass(eq=False)
 class NodeTables:
-    """Per-node basis tables: values, boundary-point maps, and curvature forms.
+    """The basis on the grid's meridian, and the azimuth factors that carry
+    it to every node; no (N, B) table is held.
 
-    V[i, q]      = Y_q(u_i)
-    PHI[i, :, q] = dR_q(u_i) + (1 - l_q) Y_q(u_i) u_i       (phi is PHI @ c)
-    M[i, :, q]   = (m11, m12, m22) of Y_q I + hess Y_q in the node frame,
-                   so the support matrix h I + hess h is M @ c per node.
-    POLES[k, :, q] = the PHI row at the north (k = 0) and south pole, not nodes
+    EVEN[k n_theta + i, q] = row k of (value, m11, m22, phi_x, phi_z) of q's
+                             cosine partner at ring i's meridian node
+    ODD[k n_theta + i, q]  = row k of (m12, phi_y) of q's sine partner there
+    A[q, j], B[q, j]       = q's factors for the EVEN and ODD rows at azimuth j
+    AZIMUTH[:, j]          = (cos, sin) of azimuth j, which turn phi's x and y
+    POLES[k, :, q]         = phi of Y_q at the north (k = 0) and south pole
+
+    (m11, m12, m22) are the rows of Y_q I + hess Y_q in the node frame and
+    phi_q = dR_q + (1 - l_q) Y_q u; synthesize evaluates fields from them.
     """
 
-    V: np.ndarray      # (N, B)
-    PHI: np.ndarray    # (N, 3, B)
-    M: np.ndarray      # (N, 3, B)
-    POLES: np.ndarray  # (2, 3, B): north (+e3), south (-e3)
-
-
-def table_times(table, c):
-    """table @ c for an (N, 3, B) node table, (N, 3), as one matrix-vector
-    product through the table's free (3N, B) view; the stacked (N, 3, B) @
-    (B,) product makes N tiny ones."""
-    return (table.reshape(-1, table.shape[-1]) @ c).reshape(table.shape[:-1])
+    EVEN: np.ndarray     # (5 n_theta, B)
+    ODD: np.ndarray      # (2 n_theta, B)
+    A: np.ndarray        # (B, n_phi)
+    B: np.ndarray        # (B, n_phi)
+    AZIMUTH: np.ndarray  # (2, n_phi)
+    POLES: np.ndarray    # (2, 3, B): north (+e3), south (-e3)
 
 
 def _frame_form(a, b, hess):
@@ -326,22 +320,20 @@ def node_tables(grid, basis):
         Y_{l,m} o R  = cos(m phi) Y_{l,m} - sin(m phi) Y_{l,-m}
         Y_{l,-m} o R = sin(m phi) Y_{l,m} + cos(m phi) Y_{l,-m}
 
-    So the V and M entries of Y_q at node j are those of Y_q o R on the
-    meridian, and its PHI column is R applied to theirs. On the meridian
-    (y = 0) a cosine-sector function (m >= 0) is even in y and has m12 and
-    a PHI y row of exactly zero; a sine-sector one is odd in y and has the
-    value, m11, m22 and the PHI x and z rows exactly zero. Every V and M
-    entry is therefore one meridian entry times one trig factor, and only
-    PHI's x and y rows, which R mixes, are sums of two products.
+    So Y_q at node j has the value and entries of Y_q o R on the meridian,
+    and R turns its phi. On the meridian (y = 0) a cosine-sector function
+    (m >= 0) is even in y, with m12 and phi_y exactly zero, and a sine-sector
+    one odd, with the value, m11, m22, phi_x and phi_z zero: every entry is
+    one meridian entry of a partner column times one trig factor.
 
     cos(m phi_j) and sin(m phi_j) are computed for the first n_phi/2
     azimuths, and the second half is (-1)^m times the first, exactly.
     Rings i and n_theta-1-i are mirror images in z, which the recurrence
-    keeps bitwise, so the antipodal parity of every table is bitwise too.
-    Peak memory is the tables plus one (N, B) scratch array. The poles ride
-    on the meridian's recurrence call; POLES is their (3, B, 2) phi block
-    transposed, not made contiguous: matmul hands a contiguous table to
-    BLAS, and that moves some pole points in the last bit.
+    keeps bitwise, so node and antipode differ by signs only. The record is
+    7 n_theta B + 2 B n_phi doubles. The poles ride on the meridian's
+    recurrence call; POLES is their (3, B, 2) phi block transposed, not made
+    contiguous: matmul hands a contiguous table to BLAS, and that moves some
+    pole points in the last bit.
     """
     n_theta, n_phi, size = grid.n_theta, grid.n_phi, basis.size
     pts = np.concatenate([grid.nodes[::n_phi], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
@@ -349,11 +341,11 @@ def node_tables(grid, basis):
     one_minus_l = (1.0 - basis.degrees)[:, None]
     phi = jets[1:4] + (one_minus_l * jets[0]) * pts.T[:, None, :]
     poles = phi[:, :, n_theta:].copy().transpose(2, 0, 1)
-    jets, phi = jets[:, :, :n_theta], phi[:, :, :n_theta].transpose(2, 0, 1)
+    jets, phi = jets[:, :, :n_theta], phi[:, :, :n_theta]
     e1, e2 = grid.frame[::n_phi].transpose(1, 2, 0)
-    m11 = (_frame_form(e1, e1, jets[4:]) + one_minus_l * jets[0]).T
-    m12 = _frame_form(e1, e2, jets[4:]).T
-    m22 = (_frame_form(e2, e2, jets[4:]) + one_minus_l * jets[0]).T
+    m11 = _frame_form(e1, e1, jets[4:]) + one_minus_l * jets[0]
+    m12 = _frame_form(e1, e2, jets[4:])
+    m22 = _frame_form(e2, e2, jets[4:]) + one_minus_l * jets[0]
 
     # column q = (l, m) reads the meridian rows that are even in y from its
     # cosine partner (l, |m|), with factor a, and those odd in y from its
@@ -365,36 +357,44 @@ def node_tables(grid, basis):
     even, odd = q - m + k, q - m - k
     # k phi_j reduced mod 2 pi in integers, so the angle stays below 2 pi
     # however large k is
-    angle = (TWO_PI / n_phi) * (np.outer(np.arange(n_phi // 2), k) % n_phi)
+    angle = (TWO_PI / n_phi) * (np.outer(k, np.arange(n_phi // 2)) % n_phi)
     cos_k, sin_k = np.cos(angle), np.sin(angle)
-    sign = 1.0 - 2.0 * (k % 2)
-    a, b = (np.concatenate([t, sign * t]) for t in
-            (np.where(m >= 0, cos_k, sin_k), np.where(m >= 0, -sin_k, cos_k)))
+    sign, up = (1.0 - 2.0 * (k % 2))[:, None], (m >= 0)[:, None]
+    a, b = (np.concatenate([t, sign * t], axis=1) for t in
+            (np.where(up, cos_k, sin_k), np.where(up, -sin_k, cos_k)))
     # the grid's own azimuth trig, from the ring-0 frames e2 = (-sin, cos, 0)
-    cp = grid.frame[:n_phi, 1, 1][:, None]
-    sp = -grid.frame[:n_phi, 1, 0][:, None]
+    azimuth = np.stack((grid.frame[:n_phi, 1, 1], -grid.frame[:n_phi, 1, 0]))
+    return NodeTables(
+        EVEN=_freeze(np.concatenate([r[even].T for r in
+                                     (jets[0], m11, m22, phi[0], phi[2])])),
+        ODD=_freeze(np.concatenate([r[odd].T for r in (m12, phi[1])])),
+        A=_freeze(a), B=_freeze(b), AZIMUTH=_freeze(azimuth), POLES=_freeze(poles))
 
-    V = np.empty((n_theta, n_phi, size))
-    PHI = np.empty((n_theta, n_phi, 3, size))
-    M = np.empty((n_theta, n_phi, 3, size))
-    np.multiply(jets[0].T[:, None, even], a, out=V)
-    np.multiply(m11[:, None, even], a, out=M[:, :, 0])
-    np.multiply(m12[:, None, odd], b, out=M[:, :, 1])
-    np.multiply(m22[:, None, even], a, out=M[:, :, 2])
-    px, py = phi[:, None, 0, even], phi[:, None, 1, odd]
-    scratch = np.multiply(py, sp * b)
-    np.multiply(px, cp * a, out=PHI[:, :, 0])
-    PHI[:, :, 0] -= scratch
-    np.multiply(py, cp * b, out=scratch)
-    np.multiply(px, sp * a, out=PHI[:, :, 1])
-    PHI[:, :, 1] += scratch
-    np.multiply(phi[:, None, 2, even], a, out=PHI[:, :, 2])
 
-    n = grid.n_nodes
-    return NodeTables(V=_freeze(V.reshape(n, size)),
-                      PHI=_freeze(PHI.reshape(n, 3, size)),
-                      M=_freeze(M.reshape(n, 3, size)),
-                      POLES=_freeze(poles))
+def synthesize(tab, c):
+    """values (N,), support-matrix entries (N, 3) and phi (N, 3) of the field
+    with coefficients c, from two small products over the meridian,
+    (EVEN * c) @ A and (ODD * c) @ B, whose rows are turned to phi at each
+    azimuth. Each sum runs over q in one order at every node, and node and
+    antipode scale their terms by signs only, so an even or odd field keeps
+    its antipodal parity bitwise."""
+    n_theta, n_phi = tab.ODD.shape[0] // 2, tab.A.shape[1]
+    value, m11, m22, px, pz = ((tab.EVEN * c) @ tab.A).reshape(5, n_theta, n_phi)
+    m12, py = ((tab.ODD * c) @ tab.B).reshape(2, n_theta, n_phi)
+    cp, sp = tab.AZIMUTH
+    phi = np.stack((cp * px - sp * py, sp * px + cp * py, pz), axis=-1)
+    return (value.flatten(), np.stack((m11, m12, m22), axis=-1).reshape(-1, 3),
+            phi.reshape(-1, 3))
+
+
+def node_columns(tab, idx):
+    """Support-matrix entries (N, 3, len(idx)) of the basis columns idx at
+    every node, each one meridian entry times one azimuth factor."""
+    n_theta = tab.ODD.shape[0] // 2
+    rows = tab.EVEN[:, idx].reshape(5, n_theta, 1, -1)
+    a, b = tab.A[idx].T, tab.B[idx].T
+    return np.stack((rows[1] * a, tab.ODD[:n_theta, None, idx] * b, rows[2] * a),
+                    axis=2).reshape(-1, 3, len(idx))
 
 
 def entries_det(e):

@@ -19,7 +19,7 @@ from widthbright.body import _padded
 from widthbright.brightness import _cosine_operator, cosine_transform
 from widthbright.lab import _gauge_tables, _sigma_entries
 from widthbright.sphere import (
-    entries_eigmin, make_basis, make_grid, node_tables, table_times,
+    entries_eigmin, make_basis, make_grid, node_columns, node_tables, synthesize,
 )
 
 
@@ -220,9 +220,9 @@ def relative_brightness_table(gauge, grid, degrees=(3, 5)):
     the node tables, not from the model: relative brightness is
     1 + RQ vec(c c^T)."""
     model = _gauge_tables(gauge, grid, degrees)
-    M = node_tables(grid, model.basis).M
-    M0 = table_times(M, _padded(gauge.coeffs, gauge.lmax, model.basis.lmax)).T
-    MJ = M[:, :, model.idx].transpose(1, 0, 2)
+    tab = node_tables(grid, model.basis)
+    M0 = synthesize(tab, _padded(gauge.coeffs, gauge.lmax, model.basis.lmax))[1].T
+    MJ = node_columns(tab, model.idx).transpose(1, 0, 2)
     rows = MJ.transpose(1, 2, 0)
     quad = _sigma_entries(rows[:, :, None, :], rows[:, None, :, :])
     b0 = brightness_profile(gauge, grid).areas
@@ -370,13 +370,13 @@ def test_half_sphere_floor_matches_every_node(shape):
         nv = model.idx.size
         assert model.F0.shape == (3, n // 2)
         assert model.FJ.shape == (3 * (n // 2), nv)
-        M = node_tables(grid, model.basis).M
+        tab = node_tables(grid, model.basis)
         h = _padded(gauge.coeffs, gauge.lmax, model.basis.lmax)
         for _ in range(200):
             u = rng.standard_normal(nv)
             c = u * (10.0 ** rng.uniform(-6, 0) / np.linalg.norm(u))
             h[model.idx] = c
-            e = table_times(M, h)
+            e = synthesize(tab, h)[1]
             want = entries_eigmin(e).min()
             # the spectral radius over all nodes
             lam = np.abs(np.linalg.eigvalsh(e[:, [0, 1, 1, 2]].reshape(-1, 2, 2))).max()
@@ -445,11 +445,11 @@ def test_gauge_model_reads_the_gauge_record(grid32, monkeypatch):
     inverse_gauss(gauge, grid32)
     calls = []
 
-    def spy(table, c):
-        calls.append(table.shape)
-        return table_times(table, c)
+    def spy(tab, c):
+        calls.append(c.shape)
+        return synthesize(tab, c)
 
-    monkeypatch.setattr(lab, "table_times", spy)
+    monkeypatch.setattr(lab, "synthesize", spy)
     model = lab._quadratic_model.__wrapped__(grid32, (3, 5), gauge.lmax,
                                              gauge.coeffs.tobytes())
     assert calls == []

@@ -17,10 +17,12 @@ import sympy as sp
 from widthbright import make_grid, make_basis, basis_index, integrate
 from widthbright import sphere
 from widthbright.sphere import (
-    basis_values, node_tables,
+    basis_values, node_tables, node_columns, synthesize,
     entries_det, entries_eigmin, _solid_jets,
     _PAIRS,
 )
+from widthbright.generators import random_convex, random_odd
+from widthbright.body import central_symmetral, inverse_gauss
 from conftest import unit_vectors
 
 FOUR_PI = 4.0 * math.pi
@@ -137,9 +139,18 @@ def test_basis_index_layout():
     assert basis_index(3, -3) == 9
 
 
+def unit_fields(grid, basis):
+    """V (N, B), PHI (N, 3, B) and M (N, 3, B): the synthesized values, phi
+    and support-matrix entries of each basis function alone."""
+    tab = node_tables(grid, basis)
+    V, M, PHI = (np.stack(t, axis=-1) for t in
+                 zip(*(synthesize(tab, e) for e in np.eye(basis.size))))
+    return V, PHI, M
+
+
 def test_gram_matrix_orthonormal(grid16, grid32):
     for g, lmax in ((grid16, 8), (grid32, 12)):
-        V = node_tables(g, make_basis(lmax)).V
+        V = unit_fields(g, make_basis(lmax))[0]
         gram = V.T @ (g.weights[:, None] * V)
         assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-8
 
@@ -206,7 +217,7 @@ def test_basis_values_build_no_jet_stack():
 
 def test_odd_degree_parity_is_bitwise(grid16):
     g = grid16
-    V = node_tables(g, make_basis(7)).V
+    V = unit_fields(g, make_basis(7))[0]
     degrees = make_basis(7).degrees
     odd = degrees % 2 == 1
     even = ~odd
@@ -310,8 +321,7 @@ def test_jet_tables_match_finite_differences(grid32):
     idx = rng.choice(grid32.n_nodes, 100, replace=False)
     pts = grid32.nodes[idx].astype(np.longdouble)
     frames = grid32.frame[idx]
-    tab = node_tables(grid32, basis)
-    V, PHI, M = tab.V[idx], tab.PHI[idx], tab.M[idx]
+    V, PHI, M = (t[idx] for t in unit_fields(grid32, basis))
 
     step = np.longdouble("1e-5")
     e = np.eye(3, dtype=np.longdouble)
@@ -412,7 +422,7 @@ def test_matrix_entries_match_jets(grid16):
     basis = make_basis(4)
     rng = np.random.default_rng(31)
     coeffs = rng.standard_normal(basis.size)
-    ent = node_tables(grid16, basis).M @ coeffs
+    ent = synthesize(node_tables(grid16, basis), coeffs)[1]
     for i in rng.integers(0, grid16.n_nodes, 6):
         j = jet(basis, coeffs, grid16.nodes[i], grid16.frame[i])
         m = np.array([j.value + j.hess[0, 0], j.hess[0, 1],
@@ -456,15 +466,22 @@ def _whole_grid_tables(grid, basis):
 
 @pytest.mark.parametrize("n_theta, lmax", [(33, 8), (33, 12), (6, 5), (13, 8)])
 def test_node_tables_from_the_meridian_match_the_recurrence(n_theta, lmax):
-    # the rotated meridian rows against the recurrence run at every node;
-    # 13x26 has an odd ring count, with its middle ring on the equator
+    # fields synthesized from the meridian rows, and the probe's columns,
+    # against the recurrence run at every node; 13x26 has an odd ring count,
+    # with its middle ring on the equator
     grid = make_grid(n_theta, 2 * n_theta)
     basis = make_basis(lmax)
     tab = node_tables(grid, basis)
-    for got, want in zip((tab.V, tab.PHI, tab.M),
-                         _whole_grid_tables(grid, basis)):
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    V, PHI, M = _whole_grid_tables(grid, basis)
+    rng = np.random.default_rng(n_theta + lmax)
+    for c in rng.standard_normal((3, basis.size)):
+        for got, want in zip(synthesize(tab, c), (V @ c, M @ c, PHI @ c)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    idx = rng.choice(basis.size, 7, replace=False)
+    got, want = node_columns(tab, idx), M[:, :, idx]
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n_theta, lmax", [(16, 7), (13, 8)])
@@ -472,13 +489,32 @@ def test_node_table_antipodal_parity_is_bitwise(n_theta, lmax):
     # the antipode's frame is (e1, -e2), so m12 flips against m11 and m22
     grid = make_grid(n_theta, 2 * n_theta)
     basis = make_basis(lmax)
-    tab = node_tables(grid, basis)
+    V, PHI, M = unit_fields(grid, basis)
     anti = grid.antipode_index
     sign = np.where(basis.degrees % 2 == 0, 1.0, -1.0)
-    assert np.array_equal(tab.V[anti], sign * tab.V)
-    assert np.array_equal(tab.M[anti][:, (0, 2)], sign * tab.M[:, (0, 2)])
-    assert np.array_equal(tab.M[anti][:, 1], -sign * tab.M[:, 1])
-    assert np.array_equal(tab.PHI[anti], -sign * tab.PHI)
+    assert np.array_equal(V[anti], sign * V)
+    for table in (M, node_columns(node_tables(grid, basis), np.arange(basis.size))):
+        assert np.array_equal(table[anti][:, (0, 2)], sign * table[:, (0, 2)])
+        assert np.array_equal(table[anti][:, 1], -sign * table[:, 1])
+    assert np.array_equal(PHI[anti], -sign * PHI)
+
+
+@pytest.mark.parametrize("shape", [(7, 14), (9, 18), (11, 22), (13, 26),
+                                   (25, 50), (33, 66), (32, 64)],
+                         ids="{0[0]}x{0[1]}".format)
+def test_field_antipodal_parity_is_bitwise(shape):
+    # a product of each whole (N, B) table with c summed the rows of a node
+    # and its antipode in different orders: on the odd-ring grids the odd
+    # body's values, entries or phi lost their parity at a few nodes
+    grid = make_grid(*shape)
+    anti = grid.antipode_index
+    even = central_symmetral(random_convex(3, min(shape[0] - 1, 8), grid))
+    for h, sign in ((random_odd(0, degrees=(3, 5, 7)), -1.0), (even, 1.0)):
+        f = inverse_gauss(h, grid)
+        assert np.array_equal(f.values[anti], sign * f.values)
+        assert np.array_equal(f.entries[anti][:, (0, 2)], sign * f.entries[:, (0, 2)])
+        assert np.array_equal(f.entries[anti][:, 1], -sign * f.entries[:, 1])
+        assert np.array_equal(f.phi[anti], -sign * f.phi)
 
 
 def test_node_tables_run_the_recurrence_on_one_meridian(monkeypatch):
@@ -495,13 +531,13 @@ def test_node_tables_run_the_recurrence_on_one_meridian(monkeypatch):
     assert calls == [grid.n_theta + 2]
 
 
-def test_node_tables_peak_is_the_tables():
-    # a whole-grid build held the (10, 81, 8192) jet stack, 50.6 MiB, beside
-    # the 35.4 MiB of tables it fills
+def test_a_cold_record_and_one_field_peak_under_4_mib():
+    # the (N, B) value, phi and support-matrix tables took 35.4 MiB here
     grid = make_grid(64, 128)
+    c = np.random.default_rng(5).standard_normal(make_basis(8).size)
     tracemalloc.start()
     tab = node_tables.__wrapped__(grid, make_basis(8))  # cold: not cached
+    synthesize(tab, c)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    tables = tab.V.nbytes + tab.PHI.nbytes + tab.M.nbytes
-    assert peak < 1.25 * tables
+    assert peak < 4 * 2 ** 20
