@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .sphere import (
-    make_basis, make_grid, integrate, node_tables, basis_values, entries_det,
-    entries_eigmin, require_resolvable, synthesize, _freeze,
+    make_basis, make_grid, integrate, node_tables, basis_values,
+    entries_eigmin, sigma_entries, require_resolvable, synthesize, _freeze,
 )
 
 TOL_PSD = 1e-9
@@ -136,7 +136,7 @@ def _field(grid, lmax, coeff_bytes):
         values=_freeze(values),
         entries=_freeze(ent),
         eigmin=_freeze(eigmin),
-        detfield=_freeze(entries_det(ent)),
+        detfield=_freeze(sigma_entries(ent, ent)),
         phi=_freeze(phi),
         pole_points=_freeze(tab.POLES @ c),
         min_eigenvalue=float(eigmin.min()),

@@ -9,8 +9,9 @@ dot product, which for bandlimited integrands reproduces the transform to
 roundoff; naive quadrature of the kinked kernel would stall at O(n^-2)
 accuracy, and only the tests keep it, as a cross-check. Only the even
 degrees carry weight, so the series is a polynomial in y = 2 t^2 - 1; it is
-converted once per degree into Chebyshev coefficients in y and evaluated by
-Clenshaw's recurrence, in half the steps of the Legendre recurrence.
+sampled once per degree with numpy's legval, converted into Chebyshev
+coefficients in y and evaluated by numpy's chebval, whose Clenshaw
+recurrence takes half the steps of one in t.
 Off the grid the kernel is even in u and the grid antipodal bitwise, so the
 rows are built on the N/2 nodes of one half sphere (SphericalGrid.half)
 against w f folded as its value at u plus its value at -u. The series runs
@@ -37,6 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.legendre import legval
 
 from .body import TOL_PSD, inverse_gauss, require_convex
 from .boundary import export_mesh
@@ -73,20 +76,15 @@ def _kernel_chebyshev(lmax):
     Chebyshev series sum_k c_k T_k(y) in y = 2 t^2 - 1.
 
     Only even l carry weight, so the series is a polynomial of degree K in
-    y (T_2k(t) = T_k(2 t^2 - 1)). It is sampled by the Legendre recurrence
-    at the K + 1 Chebyshev nodes y_j = cos(theta_j), where t_j =
-    cos(theta_j / 2), and interpolated there exactly by a cosine sum.
+    y (T_2k(t) = T_k(2 t^2 - 1)). legval samples it at the K + 1 Chebyshev
+    nodes y_j = cos(theta_j), where t_j = cos(theta_j / 2), and a cosine sum
+    interpolates it there exactly.
     """
     lam = cosine_multipliers(lmax)
     n = lmax // 2 + 1
     theta = math.pi * (np.arange(n) + 0.5) / n
-    t = np.cos(0.5 * theta)
-    samples = np.full(n, lam[0] / (4.0 * math.pi))
-    Pm1, Pl = np.ones(n), t
-    for l in range(1, lmax + 1):
-        if lam[l] != 0.0:
-            samples += lam[l] * ((2 * l + 1) / (4.0 * math.pi)) * Pl
-        Pm1, Pl = Pl, ((2 * l + 1) * t * Pl - l * Pm1) / (l + 1)
+    samples = legval(np.cos(0.5 * theta),
+                     lam * ((2 * np.arange(lmax + 1) + 1) / (4.0 * math.pi)))
     coeffs = (2.0 / n) * (np.cos(np.multiply.outer(np.arange(n), theta)) @ samples)
     coeffs[0] *= 0.5
     return _freeze(coeffs)
@@ -94,26 +92,11 @@ def _kernel_chebyshev(lmax):
 
 def _kernel_from_dots(dots, lmax):
     """The cosine kernel |t| at t = dots as its Legendre series to degree
-    lmax, scaled so that its quadrature against f gives (Cf).
-
-    The even series is evaluated as _kernel_chebyshev's series in
-    y = 2 t^2 - 1 by Clenshaw's recurrence b_k = c_k + 2y b_{k+1} - b_{k+2},
-    value c_0 + y b_1 - b_2 (Clenshaw 1955): lmax // 2 steps of one product
-    and two sums, each done in place.
+    lmax, scaled so that its quadrature against f gives (Cf): chebval
+    evaluates _kernel_chebyshev's series in y = 2 t^2 - 1 by Clenshaw's
+    recurrence (Clenshaw 1955), lmax // 2 steps.
     """
-    coeffs = _kernel_chebyshev(lmax)
-    y = 2.0 * dots * dots - 1.0
-    two_y = y + y
-    b1, b2, tmp = np.zeros_like(y), np.zeros_like(y), np.empty_like(y)
-    for c in coeffs[:0:-1]:
-        np.multiply(two_y, b1, out=tmp)
-        tmp -= b2
-        tmp += c
-        b1, b2, tmp = tmp, b1, b2
-    np.multiply(y, b1, out=tmp)
-    tmp -= b2
-    tmp += coeffs[0]
-    return tmp
+    return chebval(2.0 * dots * dots - 1.0, _kernel_chebyshev(lmax))
 
 
 def _offgrid_transform(f, grid, directions, lmax):

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .sphere import (
-    make_basis, node_tables, node_columns, entries_det, synthesize, _freeze,
+    make_basis, node_tables, node_columns, sigma_entries, synthesize, _freeze,
 )
 from .body import (
     TOL_PSD, SupportFunction, NotConvexError, inverse_gauss, require_convex,
@@ -43,17 +43,6 @@ _MIN_EIG_FLOOR = 0.01
 _NORM_TOL = 1e-3
 _VAR_TOL = 1e-10
 _MAX_BACKTRACK = 60
-
-
-# ---------------------------------------------------------------------------
-# determinant algebra
-
-def _sigma_entries(a, b):
-    """Polarization of det on symmetric 2x2 matrices given as entry rows
-    (m11, m12, m22): sigma(A, B) = (tr A tr B - tr(AB)) / 2, so
-    sigma(A, A) = det A."""
-    return 0.5 * (a[..., 0] * b[..., 2] + a[..., 2] * b[..., 0]) \
-        - a[..., 1] * b[..., 1]
 
 
 @dataclass(eq=False)
@@ -82,9 +71,9 @@ def parity_decomposition_check(h, grid, tol_psd=TOL_PSD):
     c_even = np.where(h.basis.degrees % 2 == 0, h.coeffs, 0.0)
     tab = node_tables(grid, h.basis)
     e0, ep = synthesize(tab, c_even)[1], synthesize(tab, h.coeffs - c_even)[1]
-    D0 = entries_det(e0)
-    Dp = entries_det(ep)
-    S = _sigma_entries(ep, e0)
+    D0 = sigma_entries(e0, e0)
+    Dp = sigma_entries(ep, ep)
+    S = sigma_entries(ep, e0)
     anti = grid.antipode_index
     return ParityReport(
         max_odd_violation_sigma=float(np.abs(S + S[anti]).max()),
@@ -224,7 +213,7 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     S = np.empty((n, nv * (nv + 1) // 2))
     col = 0
     for j in range(nv):
-        quad = _sigma_entries(rows[:, j:j + 1], rows[:, j:])  # (N, nv - j)
+        quad = sigma_entries(rows[:, j:j + 1], rows[:, j:])  # (N, nv - j)
         quad[:, 1:] *= 2.0  # c_j c_k and c_k c_j, k > j
         RQc = 0.5 * cosine_transform(quad, grid, grid.nodes) / b0[:, None]
         RQc -= wn @ RQc

@@ -397,9 +397,12 @@ def node_columns(tab, idx):
                     axis=2).reshape(-1, 3, len(idx))
 
 
-def entries_det(e):
-    """Determinant of symmetric 2x2 matrices given as (m11, m12, m22) rows."""
-    return e[..., 0] * e[..., 2] - e[..., 1] * e[..., 1]
+def sigma_entries(a, b):
+    """Polarization of det on symmetric 2x2 matrices given as entry rows
+    (m11, m12, m22): sigma(A, B) = (tr A tr B - tr(AB)) / 2, so
+    sigma(A, A) = det A, bitwise while x + x stays finite (0.5 (x + x) = x)."""
+    return 0.5 * (a[..., 0] * b[..., 2] + a[..., 2] * b[..., 0]) \
+        - a[..., 1] * b[..., 1]
 
 
 def entries_eigmin(e):

@@ -17,9 +17,10 @@ from widthbright import (
 from widthbright import lab
 from widthbright.body import _padded
 from widthbright.brightness import _cosine_operator, cosine_transform
-from widthbright.lab import _gauge_tables, _sigma_entries
+from widthbright.lab import _gauge_tables
 from widthbright.sphere import (
-    entries_eigmin, make_basis, make_grid, node_columns, node_tables, synthesize,
+    entries_eigmin, make_basis, make_grid, node_columns, node_tables,
+    sigma_entries, synthesize,
 )
 
 
@@ -33,7 +34,7 @@ def rows(*matrices):
 def test_sigma_form_examples():
     I = np.eye(2)
     A = np.diag([2.0, 3.0])
-    got = _sigma_entries(rows(I, A, I), rows(I, A, A))
+    got = sigma_entries(rows(I, A, I), rows(I, A, A))
     np.testing.assert_allclose(got, [1.0, 6.0, 2.5], rtol=0, atol=1e-15)
 
 
@@ -43,7 +44,7 @@ def test_sigma_form_is_the_det_polarization():
     B = rng.standard_normal((1000, 3))
     det = lambda e: e[:, 0] * e[:, 2] - e[:, 1] ** 2
     want = 0.5 * (det(A + B) - det(A) - det(B))
-    assert np.abs(_sigma_entries(A, B) - want).max() < 1e-12
+    assert np.abs(sigma_entries(A, B) - want).max() < 1e-12
 
 
 def test_sigma_entries_match_matrix_form():
@@ -51,7 +52,7 @@ def test_sigma_entries_match_matrix_form():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((50, 3))
     b = rng.standard_normal((50, 3))
-    got = _sigma_entries(a, b)
+    got = sigma_entries(a, b)
     for k in range(50):
         A = np.array([[a[k, 0], a[k, 1]], [a[k, 1], a[k, 2]]])
         B = np.array([[b[k, 0], b[k, 1]], [b[k, 1], b[k, 2]]])
@@ -224,7 +225,7 @@ def relative_brightness_table(gauge, grid, degrees=(3, 5)):
     M0 = synthesize(tab, _padded(gauge.coeffs, gauge.lmax, model.basis.lmax))[1].T
     MJ = node_columns(tab, model.idx).transpose(1, 0, 2)
     rows = MJ.transpose(1, 2, 0)
-    quad = _sigma_entries(rows[:, :, None, :], rows[:, None, :, :])
+    quad = sigma_entries(rows[:, :, None, :], rows[:, None, :, :])
     b0 = brightness_profile(gauge, grid).areas
     RQ = 0.5 * cosine_transform(quad.reshape(grid.n_nodes, -1), grid,
                                 grid.nodes) / b0[:, None]
@@ -311,7 +312,7 @@ def test_linear_brightness_term_of_an_even_gauge_is_roundoff(grid32):
     # odd and the cosine transform kills it, leaving roundoff against RQ
     for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
         RQ, M0, MJ = relative_brightness_table(gauge, grid32)
-        lin = 2.0 * _sigma_entries(M0.T[:, None, :], MJ.transpose(1, 2, 0))
+        lin = 2.0 * sigma_entries(M0.T[:, None, :], MJ.transpose(1, 2, 0))
         b0 = brightness_profile(gauge, grid32).areas
         RL = 0.5 * cosine_transform(lin, grid32, grid32.nodes) / b0[:, None]
         assert np.abs(RL).max() <= 1e-13 * np.abs(RQ).max()
@@ -394,6 +395,28 @@ def test_probe_model_is_read_only(grid32):
             table.flat[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.G = np.zeros_like(model.G)
+
+
+def test_optimizer_stalls_safely_on_an_under_resolved_grid():
+    # 6 rings cannot resolve degree 5: the descent meets curvature pairs
+    # with s.y <= 0 (the doubled Barzilai-Borwein step) and ends when
+    # _MAX_BACKTRACK halvings fail. The state count moves with roundoff
+    # (BLAS build and thread count), so only the invariants are checked.
+    grid = make_grid(6, 12)
+    gauge = ball(1.0)
+    for seed in range(4):
+        start = random_odd(seed, degrees=(3, 5), scale=1.0)
+        # half the convexity bound, as verify-theorem's default start
+        eps = 0.5 * constant_width_body(gauge, start, math.inf, grid).params["eps"]
+        init = SupportFunction(start.coeffs * eps, start.lmax)
+        trace = minimize_brightness_variance(gauge, init, grid, degrees=(3, 5),
+                                             max_iter=500)
+        states = np.array(trace.iterations)
+        assert trace.terminal_status == "stalled", seed
+        assert len(states) < 500 + 1, seed  # a failed backtrack, not max_iter
+        assert np.all(np.diff(states[:, 1]) <= 0.0), seed
+        assert np.all(states[:, 2] >= 0.01), seed
+        assert states[-1, 0] > 1e-3, seed
 
 
 @pytest.mark.parametrize("value", [np.nan, 1e160])

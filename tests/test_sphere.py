@@ -18,7 +18,7 @@ from widthbright import make_grid, make_basis, basis_index, integrate
 from widthbright import sphere
 from widthbright.sphere import (
     basis_values, node_tables, node_columns, synthesize,
-    entries_det, entries_eigmin, _solid_jets,
+    entries_eigmin, sigma_entries, _solid_jets,
     _PAIRS,
 )
 from widthbright.generators import random_convex, random_odd
@@ -439,7 +439,8 @@ def test_entry_row_eigen_helpers_match_eigvalsh():
     mats[:, 1, 1] = rows[:, 2]
     eigs = np.linalg.eigvalsh(mats)
     np.testing.assert_allclose(entries_eigmin(rows), eigs[:, 0], atol=1e-12)
-    np.testing.assert_allclose(entries_det(rows), np.linalg.det(mats), atol=1e-12)
+    np.testing.assert_allclose(sigma_entries(rows, rows), np.linalg.det(mats),
+                               atol=1e-12)
 
 
 def test_node_tables_cached_per_grid_and_basis(grid16):
