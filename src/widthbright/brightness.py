@@ -19,10 +19,11 @@ to n_theta - 1 for any f, and to min(n_theta - 1, 2 lmax) in the brightness
 profile: det(h I + hess h) of a degree-lmax body has no degree above 2 lmax.
 Between the grid's own nodes the kernel depends only on the two rings and
 the azimuth difference, so the on-grid transform is an azimuthal
-convolution (Driscoll & Healy 1994): an rfft along azimuth, one
-n_theta x n_theta product per Fourier mode and an irfft, through a per-grid
-ring table of n_theta^2 (n_phi/2 + 1) numbers rather than a dense N x N
-operator.
+convolution (Driscoll & Healy 1994): an rfft along azimuth, one product
+per Fourier mode and an irfft. The plane a-perp is the same for a and -a, so
+the per-grid ring table holds only the output rings of one half sphere,
+ceil(n_theta/2) n_theta (n_phi/2 + 1) numbers in place of a dense N x N
+operator, and the on-grid transform is even bitwise by construction.
 
 The mesh-shadow oracle is the independent second route to the same areas
 and shares no code with the transform path. On the closed, outward-oriented
@@ -45,7 +46,6 @@ from .body import TOL_PSD, inverse_gauss, require_convex
 from .boundary import export_mesh
 from .sphere import make_grid, _freeze
 
-_SYMMETRY_TOL = 1e-9
 _UNIT_TOL = 1e-12
 
 
@@ -117,23 +117,24 @@ def _offgrid_transform(f, grid, directions, lmax):
 
 @lru_cache(maxsize=None)
 def _cosine_operator(grid):
-    """Ring table Khat[q, i, k] of the transform for directions = grid nodes.
+    """Ring table Khat[q, i, k] of the on-grid transform, i < ceil(n_theta/2).
 
     Between a node on ring i and one on ring k the kernel depends only on
     their azimuth difference m, so the on-grid operator is block-circulant
-    and an rfft over m diagonalises it: Khat[q] is the n_theta x n_theta
-    block of azimuthal mode q, ring weights included. The cosine table is
-    even in m by construction, so each Khat is real (its imaginary part is
-    roundoff of zero and is dropped).
+    and an rfft over m diagonalises it: Khat[q] is the block of azimuthal
+    mode q, ring weights included. The cosine table is even in m by
+    construction, so each Khat is real (its imaginary part is roundoff of
+    zero and is dropped).
     """
-    n_phi = grid.n_phi
+    n_theta, n_phi = grid.n_theta, grid.n_phi
+    rows = (n_theta + 1) // 2
     st = grid.nodes[::n_phi, 0]   # azimuth 0: (sin theta, 0, cos theta) per ring
     ct = grid.nodes[::n_phi, 2]
     m = np.arange(n_phi)
     cos_m = np.cos(2.0 * math.pi * np.minimum(m, n_phi - m) / n_phi)
-    dots = np.clip(np.multiply.outer(ct, ct)[:, :, None]
-                   + np.multiply.outer(st, st)[:, :, None] * cos_m, -1.0, 1.0)
-    g = _kernel_from_dots(dots, grid.n_theta - 1) * grid.weights[::n_phi, None]
+    dots = np.clip(np.multiply.outer(ct[:rows], ct)[:, :, None]
+                   + np.multiply.outer(st[:rows], st)[:, :, None] * cos_m, -1.0, 1.0)
+    g = _kernel_from_dots(dots, n_theta - 1) * grid.weights[::n_phi, None]
     return _freeze(np.ascontiguousarray(
         np.fft.rfft(g, axis=2).real.transpose(2, 0, 1)))
 
@@ -144,10 +145,11 @@ def cosine_transform(f, grid, directions):
     f holds node values, shape (N,), or one field per column, (N, k). Exact
     (to roundoff) for any f the grid integrates exactly, and exactly zero
     for odd f. Directions that are the grid's own node array use the cached
-    per-grid ring table: an rfft of f along azimuth, one real n_theta x
-    n_theta product per mode on the real and imaginary parts, and an irfft.
-    Any other directions build their kernel rows, to degree n_theta - 1, on
-    the N/2 nodes of one half sphere.
+    per-grid ring table: an rfft of f along azimuth, one real product per
+    mode on the real and imaginary parts, and an irfft, on the rings of one
+    half sphere; each antipodal pair takes its lower-indexed node's value,
+    since |<a,u>| = |<-a,u>|. Any other directions build their kernel rows,
+    to degree n_theta - 1, on the N/2 nodes of one half sphere.
     """
     f = np.asarray(f, float)
     if f.ndim not in (1, 2) or f.shape[0] != grid.n_nodes:
@@ -158,7 +160,9 @@ def cosine_transform(f, grid, directions):
         modes = np.ascontiguousarray(rings.transpose(1, 0, 2))  # (mode, ring, column)
         # a real matrix acts on the interleaved real and imaginary parts alike
         out = (_cosine_operator(grid) @ modes.view(float)).view(complex)
-        return np.fft.irfft(out.transpose(1, 0, 2), n=n_phi, axis=1).reshape(f.shape)
+        near = np.fft.irfft(out.transpose(1, 0, 2), n=n_phi, axis=1)
+        lower = np.minimum(np.arange(grid.n_nodes), grid.antipode_index)
+        return near.reshape(-1, *f.shape[1:])[lower]
     return _offgrid_transform(f, grid, _unit_directions(directions),
                               grid.n_theta - 1)
 
@@ -184,9 +188,9 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
     oracle). The oracle meshes a grid refined 2x in each direction; at the
     analysis resolution the silhouette sampling deficit of a tall body
     already eats most of a 1% budget. Directions default to the grid
-    nodes, where the profile's antipodal symmetry is asserted; given
-    directions must be finite unit vectors. A NaN area, like a non-positive one, raises
-    ArithmeticError.
+    nodes, where the formula's profile is even bitwise by construction
+    (cosine_transform); given directions must be finite unit vectors. A NaN
+    area, like a non-positive one, raises ArithmeticError.
     """
     on_grid = directions is None
     directions = grid.nodes if on_grid else _unit_directions(directions)
@@ -205,15 +209,6 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
         raise ValueError("unknown brightness method: %r" % method)
     if not np.all(areas > 0.0):  # NaN fails this too
         raise ArithmeticError("non-positive shadow area for a convex body")
-    if on_grid:
-        anti = grid.antipode_index
-        sym = np.abs(areas - areas[anti]).max()
-        if sym > _SYMMETRY_TOL:
-            raise ArithmeticError(
-                "shadow symmetry area(a) = area(-a) violated by %.3e" % sym)
-        # checked on the values as computed; the area is even in a, so each
-        # antipodal pair takes the value of its lower-indexed node
-        areas = np.where(np.arange(areas.size) <= anti, areas, areas[anti])
     return BrightnessProfile(areas=areas)
 
 

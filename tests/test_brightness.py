@@ -121,11 +121,14 @@ def _kernel_rows(grid, directions):
     return _kernel_from_dots(dots, grid.n_theta - 1)
 
 
-@pytest.mark.parametrize("shape", [(12, 24), (13, 26), (32, 64)],
+@pytest.mark.parametrize("shape",
+                         [(7, 14), (9, 8), (12, 24), (13, 26), (32, 64)],
                          ids=lambda s: "%dx%d" % s)
 def test_on_grid_transform_matches_kernel_rows(shape):
     # the ring-table route against the dense kernel rows on the same nodes;
-    # 13 rings put the equator ring on its own antipodal ring
+    # odd ring counts put the equator ring on its own antipodal ring, and 9x8
+    # has fewer azimuths than twice its rings. The table covers one half
+    # sphere and the other is mirrored, so the output is even bitwise
     grid = make_grid(*shape)
     rng = np.random.default_rng(shape[0])
     f = rng.standard_normal((grid.n_nodes, 50))
@@ -136,6 +139,7 @@ def test_on_grid_transform_matches_kernel_rows(shape):
         ref = rows @ (weights * block)
         assert got.shape == block.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(got, got[grid.antipode_index])
 
 
 @pytest.mark.parametrize("shape", [(12, 24), (13, 26), (32, 64)],
@@ -156,7 +160,8 @@ def test_on_grid_transform_scales_harmonics_by_multipliers(shape):
 
 def test_on_grid_operator_is_a_ring_table():
     # the dense N x N operator held 162 MiB at 48x96; the ring table holds
-    # n_theta^2 (n_phi/2 + 1) doubles, and building it allocates no N x N array
+    # the output rings of one half sphere, ceil(n_theta/2) n_theta
+    # (n_phi/2 + 1) doubles, and building it allocates no N x N array
     grid = make_grid(48, 96)
     _cosine_operator.cache_clear()
     tracemalloc.start()
@@ -167,7 +172,8 @@ def test_on_grid_operator_is_a_ring_table():
         tracemalloc.stop()
     table = _cosine_operator(grid)
     assert table.base is None
-    assert table.nbytes <= 8 * 48 ** 2 * (96 // 2 + 1) < 2 ** 20
+    assert table.shape == (96 // 2 + 1, (48 + 1) // 2, 48)
+    assert table.nbytes <= 8 * ((48 + 1) // 2) * 48 * (96 // 2 + 1) < 2 ** 19
     assert peak < 8 * grid.n_nodes ** 2 / 4
 
 
@@ -250,6 +256,17 @@ def test_brightness_antipodal_symmetry_is_exact_with_odd_ring_count():
     h = random_convex(9, 8, grid)
     areas = brightness_profile(h, grid).areas
     assert np.array_equal(areas, areas[grid.antipode_index])
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (48, 96)], ids=lambda s: "%dx%d" % s)
+def test_large_ball_brightness_is_disk_area(shape):
+    # the on-grid profile is even by construction, whatever the scale of its
+    # roundoff; an absolute symmetry tolerance once refused these balls
+    grid = make_grid(*shape)
+    for r in (1e3, 1e6, 2.8e9):
+        areas = brightness_profile(ball(r), grid).areas
+        mean = (grid.weights @ areas) / grid.weights.sum()
+        assert abs(mean / (math.pi * r * r) - 1.0) <= 1e-14, r
 
 
 def test_brightness_refuses_non_convex(grid32):

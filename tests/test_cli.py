@@ -19,7 +19,9 @@ from hypothesis import given, seed, settings, strategies as st
 import widthbright
 from widthbright.body import _field, body_from_spec, body_to_spec, inverse_gauss
 from widthbright.boundary import export_mesh
-from widthbright.cli import main, EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE
+from widthbright.cli import (
+    main, EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE, EXIT_NUMERICAL,
+)
 from widthbright.generators import random_convex
 from widthbright.sphere import make_basis, make_grid, node_tables
 
@@ -125,6 +127,28 @@ def test_analyze_brightness_csv(tmp_path):
     assert np.array_equal(dirs, make_grid(16, 32).nodes)
     assert main(argv) == EXIT_OK
     assert path.read_bytes() == first
+
+
+def test_analyze_large_ball_on_a_fine_grid(tmp_path):
+    # an absolute antipodal-symmetry tolerance on the profile's roundoff
+    # once made this run exit 4
+    body = write_json(tmp_path / "ball.json", ball_spec(1e3))
+    assert main(["analyze", body, "--grid", "48,96"]) == EXIT_OK
+    report = json.loads((tmp_path / "ball.report.json").read_text())
+    assert abs(report["brightness"]["mean"] / (math.pi * 1e6) - 1.0) <= 1e-14
+
+
+def test_numerical_failure_exits_4_and_writes_nothing(tmp_path, capsys,
+                                                      monkeypatch):
+    body = write_json(tmp_path / "ball.json", ball_spec())
+    for error in (ArithmeticError, np.linalg.LinAlgError):
+        def fail(*args, **kwargs):
+            raise error("injected")
+        monkeypatch.setattr("widthbright.cli.brightness_profile", fail)
+        assert main(["analyze", body]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not (tmp_path / "ball.report.json").exists()
+        assert not (tmp_path / "ball_brightness.csv").exists()
 
 
 def test_analyze_constant_width_body(tmp_path):
