@@ -6,6 +6,10 @@ curvature determinant, at the grid nodes and the poles. The mesh built here
 from those points is the input of the independent shadow oracle, so it
 deliberately shares nothing with the cosine-transform path beyond phi
 itself.
+
+A mesh is built once per (field record, grid) pair and then shared: the
+record is read-only, and a body changed in place gets a new record from
+inverse_gauss, so a cached mesh cannot go stale.
 """
 
 from dataclasses import dataclass
@@ -19,15 +23,20 @@ import numpy as np
 from .body import TOL_PSD, inverse_gauss, require_convex  # noqa: F401
 from .sphere import _freeze
 
+# a triangle's area relative to the square of the mesh's extent, the
+# largest spread of its vertices along an axis: unchanged by translation and
+# by scale, and 1e-14 in absolute terms on a mesh of unit extent; "at most",
+# so that a mesh of extent zero (a point) is collapsed too
 _DEGENERATE_AREA = 1e-14
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BodyMesh:
     """A closed triangle mesh. cross holds each triangle's cross product
     (v1 - v0) x (v2 - v0), twice its vector area, formed from vertices and
     triangles on first use and then kept, so the arrays must not change
-    after that; export_mesh returns them read-only."""
+    after that; export_mesh returns them read-only, and one mesh per field
+    record and grid, shared by every caller."""
     vertices: np.ndarray   # (M, 3)
     triangles: np.ndarray  # (T, 3) int, outward oriented
 
@@ -74,21 +83,36 @@ def export_mesh(field, grid, tol_psd=TOL_PSD):
 
     Vertices are the per-node phi values followed by the north and south
     pole points. Refuses non-convex sources (the lattice would
-    self-intersect); reports degenerate (collapsed) triangles, those of
-    area under _DEGENERATE_AREA, as ArithmeticError. They are found from
-    the mesh's cross products, which stay cached on it for the shadow
-    oracle. The returned vertices and triangles are read-only, so that
-    cache cannot go stale.
+    self-intersect) on every call, with the caller's tol_psd, and a field
+    evaluated on another grid (ValueError). Reports degenerate (collapsed)
+    triangles, those of area at most _DEGENERATE_AREA times the square of
+    the mesh's extent, as ArithmeticError. They are found from the mesh's
+    cross products, which stay cached on it for the shadow oracle. The mesh
+    is built once per (field record, grid) pair and returned again on later
+    calls; its vertices and triangles are read-only, so neither it nor its
+    cross products can go stale.
     """
     require_convex(field, "mesh export", tol_psd)
+    if field.phi.shape[0] != grid.n_nodes:
+        raise ValueError("field has %d nodes, the %dx%d grid has %d"
+                         % (field.phi.shape[0], grid.n_theta, grid.n_phi,
+                            grid.n_nodes))
+    return _mesh(field, grid)
+
+
+# the size and the reason of body._field's cache: an oracle pass over up to
+# 8 bodies; a raised ArithmeticError is not cached, so it repeats per call
+@lru_cache(maxsize=8)
+def _mesh(field, grid):
+    """export_mesh's mesh of a field that matches the grid."""
     mesh = BodyMesh(vertices=_freeze(np.vstack([field.phi, field.pole_points])),
                     triangles=_lattice_triangles(grid.n_theta, grid.n_phi))
     cross = mesh.cross
     twice_area_sq = np.einsum("ij,ij->i", cross, cross)
+    extent = np.ptp(mesh.vertices, axis=0).max()
     n_degenerate = int(np.count_nonzero(
-        twice_area_sq < (2.0 * _DEGENERATE_AREA) ** 2))
+        twice_area_sq <= (2.0 * _DEGENERATE_AREA * extent * extent) ** 2))
     if n_degenerate:
         raise ArithmeticError("%d degenerate (collapsed) triangles in phi image"
                               % n_degenerate)
     return mesh
-

@@ -31,7 +31,9 @@ boundary mesh it sums Cauchy's projection formula, a quarter of
 sum_T |((v1 - v0) x (v2 - v0)) . a| over the triangles: elementary geometry
 on the mesh, with no harmonics, no determinant field and no transform. The
 cross products belong to the mesh (BodyMesh.cross), formed once and shared
-by export_mesh's degenerate-triangle check and the oracle.
+by export_mesh's degenerate-triangle check and the oracle, and export_mesh
+builds one mesh per field record, so repeated oracle calls on one body
+reuse it.
 """
 
 import math
@@ -187,7 +189,9 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
     mesh_shadow: Cauchy's projection formula on the boundary mesh (the
     oracle). The oracle meshes a grid refined 2x in each direction; at the
     analysis resolution the silhouette sampling deficit of a tall body
-    already eats most of a 1% budget. Directions default to the grid
+    already eats most of a 1% budget. The fine field and its mesh are each
+    built once per body and reused by later calls (inverse_gauss,
+    export_mesh). Directions default to the grid
     nodes, where the formula's profile is even bitwise by construction
     (cosine_transform); given directions must be finite unit vectors. A NaN
     area, like a non-positive one, raises ArithmeticError.

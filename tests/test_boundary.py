@@ -1,6 +1,7 @@
 """Inverse Gauss map phi = h u + grad h, its parity identity for odd inputs,
 and the triangulated boundary mesh fed to the shadow oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from widthbright import (
     SupportFunction, NotConvexError, ball, ellipsoid, basis_index,
     random_convex, inverse_gauss, export_mesh,
 )
+from widthbright.body import TOL_PSD
 from widthbright.sphere import make_grid
 
 
@@ -180,7 +182,12 @@ def test_mesh_topology_matches_loop_reference():
 
 
 def test_export_mesh_returns_frozen_arrays_and_their_cross_products(grid16):
-    mesh = export_mesh(inverse_gauss(ellipsoid(1, 1, 2, lmax=3), grid16), grid16)
+    field = inverse_gauss(ellipsoid(1, 1, 2, lmax=3), grid16)
+    mesh = export_mesh(field, grid16)
+    # one shared record per field and grid, which no caller can change
+    assert export_mesh(field, grid16) is mesh
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh.vertices = np.zeros((3, 3))
     assert not mesh.vertices.flags.writeable
     assert not mesh.triangles.flags.writeable
     assert not mesh.cross.flags.writeable
@@ -194,7 +201,59 @@ def test_export_mesh_returns_frozen_arrays_and_their_cross_products(grid16):
 
 
 def test_export_mesh_reports_collapsed_triangles(grid16):
-    # the zero body maps every node to the origin
+    # the zero body maps every node to the origin; no mesh is kept for it,
+    # so a second call raises again
     field = inverse_gauss(SupportFunction(np.zeros(1), 0), grid16)
-    with pytest.raises(ArithmeticError, match="degenerate"):
-        export_mesh(field, grid16)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="degenerate"):
+            export_mesh(field, grid16)
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (10.0, -20.0, 30.0)])
+def test_export_mesh_measures_collapse_against_the_mesh_extent(grid16, offset):
+    # a ball of radius 2.8e-7 has triangles of area about 1e-15, which is
+    # large for its size; moving it away from the origin changes nothing
+    r = 2.8e-7
+    coeffs = np.zeros(4)
+    coeffs[0] = 2.0 * math.sqrt(math.pi) * r
+    k = math.sqrt(4.0 * math.pi / 3.0)
+    coeffs[basis_index(1, -1)] = k * offset[1]
+    coeffs[basis_index(1, 0)] = k * offset[2]
+    coeffs[basis_index(1, 1)] = k * offset[0]
+    mesh = export_mesh(inverse_gauss(SupportFunction(coeffs, 1), grid16), grid16)
+    assert mesh_is_closed(mesh)
+    norms = np.linalg.norm(mesh.vertices - offset, axis=1)
+    assert np.abs(norms / r - 1.0).max() < 1e-6
+
+
+def test_export_mesh_refuses_a_field_from_another_grid(grid16, grid32):
+    # a finer field read on a coarser lattice would mesh the wrong nodes,
+    # a coarser one would index past its end
+    for field_grid, grid in ((grid32, grid16), (grid16, grid32)):
+        field = inverse_gauss(ball(1.0), field_grid)
+        with pytest.raises(ValueError, match="grid"):
+            export_mesh(field, grid)
+
+
+def _barely_non_convex(grid):
+    """A body whose least eigenvalue on the grid lies just below -TOL_PSD."""
+    p = pure_harmonic(3, 0)
+    margin = inverse_gauss(p, grid).min_eigenvalue
+    coeffs = np.zeros(16)
+    coeffs[0] = 2.0 * math.sqrt(math.pi) * (-margin - 10.0 * TOL_PSD)
+    coeffs += p.coeffs
+    return SupportFunction(coeffs, 3)
+
+
+@pytest.mark.parametrize("loose_first", [True, False])
+def test_export_mesh_applies_the_callers_tolerance_on_every_call(grid16,
+                                                                 loose_first):
+    field = inverse_gauss(_barely_non_convex(grid16), grid16)
+    assert -100.0 * TOL_PSD < field.min_eigenvalue < -TOL_PSD
+    # the mesh is cached, the convexity verdict is not
+    for loose in (loose_first, not loose_first):
+        if loose:
+            assert export_mesh(field, grid16, 100.0 * TOL_PSD).vertices.size
+        else:
+            with pytest.raises(NotConvexError):
+                export_mesh(field, grid16)

@@ -436,6 +436,27 @@ def test_mesh_shadow_profile_equals_mesh_shadow_per_direction(grid16):
                                               for a in dirs]).tobytes()
 
 
+def test_mesh_shadow_profile_reuses_the_mesh_until_the_body_changes(grid16):
+    # the fine mesh is built once per field record; a body changed in place
+    # gets a new record and so a new mesh, and twice the body has four
+    # times the areas, to the bit
+    h = ellipsoid(1, 1, 2)
+    dirs = unit_vectors(1003, 6)
+    fine = make_grid(32, 64)
+    first = brightness_profile(h, grid16, directions=dirs,
+                               method="mesh_shadow").areas
+    mesh = export_mesh(inverse_gauss(h, fine), fine)
+    again = brightness_profile(h, grid16, directions=dirs,
+                               method="mesh_shadow").areas
+    assert np.array_equal(again, first)
+    assert export_mesh(inverse_gauss(h, fine), fine) is mesh
+    h.coeffs *= 2.0
+    scaled = brightness_profile(h, grid16, directions=dirs,
+                                method="mesh_shadow").areas
+    assert export_mesh(inverse_gauss(h, fine), fine) is not mesh
+    assert np.array_equal(scaled, 4.0 * first)
+
+
 def test_formula_matches_oracle_for_ellipsoid(grid32):
     # the shadow of (1,1,2) along e3 is the unit disk
     prof = brightness_profile(ellipsoid(1, 1, 2), grid32,

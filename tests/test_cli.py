@@ -338,6 +338,14 @@ def test_export_obj_roundtrip(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_export_tiny_ball(tmp_path):
+    # its triangles (about 1e-15 in area) are large for a body of its size
+    body = write_json(tmp_path / "tiny.json", ball_spec(2.8e-7))
+    assert main(["export", body, "--grid", "16,32"]) == EXIT_OK
+    lines = (tmp_path / "tiny.obj").read_text().splitlines()
+    assert sum(l.startswith("v ") for l in lines) == 16 * 32 + 2
+
+
 def test_export_refuses_non_convex(tmp_path):
     body = write_json(tmp_path / "spiky.json", nonconvex_spec())
     assert main(["export", body]) == EXIT_INFEASIBLE
