@@ -191,10 +191,10 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
     analysis resolution the silhouette sampling deficit of a tall body
     already eats most of a 1% budget. The fine field and its mesh are each
     built once per body and reused by later calls (inverse_gauss,
-    export_mesh). Directions default to the grid
-    nodes, where the formula's profile is even bitwise by construction
-    (cosine_transform); given directions must be finite unit vectors. A NaN
-    area, like a non-positive one, raises ArithmeticError.
+    export_mesh). Directions default to the grid nodes, where the formula's
+    profile is even bitwise by construction (cosine_transform); given
+    directions must be finite unit vectors. A NaN area, like a non-positive
+    one, raises ArithmeticError.
     """
     on_grid = directions is None
     directions = grid.nodes if on_grid else _unit_directions(directions)
