@@ -285,11 +285,12 @@ def body_from_spec(spec, n_theta=None):
     if h.closed_form is not None:
         # the values alone, with no node tables or field record cached for a
         # grid the caller never asked for; they equal the synthesized values
-        # to roundoff
+        # to roundoff, and the 1e-8 scales with the largest value above 1
         nodes = make_grid(16, 32).nodes
-        dev = np.abs(basis_values(h.basis, nodes) @ h.coeffs
-                     - closed_form_values(h.closed_form, nodes)).max()
-        if not dev <= 2.0 * h.truncation_tol + 1e-8:  # a NaN tag fails too
+        exact = closed_form_values(h.closed_form, nodes)
+        dev = np.abs(basis_values(h.basis, nodes) @ h.coeffs - exact).max()
+        tol = 2.0 * h.truncation_tol + 1e-8 * max(1.0, np.abs(exact).max())
+        if not dev <= tol < math.inf:  # a NaN or infinite tag fails too
             raise ValueError(
                 "closed_form %r disagrees with coefficients "
                 "(max deviation %.3g)" % (h.closed_form, dev))

@@ -33,10 +33,11 @@ _DEGENERATE_AREA = 1e-14
 @dataclass(frozen=True, eq=False)
 class BodyMesh:
     """A closed triangle mesh. cross holds each triangle's cross product
-    (v1 - v0) x (v2 - v0), twice its vector area, formed from vertices and
-    triangles on first use and then kept, so the arrays must not change
-    after that; export_mesh returns them read-only, and one mesh per field
-    record and grid, shared by every caller."""
+    (v1 - v0) x (v2 - v0), twice its vector area, as the (T, 3) view of one
+    C-contiguous (3, T) table, whose rows the shadow oracle's fixed-shape
+    products read. It is formed on first use and then kept, so the arrays
+    must not change after that; export_mesh returns them read-only, and one
+    mesh per field record and grid, shared by every caller."""
     vertices: np.ndarray   # (M, 3)
     triangles: np.ndarray  # (T, 3) int, outward oriented
 
@@ -47,13 +48,14 @@ class BodyMesh:
                       for k in range(3))
         v1 -= v0
         v2 -= v0
-        # np.cross's own products and differences, into v0's rows, without
-        # its broadcasting set-up; the bytes are the same
+        # np.cross's own products and differences, into the table's rows,
+        # without its broadcasting set-up; the bytes are the same
         a, b = v1.T, v2.T
+        table = np.empty((3, len(v0)))
         for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-            np.multiply(a[i], b[j], out=v0[:, k])
-            v0[:, k] -= a[j] * b[i]
-        return _freeze(v0)
+            np.multiply(a[i], b[j], out=table[k])
+            table[k] -= a[j] * b[i]
+        return _freeze(table).T
 
 
 @lru_cache(maxsize=None)

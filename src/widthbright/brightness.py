@@ -26,14 +26,13 @@ ceil(n_theta/2) n_theta (n_phi/2 + 1) numbers in place of a dense N x N
 operator, and the on-grid transform is even bitwise by construction.
 
 The mesh-shadow oracle is the independent second route to the same areas
-and shares no code with the transform path. On the closed, outward-oriented
-boundary mesh it sums Cauchy's projection formula, a quarter of
-sum_T |((v1 - v0) x (v2 - v0)) . a| over the triangles: elementary geometry
-on the mesh, with no harmonics, no determinant field and no transform. The
-cross products belong to the mesh (BodyMesh.cross), formed once and shared
-by export_mesh's degenerate-triangle check and the oracle, and export_mesh
-builds one mesh per field record, so repeated oracle calls on one body
-reuse it.
+and shares no code with the transform path: on the closed,
+outward-oriented boundary mesh it sums Cauchy's projection formula, a
+quarter of sum_T |((v1 - v0) x (v2 - v0)) . a| over the triangles, with no
+harmonics, no determinant field and no transform. The mesh, built once per
+field record (export_mesh), keeps its cross products as a (3, T) table.
+Each product is 4 directions, the last group padded with zero rows, against
+at most 16,384 triangles: one fixed shape, in cache, and batch-free bits.
 """
 
 import math
@@ -49,6 +48,7 @@ from .boundary import export_mesh
 from .sphere import make_grid, _freeze
 
 _UNIT_TOL = 1e-12
+_BLOCK = 16384  # triangles per block of mesh_shadow's (4, 3) @ (3, block)
 
 
 @dataclass(eq=False)
@@ -230,14 +230,21 @@ def mesh_shadow(mesh, directions):
     2006). Where the grid triangulation folds at a reflex edge the sum
     counts the fold twice, and the area departs from the hull of the
     projected vertices, by under 1e-4 relative on criterion 3's bodies.
-    The cross products are the mesh's own, BodyMesh.cross, formed once per
-    mesh. Each direction takes one (T,) product, so memory stays O(T) and
-    an area does not depend on the batch it came in. A zero area raises
-    ValueError.
+    Every product has one shape, 4 directions (the last group padded with
+    zero rows) against at most _BLOCK triangles of the mesh's (3, T)
+    cross-product table, which stays in cache; BLAS gives a lone row (gemv)
+    other bits than a row of a product (gemm), so an area's bits do not
+    depend on its batch. A zero area raises ValueError.
     """
     directions = _unit_directions(directions)
-    cross = mesh.cross
-    areas = np.array([0.25 * np.abs(cross @ a).sum() for a in directions])
+    groups = np.vstack([directions, np.zeros((-len(directions) % 4, 3))])
+    sums = np.zeros((len(groups) // 4, 4))
+    for start in range(0, len(mesh.cross), _BLOCK):
+        block = mesh.cross[start:start + _BLOCK].T  # rows of the table
+        out = np.empty((4, block.shape[1]))
+        for group, total in zip(groups.reshape(-1, 4, 3), sums):
+            total += np.abs(np.matmul(group, block, out=out), out=out).sum(1)
+    areas = 0.25 * sums.ravel()[:len(directions)]
     if np.any(areas <= 0.0):
         raise ValueError("degenerate shadow: zero projected area")
     return areas

@@ -436,6 +436,56 @@ def test_mesh_shadow_profile_equals_mesh_shadow_per_direction(grid16):
                                               for a in dirs]).tobytes()
 
 
+def _blocked_mesh():
+    # the oracle's mesh of a 48x96 analysis grid: 96x192, 36,864 triangles,
+    # two whole blocks of 16,384 and a partial one
+    grid, fine = make_grid(48, 96), make_grid(96, 192)
+    mesh = export_mesh(inverse_gauss(random_convex(5, 8, grid), fine), fine)
+    assert len(mesh.triangles) == 36864
+    return mesh
+
+
+def test_mesh_shadow_area_does_not_depend_on_its_group_slot():
+    # every product is (4, 3) @ (3, block), so a direction in any of the
+    # four slots, in a batch of 1 to 12, gives its single call's bits
+    mesh = _blocked_mesh()
+    dirs = unit_vectors(1004, 9)
+    filler = unit_vectors(1005, 3)
+    single = np.concatenate([mesh_shadow(mesh, a) for a in dirs])
+    for n in range(1, 10):
+        for offset in range(4):
+            batch = mesh_shadow(mesh, np.vstack([filler[:offset], dirs[:n]]))
+            assert batch.shape == (offset + n,)
+            assert batch[offset:].tobytes() == single[:n].tobytes()
+
+
+def test_mesh_shadow_blocks_agree_with_one_product_per_direction():
+    # the per-direction loop the blocked groups replaced, kept as reference
+    mesh = _blocked_mesh()
+    dirs = unit_vectors(1006, 10)
+    ref = np.array([0.25 * np.abs(mesh.cross @ a).sum() for a in dirs])
+    assert np.abs(mesh_shadow(mesh, dirs) / ref - 1.0).max() <= 1e-15
+
+
+def test_mesh_shadow_of_no_directions_is_empty(grid16):
+    mesh = export_mesh(inverse_gauss(ball(1.0), grid16), grid16)
+    areas = mesh_shadow(mesh, np.empty((0, 3)))
+    assert areas.shape == (0,) and areas.dtype == float
+
+
+def test_mesh_shadow_padding_is_not_a_zero_area(grid16):
+    # the zero rows that fill the last group have zero area and are dropped
+    # before the check; a real direction of zero area still raises
+    mesh = export_mesh(inverse_gauss(ball(1.0), grid16), grid16)
+    for n in (1, 2, 3, 5):
+        areas = mesh_shadow(mesh, unit_vectors(1007, n))
+        assert areas.shape == (n,) and np.all(areas > 0.0)
+    flat = BodyMesh(vertices=np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]]),
+                    triangles=np.array([[0, 1, 2], [0, 2, 1]]))
+    with pytest.raises(ValueError):
+        mesh_shadow(flat, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+
+
 def test_mesh_shadow_profile_reuses_the_mesh_until_the_body_changes(grid16):
     # the fine mesh is built once per field record; a body changed in place
     # gets a new record and so a new mesh, and twice the body has four

@@ -346,6 +346,22 @@ def test_export_tiny_ball(tmp_path):
     assert sum(l.startswith("v ") for l in lines) == 16 * 32 + 2
 
 
+def test_gen_then_analyze_a_large_ball(tmp_path):
+    # the closed-form check's 1e-8 scales with the body's values: the
+    # coefficient gen writes at radius 2.8e9 is off its tag by 4.8e-7,
+    # a relative 1.7e-16
+    recipe = write_json(tmp_path / "big.json", {"kind": "ball", "r": 2.8e9})
+    assert main(["gen", recipe]) == EXIT_OK
+    assert main(["analyze", str(tmp_path / "big.body.json")]) == EXIT_OK
+
+
+def test_analyze_refuses_a_large_ball_whose_tag_is_off(tmp_path):
+    spec = ball_spec(2.8e9)
+    spec["closed_form"] = "ball:%r" % (2.8e9 * (1.0 + 1e-6))
+    assert main(["analyze", write_json(tmp_path / "off.json", spec)]) \
+        == EXIT_INPUT
+
+
 def test_export_refuses_non_convex(tmp_path):
     body = write_json(tmp_path / "spiky.json", nonconvex_spec())
     assert main(["export", body]) == EXIT_INFEASIBLE
