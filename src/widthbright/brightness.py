@@ -28,11 +28,11 @@ operator, and the on-grid transform is even bitwise by construction.
 The mesh-shadow oracle is the independent second route to the same areas
 and shares no code with the transform path: on the closed,
 outward-oriented boundary mesh it sums Cauchy's projection formula, a
-quarter of sum_T |((v1 - v0) x (v2 - v0)) . a| over the triangles, with no
-harmonics, no determinant field and no transform. The mesh, built once per
-field record (export_mesh), keeps its cross products as a (3, T) table.
-Each product is 4 directions, the last group padded with zero rows, against
-at most 16,384 triangles: one fixed shape, in cache, and batch-free bits.
+quarter of sum_T |((v1 - v0) x (v2 - v0)) . a| over the triangles. The
+mesh, built once per field record (export_mesh), keeps its cross products
+as a (3, T) table. Every product is 4 directions, the last group padded
+with zero rows, against at most 16,384 triangles: it stays in cache, and
+an area has the same bits in any batch.
 """
 
 import math

@@ -355,9 +355,12 @@ def test_gen_then_analyze_a_large_ball(tmp_path):
     assert main(["analyze", str(tmp_path / "big.body.json")]) == EXIT_OK
 
 
-def test_analyze_refuses_a_large_ball_whose_tag_is_off(tmp_path):
-    spec = ball_spec(2.8e9)
-    spec["closed_form"] = "ball:%r" % (2.8e9 * (1.0 + 1e-6))
+@pytest.mark.parametrize("tag", ["ball:%r" % (2.8e9 * (1.0 + 1e-6)),
+                                 "ball:inf", "ellipsoid:1,inf,1"])
+def test_analyze_refuses_a_large_ball_whose_tag_is_off(tmp_path, tag):
+    # off by 1e-6 relative, or an infinite value, which would make the
+    # scaled threshold infinite
+    spec = dict(ball_spec(2.8e9), closed_form=tag)
     assert main(["analyze", write_json(tmp_path / "off.json", spec)]) \
         == EXIT_INPUT
 
