@@ -2,28 +2,22 @@
 
 Twice the shadow area in direction a equals the cosine transform
 (Cf)(a) = int f(u) |<a,u>| du of f = det(h I + hess h). The transform is a
-multiplier operator on spherical harmonics: it kills every odd degree
-exactly and scales even degree l by lambda_l = 2 pi int_{-1}^{1} |t| P_l(t) dt.
-The implementation expands the kernel |<a,u>| in Legendre polynomials of the
-dot product, which for bandlimited integrands reproduces the transform to
-roundoff; naive quadrature of the kinked kernel would stall at O(n^-2)
-accuracy, and only the tests keep it, as a cross-check. Only the even
-degrees carry weight, so the series is a polynomial in y = 2 t^2 - 1; it is
-sampled once per degree with numpy's legval, converted into Chebyshev
-coefficients in y and evaluated by numpy's chebval, whose Clenshaw
-recurrence takes half the steps of one in t.
-Off the grid the kernel is even in u and the grid antipodal bitwise, so the
-rows are built on the N/2 nodes of one half sphere (SphericalGrid.half)
-against w f folded as its value at u plus its value at -u. The series runs
-to n_theta - 1 for any f, and to min(n_theta - 1, 2 lmax) in the brightness
-profile: det(h I + hess h) of a degree-lmax body has no degree above 2 lmax.
-Between the grid's own nodes the kernel depends only on the two rings and
-the azimuth difference, so the on-grid transform is an azimuthal
-convolution (Driscoll & Healy 1994): an rfft along azimuth, one product
-per Fourier mode and an irfft. The plane a-perp is the same for a and -a, so
-the per-grid ring table holds only the output rings of one half sphere,
-ceil(n_theta/2) n_theta (n_phi/2 + 1) numbers in place of a dense N x N
-operator, and the on-grid transform is even bitwise by construction.
+multiplier operator on spherical harmonics (Funk-Hecke; Groemer 1996): it
+kills every odd degree and scales even degree l by lambda_l =
+2 pi int_{-1}^{1} |t| P_l(t) dt. On the grid's own nodes it is an azimuthal
+convolution (Driscoll & Healy 1994), an rfft along azimuth, one product per
+Fourier mode and an irfft, whose per-mode ring table is built from the
+meridian harmonics (sphere.basis_values) and the multipliers alone. The
+table holds the output rings of one half sphere, since a-perp is the same
+for a and -a, so the on-grid transform is even bitwise by construction. Off
+the grid the kernel |<a,u>| enters as its Legendre series in the dot
+product, evaluated as a Chebyshev series in 2 t^2 - 1 (_kernel_chebyshev).
+The multipliers would serve there too, via quadrature coefficients and
+basis_values at the directions (agreeing to 1.5e-15), but at 20 directions
+and degree 16 basis_values alone takes 0.43 ms, the kernel route 0.30 ms in
+all, and a prototype cut oracle_check from 30 to 24 jobs per reference.
+Both routes are exact to roundoff for bandlimited f; naive quadrature of
+the kinked kernel would stall at O(n^-2), and only the tests keep it.
 
 The mesh-shadow oracle is the independent second route to the same areas
 and shares no code with the transform path: on the closed,
@@ -45,7 +39,7 @@ from numpy.polynomial.legendre import legval
 
 from .body import TOL_PSD, inverse_gauss, require_convex
 from .boundary import export_mesh
-from .sphere import make_grid, _freeze
+from .sphere import basis_values, make_basis, make_grid, _freeze
 
 _UNIT_TOL = 1e-12
 _BLOCK = 16384  # triangles per block of mesh_shadow's (4, 3) @ (3, block)
@@ -73,7 +67,7 @@ def cosine_multipliers(lmax):
 
 @lru_cache(maxsize=None)
 def _kernel_chebyshev(lmax):
-    """Coefficients c_0..c_K, K = lmax // 2, of the kernel's Legendre series
+    """Coefficients c_0..c_K, K = lmax // 2, of the off-grid kernel's series
     sum_l lambda_l (2l+1)/(4 pi) P_l(t) to degree lmax, rewritten as the
     Chebyshev series sum_k c_k T_k(y) in y = 2 t^2 - 1.
 
@@ -119,26 +113,29 @@ def _offgrid_transform(f, grid, directions, lmax):
 
 @lru_cache(maxsize=None)
 def _cosine_operator(grid):
-    """Ring table Khat[q, i, k] of the on-grid transform, i < ceil(n_theta/2).
-
-    Between a node on ring i and one on ring k the kernel depends only on
-    their azimuth difference m, so the on-grid operator is block-circulant
-    and an rfft over m diagonalises it: Khat[q] is the block of azimuthal
-    mode q, ring weights included. The cosine table is even in m by
-    construction, so each Khat is real (its imaginary part is roundoff of
-    zero and is dropped).
+    """Ring table Khat[q, i, k] of the on-grid transform, i < ceil(n_theta/2):
+    the block of azimuthal mode q, ring weights W included. By the addition
+    theorem the kernel to degree n_theta - 1 is sum_lm lambda_l Y_lm(a)
+    Y_lm(u); with a on the meridian the order-m terms vary as cos(m phi),
+    whose DFT is n_phi/2 at q = +-m mod n_phi. So Khat[q] sums s lambda_l
+    P_m P_m^T W over the orders m that alias to q, P_m the order-m, even-l
+    meridian columns of the basis; s = n_phi at q = 0 and n_phi/2, where
+    both aliases land, else n_phi/2.
     """
     n_theta, n_phi = grid.n_theta, grid.n_phi
     rows = (n_theta + 1) // 2
-    st = grid.nodes[::n_phi, 0]   # azimuth 0: (sin theta, 0, cos theta) per ring
-    ct = grid.nodes[::n_phi, 2]
-    m = np.arange(n_phi)
-    cos_m = np.cos(2.0 * math.pi * np.minimum(m, n_phi - m) / n_phi)
-    dots = np.clip(np.multiply.outer(ct[:rows], ct)[:, :, None]
-                   + np.multiply.outer(st[:rows], st)[:, :, None] * cos_m, -1.0, 1.0)
-    g = _kernel_from_dots(dots, n_theta - 1) * grid.weights[::n_phi, None]
-    return _freeze(np.ascontiguousarray(
-        np.fft.rfft(g, axis=2).real.transpose(2, 0, 1)))
+    basis = make_basis(n_theta - 1)
+    values = basis_values(basis, grid.nodes[::n_phi])  # (ring, column) on the meridian
+    lam, l = cosine_multipliers(basis.lmax), basis.degrees
+    order = np.arange(basis.size) - l * (l + 1)
+    table = np.zeros((n_phi // 2 + 1, rows, n_theta))
+    for m in range(n_theta):
+        cols = (order == m) & (l % 2 == 0)
+        q = min(m % n_phi, -m % n_phi)
+        s = n_phi if q in (0, n_phi // 2) else n_phi / 2
+        table[q] += (values[:rows, cols] * (s * lam[l[cols]])) @ values[:, cols].T
+    table *= grid.weights[::n_phi]
+    return _freeze(table)
 
 
 def cosine_transform(f, grid, directions):

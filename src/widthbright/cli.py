@@ -218,6 +218,9 @@ def cmd_analyze(args):
             "%.17g,%.17g,%.17g,%.17g,%s" % (d[0], d[1], d[2], area, "support_formula")
             for d, area in zip(grid.nodes, profile.areas)])
         report["brightness_csv"] = os.path.basename(csv_path)
+        if grid.n_theta < 2 * h.lmax + 1:  # det(h I + hess h) reaches degree 2 lmax
+            print("warning: brightness is not exact: lmax %d needs %d rings, the grid "
+                  "has %d" % (h.lmax, 2 * h.lmax + 1, grid.n_theta), file=sys.stderr)
     else:
         report["note"] = "body is not certified convex; brightness/volume skipped"
     if not np.all(np.isfinite(w)):

@@ -1,7 +1,8 @@
 """Cosine-transform brightness against the mesh-shadow oracle.
 
-The two routes share nothing past phi: the transform integrates the
-curvature determinant against a Legendre kernel expansion, the oracle
+The two routes share nothing past phi: the transform scales the
+curvature determinant's harmonics by the multipliers on the grid and
+integrates it against a Legendre kernel expansion off the grid, the oracle
 sums Cauchy's projection formula over the mesh's triangles, checked here
 against the hull area of the projected vertices. Multiplier values below
 are the exact integrals 2 pi int |t| P_l dt, i.e. 2pi, pi/2, -pi/12,
@@ -175,6 +176,46 @@ def test_on_grid_operator_is_a_ring_table():
     assert table.shape == (96 // 2 + 1, (48 + 1) // 2, 48)
     assert table.nbytes <= 8 * ((48 + 1) // 2) * 48 * (96 // 2 + 1) < 2 ** 19
     assert peak < 8 * grid.n_nodes ** 2 / 4
+
+
+def _kernel_ring_table(grid):
+    # the ring table from the sampled kernel, kept here as the reference:
+    # the kernel at every output ring, input ring and azimuth difference m,
+    # times the input ring's weight, and the real part of its rfft over m
+    n_theta, n_phi = grid.n_theta, grid.n_phi
+    rows = (n_theta + 1) // 2
+    st = grid.nodes[::n_phi, 0]   # azimuth 0: (sin theta, 0, cos theta) per ring
+    ct = grid.nodes[::n_phi, 2]
+    m = np.arange(n_phi)
+    cos_m = np.cos(2.0 * math.pi * np.minimum(m, n_phi - m) / n_phi)
+    dots = np.clip(np.multiply.outer(ct[:rows], ct)[:, :, None]
+                   + np.multiply.outer(st[:rows], st)[:, :, None] * cos_m, -1.0, 1.0)
+    g = _kernel_from_dots(dots, n_theta - 1) * grid.weights[::n_phi, None]
+    return np.fft.rfft(g, axis=2).real.transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("shape",
+                         [(7, 14), (9, 8), (13, 26), (32, 64), (48, 96)],
+                         ids=lambda s: "%dx%d" % s)
+def test_ring_table_matches_the_kernel_built_table(shape):
+    # the multiplier sum against the sampled kernel; at 9x8 the orders alias
+    # onto modes 0 and n_phi/2, which take the DFT of cos(m phi) twice
+    grid = make_grid(*shape)
+    ref = _kernel_ring_table(grid)
+    table = _cosine_operator(grid)
+    assert table.shape == ref.shape
+    assert np.abs(table - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_on_grid_transform_evaluates_no_kernel(monkeypatch):
+    # the ring table reads the meridian harmonics and the multipliers only
+    def fail(*args, **kwargs):
+        raise AssertionError("kernel evaluated")
+    grid = make_grid(12, 24)
+    _cosine_operator.cache_clear()
+    monkeypatch.setattr("widthbright.brightness._kernel_from_dots", fail)
+    got = cosine_transform(np.ones(grid.n_nodes), grid, grid.nodes)
+    np.testing.assert_allclose(got, 2.0 * math.pi, rtol=1e-14)
 
 
 def _truncation_bodies(grid):

@@ -393,6 +393,24 @@ def test_grid_guard_reads_the_body_lmax(tmp_path):
     assert not (tmp_path / "e.body.report.json").exists()
 
 
+def test_analyze_warns_when_brightness_is_not_exact(tmp_path, capsys):
+    # det(h I + hess h) of an lmax-12 body reaches degree 24, which the
+    # transform integrates exactly from 25 rings on; on 16 rings the run
+    # still exits 0 and writes its report, with one warning line on stderr
+    recipe = write_json(tmp_path / "e.json",
+                        {"kind": "ellipsoid", "axes": [1, 1, 2], "lmax": 12})
+    assert main(["gen", recipe]) == EXIT_OK
+    body = str(tmp_path / "e.body.json")
+    capsys.readouterr()
+    assert main(["analyze", body, "--grid", "16,32"]) == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: "), lines
+    assert "25 rings" in lines[0]
+    assert (tmp_path / "e.body.report.json").exists()
+    assert main(["analyze", body, "--grid", "25,50"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_grid_guard_runs_before_any_table(tmp_path):
     # the closed-form check of an lmax-60 spec used to build 16x32 tables
     # at lmax 60 (307 MiB peak) before the guard refused it
