@@ -10,9 +10,9 @@ Gauss curvature at the boundary point with outward normal u.
 
 inverse_gauss is the one place a body is evaluated on a grid: it returns a
 read-only BoundaryField (h, the support matrix, its least eigenvalue and
-determinant, and phi = h u + grad h at the nodes), cached per (grid, lmax,
-coefficient values). The certificate, width, volume, brightness, parity
-diagnostics, mesh export and the probe model all read that record.
+determinant, and phi = h u + grad h at the nodes, with the grid and lmax),
+cached per (grid, lmax, coefficient values). Every result on a grid reads
+that record, and the mesh and the probe model are keyed by it alone.
 """
 
 import math
@@ -115,6 +115,8 @@ class BoundaryField:
     phi: np.ndarray          # (N, 3)
     pole_points: np.ndarray  # (2, 3): north (+e3), south (-e3)
     min_eigenvalue: float
+    grid: object             # the SphericalGrid and the degree the body was
+    lmax: int                # evaluated for: the record alone is a cache key
 
 
 def inverse_gauss(h, grid):
@@ -140,6 +142,8 @@ def _field(grid, lmax, coeff_bytes):
         phi=_freeze(phi),
         pole_points=_freeze(tab.POLES @ c),
         min_eigenvalue=float(eigmin.min()),
+        grid=grid,
+        lmax=lmax,
     )
 
 

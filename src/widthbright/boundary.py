@@ -7,9 +7,9 @@ from those points is the input of the independent shadow oracle, so it
 deliberately shares nothing with the cosine-transform path beyond phi
 itself.
 
-A mesh is built once per (field record, grid) pair and then shared: the
-record is read-only, and a body changed in place gets a new record from
-inverse_gauss, so a cached mesh cannot go stale.
+A mesh is built once per field record, on the lattice of the grid the
+record carries, and then shared: the record is read-only, and a body changed
+in place gets a new record from inverse_gauss, so a mesh cannot go stale.
 """
 
 from dataclasses import dataclass
@@ -37,7 +37,7 @@ class BodyMesh:
     C-contiguous (3, T) table, whose rows the shadow oracle's fixed-shape
     products read. It is formed on first use and then kept, so the arrays
     must not change after that; export_mesh returns them read-only, and one
-    mesh per field record and grid, shared by every caller."""
+    mesh per field record, shared by every caller."""
     vertices: np.ndarray   # (M, 3)
     triangles: np.ndarray  # (T, 3) int, outward oriented
 
@@ -80,35 +80,29 @@ def _lattice_triangles(nt, npx):
     return _freeze(np.vstack([quads.reshape(-1, 3), fans.reshape(-1, 3)]))
 
 
-def export_mesh(field, grid, tol_psd=TOL_PSD):
-    """Triangulate the phi image: lattice quads plus two pole fans.
+def export_mesh(field, *, tol_psd=TOL_PSD):
+    """Triangulate the phi image on field.grid: quads plus two pole fans.
 
     Vertices are the per-node phi values followed by the north and south
     pole points. Refuses non-convex sources (the lattice would
-    self-intersect) on every call, with the caller's tol_psd, and a field
-    evaluated on another grid (ValueError). Reports degenerate (collapsed)
-    triangles, those of area at most _DEGENERATE_AREA times the square of
-    the mesh's extent, as ArithmeticError. They are found from the mesh's
-    cross products, which stay cached on it for the shadow oracle. The mesh
-    is built once per (field record, grid) pair and returned again on later
-    calls; its vertices and triangles are read-only, so neither it nor its
-    cross products can go stale.
+    self-intersect) on every call, with the caller's tol_psd. Reports
+    degenerate (collapsed) triangles, those of area at most _DEGENERATE_AREA
+    times the square of the mesh's extent, as ArithmeticError, found from
+    the mesh's cross products, which stay cached on it for the shadow
+    oracle. The mesh is built once per field record and returned again on
+    later calls, read-only, so neither it nor its cross products go stale.
     """
-    require_convex(field, "mesh export", tol_psd)
-    if field.phi.shape[0] != grid.n_nodes:
-        raise ValueError("field has %d nodes, the %dx%d grid has %d"
-                         % (field.phi.shape[0], grid.n_theta, grid.n_phi,
-                            grid.n_nodes))
-    return _mesh(field, grid)
+    return _mesh(require_convex(field, "mesh export", tol_psd))
 
 
 # the size and the reason of body._field's cache: an oracle pass over up to
 # 8 bodies; a raised ArithmeticError is not cached, so it repeats per call
 @lru_cache(maxsize=8)
-def _mesh(field, grid):
-    """export_mesh's mesh of a field that matches the grid."""
+def _mesh(field):
+    """export_mesh's mesh of a field record, on the lattice of field.grid."""
     mesh = BodyMesh(vertices=_freeze(np.vstack([field.phi, field.pole_points])),
-                    triangles=_lattice_triangles(grid.n_theta, grid.n_phi))
+                    triangles=_lattice_triangles(field.grid.n_theta,
+                                                 field.grid.n_phi))
     cross = mesh.cross
     twice_area_sq = np.einsum("ij,ij->i", cross, cross)
     extent = np.ptp(mesh.vertices, axis=0).max()

@@ -204,7 +204,7 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
                                          min(grid.n_theta - 1, 2 * h.lmax))
     elif method == "mesh_shadow":
         fine = make_grid(2 * grid.n_theta, 2 * grid.n_phi)
-        mesh = export_mesh(inverse_gauss(h, fine), fine, tol_psd)
+        mesh = export_mesh(inverse_gauss(h, fine), tol_psd=tol_psd)
         areas = mesh_shadow(mesh, directions)
     else:
         raise ValueError("unknown brightness method: %r" % method)

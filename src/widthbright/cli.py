@@ -218,9 +218,7 @@ def cmd_analyze(args):
             "%.17g,%.17g,%.17g,%.17g,%s" % (d[0], d[1], d[2], area, "support_formula")
             for d, area in zip(grid.nodes, profile.areas)])
         report["brightness_csv"] = os.path.basename(csv_path)
-        if grid.n_theta < 2 * h.lmax + 1:  # det(h I + hess h) reaches degree 2 lmax
-            print("warning: brightness is not exact: lmax %d needs %d rings, the grid "
-                  "has %d" % (h.lmax, 2 * h.lmax + 1, grid.n_theta), file=sys.stderr)
+        _warn_unresolved(h.lmax, grid)
     else:
         report["note"] = "body is not certified convex; brightness/volume skipped"
     if not np.all(np.isfinite(w)):
@@ -229,6 +227,13 @@ def cmd_analyze(args):
     _write_json(report, out)
     print("wrote %s" % out)
     return EXIT_OK
+
+
+def _warn_unresolved(lmax, grid):
+    """Warn when the grid cannot integrate det M_h, of degree 2 lmax, exactly."""
+    if grid.n_theta < 2 * lmax + 1:
+        print("warning: brightness is not exact: lmax %d needs %d rings, the grid "
+              "has %d" % (lmax, 2 * lmax + 1, grid.n_theta), file=sys.stderr)
 
 
 def cmd_verify_theorem(args):
@@ -255,14 +260,14 @@ def cmd_verify_theorem(args):
         print("RIGIDITY-CONSISTENT")
     else:
         print("RIGIDITY-UNRESOLVED (%s)" % trace.terminal_status)
+    _warn_unresolved(max(gauge.lmax, *args.degrees), grid)
     print("wrote %s (%d accepted states)" % (out, len(trace.iterations)))
     return EXIT_OK
 
 
 def cmd_export(args):
     h, grid = _load_body(args)
-    field = inverse_gauss(h, grid)
-    mesh = export_mesh(field, grid, args.tol_psd)
+    mesh = export_mesh(inverse_gauss(h, grid), tol_psd=args.tol_psd)
     out = _out_path(args, ".obj")
     _write_lines(out, ["v %.17g %.17g %.17g" % (v[0], v[1], v[2])
                        for v in mesh.vertices]

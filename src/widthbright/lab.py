@@ -34,7 +34,7 @@ from .sphere import (
 )
 from .body import (
     TOL_PSD, SupportFunction, NotConvexError, inverse_gauss, require_convex,
-    _field, _padded,
+    _padded,
 )
 from .brightness import cosine_transform
 from .generators import require_variable_degrees
@@ -154,18 +154,14 @@ class ProbeModel:
         return float((E[0] - np.sqrt(r2)).min())
 
 
-def _gauge_tables(gauge, grid, degrees):
-    """_quadratic_model of the gauge, keyed by its coefficient values rather
-    than the object, so a gauge changed in place gets fresh tables."""
-    return _quadratic_model(grid, tuple(int(d) for d in degrees), gauge.lmax,
-                            gauge.coeffs.tobytes())
-
-
 # room for two gauges at least: a probe sequence may alternate between them,
 # and each rebuild transforms nv sigma tables of N x (nv - j) and forms the
-# O(N nv^4 / 4) Gram product of the N x nv(nv+1)/2 result
+# O(N nv^4 / 4) Gram product of the N x nv(nv+1)/2 result. Keyed by the
+# gauge's record, a model is reused only while that record stays in
+# body._field; three passes over the rigidity_probe pool (seed 1) build 2
+# models and reuse them 142 times
 @lru_cache(maxsize=4)
-def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
+def _quadratic_model(field, degrees):
     """The gauge's ProbeModel: the Gram matrix of the brightness variance, a
     quartic in c, and the convexity floor's tables, all read-only.
 
@@ -190,12 +186,12 @@ def _quadratic_model(grid, degrees, gauge_lmax, gauge_bytes):
     M0 - MJ c written in the frame (e1, -e2), which flips the sign of m12
     only and keeps the eigenvalues; F0 - FJ c gives them. min_eig reads
     both halves from one product FJ c, on half the rows an all-node table
-    would hold. The gauge's M0 and det M0 are read from the record that
-    inverse_gauss cached for the margin check; node_columns gives MJ only.
+    would hold. The gauge's M0 and det M0 are read from its record, the
+    field, on whose grid the model is built; node_columns gives MJ only.
     """
-    basis = make_basis(max(gauge_lmax, max(degrees)))
+    grid = field.grid
+    basis = make_basis(max(field.lmax, max(degrees)))
     idx = _variable_indices(degrees)
-    field = _field(grid, gauge_lmax, gauge_bytes)
 
     MJ = node_columns(node_tables(grid, basis), idx)  # (N, 3, nv)
     n, _, nv = MJ.shape
@@ -249,15 +245,15 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     region). A gauge whose margin is not above the floor raises
     NotConvexError.
     """
-    require_variable_degrees(degrees)
-    margin = inverse_gauss(gauge, grid).min_eigenvalue
-    if not margin > _MIN_EIG_FLOOR:
+    degrees = require_variable_degrees(tuple(int(d) for d in degrees))
+    field = inverse_gauss(gauge, grid)
+    if not field.min_eigenvalue > _MIN_EIG_FLOOR:
         raise NotConvexError("gauge margin %.3e is not above the probe's floor %g"
-                             % (margin, _MIN_EIG_FLOOR))
+                             % (field.min_eigenvalue, _MIN_EIG_FLOOR))
     if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
         raise ValueError("gauge must be even")
 
-    model = _gauge_tables(gauge, grid, degrees)
+    model = _quadratic_model(field, degrees)
 
     if isinstance(init_odd, SupportFunction):
         full = _padded(init_odd.coeffs, init_odd.lmax,

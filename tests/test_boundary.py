@@ -10,9 +10,10 @@ import pytest
 from conftest import pure_harmonic
 from widthbright import (
     SupportFunction, NotConvexError, ball, ellipsoid, basis_index,
-    random_convex, inverse_gauss, export_mesh,
+    random_convex, inverse_gauss, export_mesh, mesh_shadow,
 )
 from widthbright.body import TOL_PSD
+from widthbright.boundary import _lattice_triangles
 from widthbright.sphere import make_grid
 
 
@@ -82,7 +83,7 @@ def test_even_phi_check_zero_input(grid32):
 # meshing
 
 def test_ball_mesh_vertices_on_sphere(grid16):
-    mesh = export_mesh(inverse_gauss(ball(1.0), grid16), grid16)
+    mesh = export_mesh(inverse_gauss(ball(1.0), grid16))
     norms = np.linalg.norm(mesh.vertices, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-12
     assert mesh.vertices.shape[0] == grid16.n_nodes + 2
@@ -90,7 +91,7 @@ def test_ball_mesh_vertices_on_sphere(grid16):
 
 
 def test_ball_mesh_normals_point_outward(grid16):
-    mesh = export_mesh(inverse_gauss(ball(1.0), grid16), grid16)
+    mesh = export_mesh(inverse_gauss(ball(1.0), grid16))
     v = mesh.vertices
     t = mesh.triangles
     normals = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
@@ -102,7 +103,7 @@ def test_mesh_normals_track_grid_normals(grid32):
     # vertex k < N is phi at node k, so a lattice triangle's normal should
     # stay close to the normal directions it interpolates
     h = random_convex(3, 6, grid32)
-    mesh = export_mesh(inverse_gauss(h, grid32), grid32)
+    mesh = export_mesh(inverse_gauss(h, grid32))
     dirs = np.vstack([grid32.nodes, [[0, 0, 1.0], [0, 0, -1.0]]])
     v = mesh.vertices
     t = mesh.triangles
@@ -124,20 +125,20 @@ def mesh_volume(mesh):
 
 
 def test_mesh_volume_of_ball(grid32):
-    mesh = export_mesh(inverse_gauss(ball(1.0), grid32), grid32)
+    mesh = export_mesh(inverse_gauss(ball(1.0), grid32))
     exact = 4.0 * math.pi / 3.0
     assert abs(mesh_volume(mesh) - exact) / exact < 0.01
 
 
 def test_mesh_volume_of_ellipsoid(grid32):
-    mesh = export_mesh(inverse_gauss(ellipsoid(1, 1, 2), grid32), grid32)
+    mesh = export_mesh(inverse_gauss(ellipsoid(1, 1, 2), grid32))
     exact = 2.0 * 4.0 * math.pi / 3.0
     assert abs(mesh_volume(mesh) - exact) / exact < 0.01
 
 
 def test_mesh_vertices_satisfy_support_identity(grid32):
     h = ellipsoid(1, 1, 2)
-    mesh = export_mesh(inverse_gauss(h, grid32), grid32)
+    mesh = export_mesh(inverse_gauss(h, grid32))
     n = grid32.n_nodes
     got = np.einsum("ij,ij->i", mesh.vertices[:n], grid32.nodes)
     np.testing.assert_allclose(got, inverse_gauss(h, grid32).values, atol=1e-10)
@@ -149,7 +150,7 @@ def test_export_mesh_refuses_non_convex(grid32):
     coeffs[basis_index(3, 0)] = 5.0
     field = inverse_gauss(SupportFunction(coeffs, 3), grid32)
     with pytest.raises(NotConvexError):
-        export_mesh(field, grid32)
+        export_mesh(field)
 
 
 def _loop_topology(nt, npx):
@@ -173,7 +174,7 @@ def _loop_topology(nt, npx):
 def test_mesh_topology_matches_loop_reference():
     # the OBJ faces of export depend on this array row for row
     grid = make_grid(4, 8)
-    mesh = export_mesh(inverse_gauss(ellipsoid(1, 1, 2, lmax=3), grid), grid)
+    mesh = export_mesh(inverse_gauss(ellipsoid(1, 1, 2, lmax=3), grid))
     ref = _loop_topology(4, 8)
     assert mesh.triangles.dtype == np.int64
     assert mesh.triangles.shape == ref.shape
@@ -183,9 +184,9 @@ def test_mesh_topology_matches_loop_reference():
 
 def test_export_mesh_returns_frozen_arrays_and_their_cross_products(grid16):
     field = inverse_gauss(ellipsoid(1, 1, 2, lmax=3), grid16)
-    mesh = export_mesh(field, grid16)
-    # one shared record per field and grid, which no caller can change
-    assert export_mesh(field, grid16) is mesh
+    mesh = export_mesh(field)
+    # one shared record per field record, which no caller can change
+    assert export_mesh(field) is mesh
     with pytest.raises(dataclasses.FrozenInstanceError):
         mesh.vertices = np.zeros((3, 3))
     assert not mesh.vertices.flags.writeable
@@ -196,7 +197,7 @@ def test_export_mesh_returns_frozen_arrays_and_their_cross_products(grid16):
     assert mesh.cross.tobytes() == ref.tobytes()
     assert mesh.cross is mesh.cross
     # one triangle index per grid, shared by every mesh on it
-    other = export_mesh(inverse_gauss(ball(2.0), grid16), grid16)
+    other = export_mesh(inverse_gauss(ball(2.0), grid16))
     assert other.triangles is mesh.triangles
 
 
@@ -206,7 +207,7 @@ def test_export_mesh_reports_collapsed_triangles(grid16):
     field = inverse_gauss(SupportFunction(np.zeros(1), 0), grid16)
     for _ in range(2):
         with pytest.raises(ArithmeticError, match="degenerate"):
-            export_mesh(field, grid16)
+            export_mesh(field)
 
 
 @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (10.0, -20.0, 30.0)])
@@ -220,19 +221,39 @@ def test_export_mesh_measures_collapse_against_the_mesh_extent(grid16, offset):
     coeffs[basis_index(1, -1)] = k * offset[1]
     coeffs[basis_index(1, 0)] = k * offset[2]
     coeffs[basis_index(1, 1)] = k * offset[0]
-    mesh = export_mesh(inverse_gauss(SupportFunction(coeffs, 1), grid16), grid16)
+    mesh = export_mesh(inverse_gauss(SupportFunction(coeffs, 1), grid16))
     assert mesh_is_closed(mesh)
     norms = np.linalg.norm(mesh.vertices - offset, axis=1)
     assert np.abs(norms / r - 1.0).max() < 1e-6
 
 
-def test_export_mesh_refuses_a_field_from_another_grid(grid16, grid32):
-    # a finer field read on a coarser lattice would mesh the wrong nodes,
-    # a coarser one would index past its end
-    for field_grid, grid in ((grid32, grid16), (grid16, grid32)):
-        field = inverse_gauss(ball(1.0), field_grid)
-        with pytest.raises(ValueError, match="grid"):
-            export_mesh(field, grid)
+def test_export_mesh_meshes_each_record_on_its_own_lattice():
+    # 16x32 and 32x16 both have 512 nodes: the 16x32 record of this body,
+    # meshed on the 32x16 lattice, cast a shadow of 34.16 along e3, where
+    # its own lattice gives 3.012 (exact: pi)
+    h = ellipsoid(1, 1, 2)
+    for shape in ((16, 32), (32, 16)):
+        field = inverse_gauss(h, make_grid(*shape))
+        mesh = export_mesh(field)
+        assert field.grid.n_nodes == 512
+        assert np.array_equal(mesh.triangles, _lattice_triangles(*shape))
+        assert abs(mesh_shadow(mesh, [0.0, 0.0, 1.0])[0] / math.pi - 1.0) < 0.05
+
+
+def test_export_mesh_takes_no_grid(grid16):
+    # the record carries its grid; a second grid, or a positional
+    # tolerance, is a stale call
+    field = inverse_gauss(ball(1.0), grid16)
+    for extra in (grid16, TOL_PSD):
+        with pytest.raises(TypeError):
+            export_mesh(field, extra)
+
+
+def test_inverse_gauss_record_carries_its_grid_and_lmax(grid16):
+    h = ellipsoid(1, 1, 2, lmax=3)
+    field = inverse_gauss(h, grid16)
+    assert field.grid is grid16
+    assert field.lmax == h.lmax
 
 
 def _barely_non_convex(grid):
@@ -253,7 +274,7 @@ def test_export_mesh_applies_the_callers_tolerance_on_every_call(grid16,
     # the mesh is cached, the convexity verdict is not
     for loose in (loose_first, not loose_first):
         if loose:
-            assert export_mesh(field, grid16, 100.0 * TOL_PSD).vertices.size
+            assert export_mesh(field, tol_psd=100.0 * TOL_PSD).vertices.size
         else:
             with pytest.raises(NotConvexError):
-                export_mesh(field, grid16)
+                export_mesh(field)

@@ -322,19 +322,19 @@ def test_brightness_refuses_non_convex(grid32):
 # mesh-shadow oracle
 
 def test_mesh_shadow_of_ball(grid16):
-    mesh = export_mesh(inverse_gauss(ball(1.0), grid16), grid16)
+    mesh = export_mesh(inverse_gauss(ball(1.0), grid16))
     for a in unit_vectors(3, 10):
         assert abs(mesh_shadow(mesh, a) - math.pi) / math.pi < 0.01
 
 
 def test_mesh_shadow_antipodal_pairs_are_equal(grid16):
-    mesh = export_mesh(inverse_gauss(ellipsoid(1, 1, 2), grid16), grid16)
+    mesh = export_mesh(inverse_gauss(ellipsoid(1, 1, 2), grid16))
     for a in unit_vectors(4, 10):
         assert mesh_shadow(mesh, a) == mesh_shadow(mesh, -a)
 
 
 def test_mesh_shadow_translation_invariance(grid16):
-    mesh = export_mesh(inverse_gauss(ball(1.0), grid16), grid16)
+    mesh = export_mesh(inverse_gauss(ball(1.0), grid16))
     shifted = BodyMesh(vertices=mesh.vertices + [1.5, -0.25, 4.0],
                        triangles=mesh.triangles)
     for a in unit_vectors(8, 6):
@@ -441,7 +441,7 @@ def test_mesh_shadow_areas_match_reference_chain(grid16):
     for h in (ball(1.0), ellipsoid(1, 1, 2)):
         areas = brightness_profile(h, grid16, directions=dirs,
                                    method="mesh_shadow").areas
-        ref = _reference_areas(export_mesh(inverse_gauss(h, fine), fine).vertices,
+        ref = _reference_areas(export_mesh(inverse_gauss(h, fine)).vertices,
                                dirs)
         assert np.abs(areas / ref - 1.0).max() <= 1e-12
 
@@ -456,7 +456,7 @@ def test_oracle_mesh_areas_match_reference_chain_at_64x128(grid32):
                    (random_convex(3, 8, grid32, roughness=0.35), 1e-4)):
         areas = brightness_profile(h, grid32, directions=dirs,
                                    method="mesh_shadow").areas
-        ref = _reference_areas(export_mesh(inverse_gauss(h, fine), fine).vertices,
+        ref = _reference_areas(export_mesh(inverse_gauss(h, fine)).vertices,
                                dirs)
         assert np.abs(areas / ref - 1.0).max() <= tol
 
@@ -469,7 +469,7 @@ def test_mesh_shadow_profile_equals_mesh_shadow_per_direction(grid16):
     areas = brightness_profile(h, grid16, directions=dirs,
                                method="mesh_shadow").areas
     fine = make_grid(32, 64)
-    mesh = export_mesh(inverse_gauss(h, fine), fine)
+    mesh = export_mesh(inverse_gauss(h, fine))
     batch = mesh_shadow(mesh, dirs)
     assert batch.shape == (len(dirs),)
     assert areas.tobytes() == batch.tobytes()
@@ -481,7 +481,7 @@ def _blocked_mesh():
     # the oracle's mesh of a 48x96 analysis grid: 96x192, 36,864 triangles,
     # two whole blocks of 16,384 and a partial one
     grid, fine = make_grid(48, 96), make_grid(96, 192)
-    mesh = export_mesh(inverse_gauss(random_convex(5, 8, grid), fine), fine)
+    mesh = export_mesh(inverse_gauss(random_convex(5, 8, grid), fine))
     assert len(mesh.triangles) == 36864
     return mesh
 
@@ -509,7 +509,7 @@ def test_mesh_shadow_blocks_agree_with_one_product_per_direction():
 
 
 def test_mesh_shadow_of_no_directions_is_empty(grid16):
-    mesh = export_mesh(inverse_gauss(ball(1.0), grid16), grid16)
+    mesh = export_mesh(inverse_gauss(ball(1.0), grid16))
     areas = mesh_shadow(mesh, np.empty((0, 3)))
     assert areas.shape == (0,) and areas.dtype == float
 
@@ -517,7 +517,7 @@ def test_mesh_shadow_of_no_directions_is_empty(grid16):
 def test_mesh_shadow_padding_is_not_a_zero_area(grid16):
     # the zero rows that fill the last group have zero area and are dropped
     # before the check; a real direction of zero area still raises
-    mesh = export_mesh(inverse_gauss(ball(1.0), grid16), grid16)
+    mesh = export_mesh(inverse_gauss(ball(1.0), grid16))
     for n in (1, 2, 3, 5):
         areas = mesh_shadow(mesh, unit_vectors(1007, n))
         assert areas.shape == (n,) and np.all(areas > 0.0)
@@ -536,15 +536,15 @@ def test_mesh_shadow_profile_reuses_the_mesh_until_the_body_changes(grid16):
     fine = make_grid(32, 64)
     first = brightness_profile(h, grid16, directions=dirs,
                                method="mesh_shadow").areas
-    mesh = export_mesh(inverse_gauss(h, fine), fine)
+    mesh = export_mesh(inverse_gauss(h, fine))
     again = brightness_profile(h, grid16, directions=dirs,
                                method="mesh_shadow").areas
     assert np.array_equal(again, first)
-    assert export_mesh(inverse_gauss(h, fine), fine) is mesh
+    assert export_mesh(inverse_gauss(h, fine)) is mesh
     h.coeffs *= 2.0
     scaled = brightness_profile(h, grid16, directions=dirs,
                                 method="mesh_shadow").areas
-    assert export_mesh(inverse_gauss(h, fine), fine) is not mesh
+    assert export_mesh(inverse_gauss(h, fine)) is not mesh
     assert np.array_equal(scaled, 4.0 * first)
 
 
@@ -585,7 +585,7 @@ def test_entry_points_reject_non_unit_directions(grid16):
     # is right), a zero direction has no shadow plane, and NaN would give
     # NaN areas
     det = inverse_gauss(ball(1.0), grid16).detfield
-    mesh = export_mesh(inverse_gauss(ball(1.0), grid16), grid16)
+    mesh = export_mesh(inverse_gauss(ball(1.0), grid16))
     for a in ([0.0, 0.0, 2.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
               [math.nan, 0.0, 1.0], [0.0, 0.0, math.inf], [0.0, 1.0]):
         for call in (lambda: cosine_transform(det, grid16, [a]),

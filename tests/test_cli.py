@@ -258,6 +258,22 @@ def test_verify_theorem_trace_csv(tmp_path, capsys):
     assert path.read_bytes() == first
 
 
+def test_verify_theorem_warns_when_the_grid_cannot_resolve_the_probe(
+        tmp_path, capsys):
+    # the brightness of ball + p, p of degree 5, is exact from 11 rings on;
+    # on 6 the descent stalls and still exits 0, with one warning line
+    body = write_json(tmp_path / "ball.json", ball_spec())
+    argv = ["verify-theorem", body, "--degrees", "3,5", "--lmax", "5"]
+    assert main(argv + ["--grid", "6,12"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "RIGIDITY-UNRESOLVED (stalled)" in captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: "), lines
+    assert "lmax 5 needs 11 rings, the grid has 6" in lines[0]
+    assert main(argv + ["--grid", "11,22"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_theorem_infeasible_start(tmp_path):
     body = write_json(tmp_path / "ball.json", ball_spec())
     assert main(["verify-theorem", body, "--start-scale", "1.2"]) \
@@ -331,7 +347,7 @@ def test_export_obj_roundtrip(tmp_path):
         else:
             raise AssertionError("unexpected OBJ line: %r" % line)
     grid = make_grid(16, 32)
-    mesh = export_mesh(inverse_gauss(body_from_spec(ball_spec()), grid), grid)
+    mesh = export_mesh(inverse_gauss(body_from_spec(ball_spec()), grid))
     np.testing.assert_allclose(np.array(verts), mesh.vertices, rtol=1e-15)
     assert np.array_equal(np.array(faces), mesh.triangles)
     assert main(argv) == EXIT_OK

@@ -17,7 +17,6 @@ from widthbright import (
 from widthbright import lab
 from widthbright.body import _padded
 from widthbright.brightness import _cosine_operator, cosine_transform
-from widthbright.lab import _gauge_tables
 from widthbright.sphere import (
     entries_eigmin, make_basis, make_grid, node_columns, node_tables,
     sigma_entries, synthesize,
@@ -220,7 +219,7 @@ def relative_brightness_table(gauge, grid, degrees=(3, 5)):
     from entry-major support matrices M0 (3, N) and MJ (3, N, nv) taken from
     the node tables, not from the model: relative brightness is
     1 + RQ vec(c c^T)."""
-    model = _gauge_tables(gauge, grid, degrees)
+    model = lab._quadratic_model(inverse_gauss(gauge, grid), degrees)
     tab = node_tables(grid, model.basis)
     M0 = synthesize(tab, _padded(gauge.coeffs, gauge.lmax, model.basis.lmax))[1].T
     MJ = node_columns(tab, model.idx).transpose(1, 0, 2)
@@ -239,7 +238,7 @@ def weighted_variance(r, grid):
 
 
 def test_variance_fast_path_matches_brightness_profiles(grid32):
-    model = _gauge_tables(ball(1.0), grid32, (3, 5))
+    model = lab._quadratic_model(inverse_gauss(ball(1.0), grid32), (3, 5))
     RQ, _, _ = relative_brightness_table(ball(1.0), grid32)
     c = random_odd(4, degrees=(3, 5), scale=0.02).coeffs[model.idx]
     r = RQ @ np.outer(c, c).ravel()
@@ -256,7 +255,7 @@ def test_gram_form_matches_the_direct_variance(grid32):
     # z^T G z against (a) the weighted variance of RQ z in longdouble and
     # (b) the weighted variance of the brightness ratio of gauge + p_c
     for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
-        model = _gauge_tables(gauge, grid32, (3, 5))
+        model = lab._quadratic_model(inverse_gauss(gauge, grid32), (3, 5))
         RQ, _, _ = relative_brightness_table(gauge, grid32)
         u = random_odd(8, degrees=(3, 5)).coeffs[model.idx]
         u /= np.linalg.norm(u)
@@ -282,7 +281,7 @@ def test_half_model_matches_the_full_gram_form(grid32, degrees):
     # Gram matrix of vec(c c^T), built here from the same sigma table,
     # gives the same F
     for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
-        model = _gauge_tables(gauge, grid32, degrees)
+        model = lab._quadratic_model(inverse_gauss(gauge, grid32), degrees)
         nv = model.idx.size
         assert model.G.shape == (nv * (nv + 1) // 2,) * 2
         RQ, _, _ = relative_brightness_table(gauge, grid32, degrees)
@@ -300,7 +299,7 @@ def test_half_model_matches_the_full_gram_form(grid32, degrees):
 def test_variance_valley_is_quartic_for_even_gauges(grid32):
     # odd perturbations of an even gauge change brightness at second order,
     # so the variance is quartic near the bottom: F(2c) ~ 16 F(c)
-    model = _gauge_tables(ball(1.0), grid32, (3, 5))
+    model = lab._quadratic_model(inverse_gauss(ball(1.0), grid32), (3, 5))
     c = random_odd(6, degrees=(3, 5), scale=1e-3).coeffs[model.idx]
     f1 = model.variance(c)[0]
     f2 = model.variance(2.0 * c)[0]
@@ -323,7 +322,7 @@ def test_variance_gradient_matches_central_differences(grid32):
     step = 1e-5
     for gauge, degrees in ((ball(1.0), (3, 5)), (ellipsoid(1, 1, 2), (3, 5)),
                            (ellipsoid(1, 1, 2), (3, 5, 7))):
-        model = _gauge_tables(gauge, grid32, degrees)
+        model = lab._quadratic_model(inverse_gauss(gauge, grid32), degrees)
         for _ in range(3):
             c = 0.05 * rng.standard_normal(model.idx.size)
             fd = np.array([
@@ -345,7 +344,8 @@ def test_index_maps_reproduce_the_triangle_formulas(grid32, nv):
     A = rng.standard_normal((m, m))
     G = A.T @ A
     degrees = {18: (3, 5), 33: (3, 5, 7)}[nv]
-    model = dataclasses.replace(_gauge_tables(ball(1.0), grid32, degrees), G=G)
+    model = dataclasses.replace(
+        lab._quadratic_model(inverse_gauss(ball(1.0), grid32), degrees), G=G)
     for _ in range(5):
         c = rng.standard_normal(nv) * 10.0 ** rng.uniform(-6, 0)
         z = np.outer(c, c)[np.triu_indices(nv)]
@@ -367,7 +367,7 @@ def test_half_sphere_floor_matches_every_node(shape):
     n = grid.n_nodes
     rng = np.random.default_rng(shape[0])
     for gauge in (ball(1.0), ellipsoid(1, 1, 2)):
-        model = _gauge_tables(gauge, grid, (3, 5))
+        model = lab._quadratic_model(inverse_gauss(gauge, grid), (3, 5))
         nv = model.idx.size
         assert model.F0.shape == (3, n // 2)
         assert model.FJ.shape == (3 * (n // 2), nv)
@@ -387,7 +387,7 @@ def test_half_sphere_floor_matches_every_node(shape):
 def test_probe_model_is_read_only(grid32):
     # the model is cached per gauge: a write into one of its arrays would
     # reach every later probe on that gauge
-    model = _gauge_tables(ellipsoid(1, 1, 2), grid32, (3, 5))
+    model = lab._quadratic_model(inverse_gauss(ellipsoid(1, 1, 2), grid32), (3, 5))
     tables = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
     assert len(tables) == 6  # idx, F0, FJ, G, flat, pos
     for table in tables:
@@ -444,6 +444,19 @@ def test_gauge_tables_follow_coefficient_changes(grid32):
     assert mutated.iterations == fresh.iterations
 
 
+def test_two_descents_on_one_gauge_build_one_model(grid32):
+    # the model is keyed by the gauge's record, which inverse_gauss hands
+    # to both descents
+    gauge = ellipsoid(1, 1, 2)
+    lab._quadratic_model.cache_clear()
+    for seed in (0, 1):
+        minimize_brightness_variance(
+            gauge, random_odd(seed, degrees=(3, 5), scale=0.01), grid32,
+            max_iter=0)
+    info = lab._quadratic_model.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_gauge_model_holds_no_table_of_sigma_columns(grid32):
     # the model used to transform all nv^2 = 324 sigma columns at once,
     # about six live 2048 x 325 copies, 36.9 MiB, to keep a 0.8 MiB G; on
@@ -454,8 +467,7 @@ def test_gauge_model_holds_no_table_of_sigma_columns(grid32):
     _cosine_operator(grid32)
     for degrees, bound_mib in (((3, 5), 6.5), ((3, 5, 7), 16.5)):
         tracemalloc.start()
-        lab._quadratic_model.__wrapped__(grid32, degrees, gauge.lmax,
-                                         gauge.coeffs.tobytes())
+        lab._quadratic_model.__wrapped__(inverse_gauss(gauge, grid32), degrees)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < bound_mib * 2 ** 20, degrees
@@ -473,8 +485,8 @@ def test_gauge_model_reads_the_gauge_record(grid32, monkeypatch):
         return synthesize(tab, c)
 
     monkeypatch.setattr(lab, "synthesize", spy)
-    model = lab._quadratic_model.__wrapped__(grid32, (3, 5), gauge.lmax,
-                                             gauge.coeffs.tobytes())
+    model = lab._quadratic_model.__wrapped__(inverse_gauss(gauge, grid32),
+                                             (3, 5))
     assert calls == []
     field = inverse_gauss(gauge, grid32)
     e = field.entries[grid32.half]
