@@ -46,8 +46,8 @@ class SupportFunction:
     coeffs follows the (l, m) lexicographic order of the basis, l ascending,
     m from -l to l. closed_form is an optional evaluator tag ("ball:r" or
     "ellipsoid:a,b,c") for bodies with an exact formula; truncation_tol
-    records how far the stored coefficients deviate from that formula on the
-    grid they were fitted on.
+    records how far the stored coefficients deviate from that formula, at
+    the nodes of the grid they were fitted on and of body_from_spec's check.
     """
 
     coeffs: np.ndarray
@@ -161,27 +161,19 @@ def width(h, grid):
     return vals + vals[grid.antipode_index]
 
 
-def _parity_filtered(h, keep_odd):
-    mask = (h.basis.degrees % 2 == 1) == keep_odd
-    coeffs = np.where(mask, h.coeffs, 0.0)
-    dropped = np.where(~mask, h.coeffs, 0.0)
-    tag = h.closed_form if not np.any(dropped != 0.0) else None
-    return coeffs, tag
-
-
 def central_symmetral(h):
     """Even part of h: the support function of the central symmetral."""
-    coeffs, tag = _parity_filtered(h, keep_odd=False)
-    return SupportFunction(coeffs, h.lmax, closed_form=tag,
+    odd = h.basis.degrees % 2 == 1
+    tag = h.closed_form if not h.coeffs[odd].any() else None
+    return SupportFunction(np.where(odd, 0.0, h.coeffs), h.lmax, closed_form=tag,
                            label="sym(%s)" % h.label if h.label else "",
                            truncation_tol=h.truncation_tol if tag else 0.0)
 
 
 def odd_part(h):
     """Odd part of h: what central symmetrization removes."""
-    coeffs, tag = _parity_filtered(h, keep_odd=True)
-    return SupportFunction(coeffs, h.lmax, closed_form=None,
-                           label="odd(%s)" % h.label if h.label else "")
+    return SupportFunction(np.where(h.basis.degrees % 2 == 1, h.coeffs, 0.0),
+                           h.lmax, label="odd(%s)" % h.label if h.label else "")
 
 
 def _padded(coeffs, lmax_from, lmax_to):
@@ -259,6 +251,16 @@ def read_degree(value, name="lmax"):
     return degree
 
 
+def _closed_form_deviation(h):
+    """Largest |h - closed form| and |closed form| at the 16x32 nodes where
+    body_from_spec checks a spec, from the values alone: no node tables or
+    field record are cached for a grid the caller never asked for."""
+    nodes = make_grid(16, 32).nodes
+    exact = closed_form_values(h.closed_form, nodes)
+    return (np.abs(basis_values(h.basis, nodes) @ h.coeffs - exact).max(),
+            np.abs(exact).max())
+
+
 def body_from_spec(spec, n_theta=None):
     """The SupportFunction a body spec describes. Given the ring count of the
     grid the spec is read for, a degree those rings cannot resolve is refused
@@ -287,13 +289,9 @@ def body_from_spec(spec, n_theta=None):
     h = SupportFunction(coeffs, lmax, closed_form=closed_form,
                         label=spec.get("label", ""), truncation_tol=truncation_tol)
     if h.closed_form is not None:
-        # the values alone, with no node tables or field record cached for a
-        # grid the caller never asked for; they equal the synthesized values
-        # to roundoff, and the 1e-8 scales with the largest value above 1
-        nodes = make_grid(16, 32).nodes
-        exact = closed_form_values(h.closed_form, nodes)
-        dev = np.abs(basis_values(h.basis, nodes) @ h.coeffs - exact).max()
-        tol = 2.0 * h.truncation_tol + 1e-8 * max(1.0, np.abs(exact).max())
+        # the 1e-8 scales with the largest value above 1
+        dev, top = _closed_form_deviation(h)
+        tol = 2.0 * h.truncation_tol + 1e-8 * max(1.0, top)
         if not dev <= tol < math.inf:  # a NaN or infinite tag fails too
             raise ValueError(
                 "closed_form %r disagrees with coefficients "

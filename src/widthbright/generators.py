@@ -2,10 +2,10 @@
 and seeded random convex bodies.
 
 The constant-width construction is the workhorse: for an even certified
-gauge h0 and an odd perturbation p, h = h0 + eps p has exactly the width
-function of the gauge (parity cancellation) and stays convex whenever
-eps * max|eig(p I + hess p)| is below the gauge's PSD margin. eps is chosen
-deterministically at 90 percent of that bound.
+gauge h0 and an odd p, h = h0 + eps p (body's parity split checks both, its
+minkowski_sum forms h) has exactly the width function of the gauge and stays
+convex whenever eps * max|eig(p I + hess p)| is below the gauge's PSD
+margin. eps is chosen deterministically at 90 percent of that bound.
 """
 
 import math
@@ -16,7 +16,8 @@ import numpy as np
 from .sphere import make_grid, make_basis, basis_index, basis_values, \
     require_resolvable
 from .body import NotConvexError, SupportFunction, body_from_spec, \
-    closed_form_values, inverse_gauss, read_degree, _padded
+    central_symmetral, closed_form_values, inverse_gauss, minkowski_sum, \
+    odd_part, read_degree, _closed_form_deviation
 
 _MIN_EIG_TARGET = 0.1
 _MAX_HALVINGS = 60
@@ -46,8 +47,9 @@ def ellipsoid(a, b, c, lmax=12, grid=None):
     h(u) = sqrt(a^2 u1^2 + b^2 u2^2 + c^2 u3^2) is projected onto the
     harmonic basis by quadrature on a dedicated grid (default 48x96);
     truncation_tol records the max deviation of the projection from the
-    closed form on that grid. The closed form is even, so odd coefficients
-    vanish identically.
+    closed form over that grid's nodes and the 16x32 nodes at which
+    body_from_spec checks a spec. The closed form is even, so odd
+    coefficients vanish identically.
     """
     if min(a, b, c) <= 0.0:
         raise ValueError("ellipsoid semi-axes must be positive")
@@ -61,9 +63,11 @@ def ellipsoid(a, b, c, lmax=12, grid=None):
     # the closed form is even; make the parity exact instead of 1e-16 noise
     coeffs[basis.degrees % 2 == 1] = 0.0
     trunc = float(np.abs(V @ coeffs - hv).max())
-    return SupportFunction(coeffs, lmax, closed_form=tag,
-                           label="ellipsoid(%g,%g,%g)" % (a, b, c),
-                           truncation_tol=trunc)
+    h = SupportFunction(coeffs, lmax, closed_form=tag,
+                        label="ellipsoid(%g,%g,%g)" % (a, b, c))
+    # near its ring count, a fit almost interpolates at its own nodes
+    h.truncation_tol = max(trunc, float(_closed_form_deviation(h)[0]))
+    return h
 
 
 def constant_width_body(gauge, p, eps_request, grid):
@@ -75,11 +79,10 @@ def constant_width_body(gauge, p, eps_request, grid):
     summed support matrix keeps eigenvalues >= 0.1 m for either sign. A
     gauge without a positive margin raises NotConvexError.
     """
-    if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
+    if odd_part(gauge).coeffs.any():
         raise ValueError("gauge must be even (odd coefficients zero)")
     margin = inverse_gauss(gauge, grid).min_eigenvalue
-    even_p = p.basis.degrees % 2 == 0
-    if np.any(p.coeffs[even_p] != 0.0):
+    if central_symmetral(p).coeffs.any():
         raise ValueError("perturbation must be odd (even coefficients zero)")
     if not np.any(p.coeffs != 0.0):
         raise ValueError("perturbation must be nonzero")
@@ -102,12 +105,9 @@ def constant_width_body(gauge, p, eps_request, grid):
         eps = math.copysign(min(abs(eps_request), _EPS_SAFETY * margin / rho),
                             eps_request)
 
-    lmax = max(gauge.lmax, p.lmax)
-    coeffs = _padded(gauge.coeffs, gauge.lmax, lmax) \
-        + eps * _padded(p.coeffs, p.lmax, lmax)
-    body = SupportFunction(coeffs, lmax,
-                           label="constant_width(%s + %g*%s)"
-                           % (gauge.label or "gauge", eps, p.label or "odd"))
+    body = minkowski_sum(gauge, SupportFunction(eps * p.coeffs, p.lmax))
+    body.label = "constant_width(%s + %g*%s)" % (gauge.label or "gauge", eps,
+                                                 p.label or "odd")
     return BodyRecipe(
         kind="constant_width",
         params={"eps": eps,

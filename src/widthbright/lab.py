@@ -3,6 +3,7 @@ brightness-variance minimizer probing it.
 
 The algebra all happens on symmetric 2x2 support matrices M_f = f I + hess f
 in the node frames. sigma is the polarization of det, so with h = h0 + p,
+h0 = central_symmetral(h) and p = odd_part(h) (body's parity split),
 
     det M_h = det M_p + 2 sigma(M_p, M_h0) + det M_h0,
 
@@ -33,8 +34,8 @@ from .sphere import (
     make_basis, node_tables, node_columns, sigma_entries, synthesize, _freeze,
 )
 from .body import (
-    TOL_PSD, SupportFunction, NotConvexError, inverse_gauss, require_convex,
-    _padded,
+    TOL_PSD, SupportFunction, NotConvexError, central_symmetral, inverse_gauss,
+    odd_part, require_convex, _padded,
 )
 from .brightness import cosine_transform
 from .generators import require_variable_degrees
@@ -68,9 +69,9 @@ def parity_decomposition_check(h, grid, tol_psd=TOL_PSD):
     """Check det M_h = det M_p + 2 sigma(M_p, M_h0) + det M_h0 nodewise,
     plus the parity of the two cross terms (det M_p even, sigma odd)."""
     Dh = require_convex(inverse_gauss(h, grid), "parity check", tol_psd).detfield
-    c_even = np.where(h.basis.degrees % 2 == 0, h.coeffs, 0.0)
     tab = node_tables(grid, h.basis)
-    e0, ep = synthesize(tab, c_even)[1], synthesize(tab, h.coeffs - c_even)[1]
+    e0 = synthesize(tab, central_symmetral(h).coeffs)[1]
+    ep = synthesize(tab, odd_part(h).coeffs)[1]
     D0 = sigma_entries(e0, e0)
     Dp = sigma_entries(ep, ep)
     S = sigma_entries(ep, e0)
@@ -88,8 +89,7 @@ def odd_sign_obstruction(p, grid):
     The rigidity argument forbids det < 0 everywhere, so max_det >= 0 up to
     discretization for every odd p.
     """
-    even = p.basis.degrees % 2 == 0
-    if np.any(p.coeffs[even] != 0.0):
+    if central_symmetral(p).coeffs.any():
         raise ValueError("odd_sign_obstruction needs an odd support function")
     dets = inverse_gauss(p, grid).detfield
     return float(dets.max()), float(dets.min())
@@ -250,7 +250,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     if not field.min_eigenvalue > _MIN_EIG_FLOOR:
         raise NotConvexError("gauge margin %.3e is not above the probe's floor %g"
                              % (field.min_eigenvalue, _MIN_EIG_FLOOR))
-    if np.any(gauge.coeffs[gauge.basis.degrees % 2 == 1] != 0.0):
+    if odd_part(gauge).coeffs.any():
         raise ValueError("gauge must be even")
 
     model = _quadratic_model(field, degrees)

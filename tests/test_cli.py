@@ -371,6 +371,17 @@ def test_gen_then_analyze_a_large_ball(tmp_path):
     assert main(["analyze", str(tmp_path / "big.body.json")]) == EXIT_OK
 
 
+def test_gen_then_analyze_a_high_degree_ellipsoid(tmp_path):
+    # a degree-46 fit almost interpolates at its own 48x96 nodes (1.18e-5)
+    # and deviates 3.39e-5 at the 16x32 nodes the spec is checked at:
+    # truncation_tol records the larger, so analyze accepts what gen wrote
+    recipe = write_json(tmp_path / "e.json", {"kind": "ellipsoid",
+                                              "axes": [1, 3, 9], "lmax": 46})
+    flags = ["--grid", "48,96", "--lmax", "46"]
+    assert main(["gen", recipe] + flags) == EXIT_OK
+    assert main(["analyze", str(tmp_path / "e.body.json")] + flags) == EXIT_OK
+
+
 @pytest.mark.parametrize("tag", ["ball:%r" % (2.8e9 * (1.0 + 1e-6)),
                                  "ball:inf", "ellipsoid:1,inf,1"])
 def test_analyze_refuses_a_large_ball_whose_tag_is_off(tmp_path, tag):

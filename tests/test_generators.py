@@ -1,6 +1,7 @@
 """Body generators: exact closed forms, seeded random families, and the
 width-preserving constant-width construction."""
 
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from widthbright import (
     certify_convex, width, constant_width_body, random_convex, random_odd,
     resolve_recipe, central_symmetral, brightness_profile,
 )
-from widthbright.body import closed_form_values
+from widthbright.body import body_from_spec, body_to_spec, closed_form_values
 from widthbright.boundary import inverse_gauss
 from widthbright.sphere import make_basis, make_grid, node_tables, basis_values
 
@@ -61,6 +62,16 @@ def test_ellipsoid_builds_no_node_tables():
     want[h.basis.degrees % 2 == 1] = 0.0
     np.testing.assert_array_equal(h.coeffs, want)
     assert h.truncation_tol == float(np.abs(V @ want - hv).max())
+
+
+def test_ellipsoid_spec_fitted_on_a_coarse_grid_loads():
+    # a degree-18 fit almost interpolates at its own 20x40 nodes, where it
+    # measured 2.2e-7; at the 16x32 nodes body_from_spec checks it deviates
+    # 5.8e-7, so the spec was refused until truncation_tol counted them too
+    h = ellipsoid(1, 1.5, 2, lmax=18, grid=make_grid(20, 40))
+    back = body_from_spec(json.loads(json.dumps(body_to_spec(h))))
+    assert back.coeffs.tobytes() == h.coeffs.tobytes()
+    assert back.truncation_tol == h.truncation_tol
 
 
 def test_ellipsoid_has_no_odd_terms():
@@ -121,6 +132,21 @@ def test_constant_width_preserves_width(grid32):
     sym = central_symmetral(rec.resolved)
     assert sym.coeffs[0] == ball(1.0).coeffs[0]
     assert np.all(sym.coeffs[1:] == 0.0)
+    # the body is the zero-padded sum gauge + eps p, to the byte (signed
+    # zeros too), for either sign of eps, p of higher or of lower degree
+    for gauge, p in ((ball(1.0), random_odd(5)),
+                     (ellipsoid(1, 1, 2), random_odd(4, degrees=(3, 5)))):
+        lmax = max(gauge.lmax, p.lmax)
+        for eps in (math.inf, -math.inf, 0.01, -0.01):
+            rec = constant_width_body(gauge, p, eps, grid32)
+            padded = np.zeros((2, (lmax + 1) ** 2))
+            padded[0, :gauge.coeffs.size] = gauge.coeffs
+            padded[1, :p.coeffs.size] = p.coeffs
+            want = padded[0] + rec.params["eps"] * padded[1]
+            assert rec.resolved.coeffs.tobytes() == want.tobytes()
+            assert rec.resolved.label == "constant_width(%s + %g*%s)" % (
+                gauge.label, rec.params["eps"], p.label)
+            assert rec.resolved.closed_form is None
 
 
 def test_constant_width_input_validation(grid32):
