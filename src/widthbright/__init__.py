@@ -44,13 +44,12 @@ from .brightness import (
 )
 from .generators import (
     BodyRecipe,
-    ball, ellipsoid, constant_width_body, random_convex, random_odd,
-    resolve_recipe,
+    ball, ellipsoid, constant_width_body, random_convex, resolve_recipe,
 )
 from .lab import (
     ParityReport, OptimizerTrace,
     parity_decomposition_check, odd_sign_obstruction,
-    minimize_brightness_variance,
+    minimize_brightness_variance, random_odd,
 )
 
 __version__ = "0.1.0"

@@ -45,9 +45,9 @@ class SupportFunction:
 
     coeffs follows the (l, m) lexicographic order of the basis, l ascending,
     m from -l to l. closed_form is an optional evaluator tag ("ball:r" or
-    "ellipsoid:a,b,c") for bodies with an exact formula; truncation_tol
-    records how far the stored coefficients deviate from that formula, at
-    the nodes of the grid they were fitted on and of body_from_spec's check.
+    "ellipsoid:a,b,c") for bodies with an exact formula; truncation_tol is
+    the largest deviation of the coefficients from it at the nodes of their
+    fit grid and of body_from_spec's 16x32 check, not a bound over the sphere.
     """
 
     coeffs: np.ndarray
@@ -86,14 +86,17 @@ def closed_form_values(tag, pts):
     pts = np.atleast_2d(np.asarray(pts, float))
     kind, _, args = tag.partition(":")
     params = [float(s) for s in args.split(",")] if args else []
+    need = {"ball": 1, "ellipsoid": 3}.get(kind)
+    if need is None:
+        raise ValueError("unknown closed form tag: %r" % tag)
+    if len(params) != need:
+        raise ValueError("closed form tag %r: %s needs %d parameter(s), got %d"
+                         % (tag, kind, need, len(params)))
     if kind == "ball":
-        (r,) = params
-        return np.full(pts.shape[0], r)
-    if kind == "ellipsoid":
-        a, b, c = params
-        return np.sqrt((a * pts[:, 0]) ** 2 + (b * pts[:, 1]) ** 2
-                       + (c * pts[:, 2]) ** 2)
-    raise ValueError("unknown closed form tag: %r" % tag)
+        return np.full(pts.shape[0], params[0])
+    a, b, c = params
+    return np.sqrt((a * pts[:, 0]) ** 2 + (b * pts[:, 1]) ** 2
+                   + (c * pts[:, 2]) ** 2)
 
 
 @dataclass(frozen=True, eq=False)

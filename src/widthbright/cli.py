@@ -5,9 +5,9 @@ convexity is required, 4 internal numerical failure. main alone maps the
 type of the exception that ends a run to its code, and the library raises
 the type that matches its failure: FloatingPointError (numbers out of
 range), ValueError, OSError and RecursionError exit 2, NotConvexError 3,
-any other ArithmeticError and numpy's LinAlgError 4. argparse checks every
-flag value as it parses it, so a value the commands cannot use exits 2
-before any file is read, and the parsed namespace is the run's whole
+any other ArithmeticError, numpy's LinAlgError and MemoryError 4. argparse
+checks every flag value as it parses it, so a value the commands cannot use
+exits 2 before any file is read, and the parsed namespace is the run's whole
 configuration. Reproducibility is part of the contract: identical flags
 and seed give byte-identical outputs, so every float is printed with 17
 significant digits and all randomness flows through the --seed flag. The
@@ -35,9 +35,9 @@ from .body import (
 )
 from .boundary import export_mesh
 from .brightness import brightness_profile
-from .generators import constant_width_body, random_odd, \
-    require_variable_degrees, resolve_recipe
-from .lab import minimize_brightness_variance, parity_decomposition_check
+from .generators import constant_width_body, resolve_recipe
+from .lab import minimize_brightness_variance, parity_decomposition_check, \
+    random_odd, require_variable_degrees
 from .sphere import make_grid, require_resolvable
 
 EXIT_OK = 0
@@ -237,7 +237,7 @@ def _warn_unresolved(lmax, grid):
 
 
 def cmd_verify_theorem(args):
-    # before random_odd builds a basis at the largest degree
+    # before the start's tables are built at the largest degree
     require_resolvable(args.grid[0], max(args.degrees))
     gauge, grid = _load_body(args)
     # seeded start, scaled into the convexity region like the generators do;
@@ -299,6 +299,9 @@ def main(argv=None):
         return EXIT_INPUT
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print("numerical failure: out of memory: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
     except NotConvexError as exc:
         print("infeasible: %s" % exc, file=sys.stderr)

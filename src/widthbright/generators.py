@@ -46,10 +46,10 @@ def ellipsoid(a, b, c, lmax=12, grid=None):
 
     h(u) = sqrt(a^2 u1^2 + b^2 u2^2 + c^2 u3^2) is projected onto the
     harmonic basis by quadrature on a dedicated grid (default 48x96);
-    truncation_tol records the max deviation of the projection from the
-    closed form over that grid's nodes and the 16x32 nodes at which
-    body_from_spec checks a spec. The closed form is even, so odd
-    coefficients vanish identically.
+    truncation_tol is the largest deviation from the closed form at that
+    grid's nodes and at body_from_spec's 16x32 nodes, not over the sphere:
+    near the fit's ring count the deviation between the nodes can be 14 times
+    larger. The closed form is even, so odd coefficients vanish identically.
     """
     if min(a, b, c) <= 0.0:
         raise ValueError("ellipsoid semi-axes must be positive")
@@ -146,31 +146,6 @@ def random_convex(seed, lmax, grid, roughness=0.3):
         pert *= 0.5
     raise ArithmeticError("random_convex failed to certify after %d halvings"
                           % _MAX_HALVINGS)
-
-
-def require_variable_degrees(degrees):
-    """The probe's variable degrees, or ValueError unless they are distinct,
-    odd and at least 3 (degree 1 is a translation)."""
-    if any(int(d) % 2 == 0 or int(d) < 3 for d in degrees):
-        raise ValueError("variable degrees must be odd and >= 3")
-    if len({int(d) for d in degrees}) != len(degrees):
-        raise ValueError("variable degrees must not repeat")
-    return degrees
-
-
-def random_odd(seed, degrees=(3, 5, 7), scale=1.0):
-    """Seeded odd coefficient field, unit L2 norm times scale, on the given
-    degrees, which require_variable_degrees checks."""
-    degrees = require_variable_degrees(tuple(int(d) for d in degrees))
-    lmax = max(degrees)
-    basis = make_basis(lmax)
-    rng = np.random.default_rng(seed)
-    coeffs = np.zeros(basis.size)
-    for l in degrees:
-        for m in range(-l, l + 1):
-            coeffs[basis_index(l, m)] = rng.standard_normal()
-    coeffs *= scale / np.linalg.norm(coeffs)
-    return SupportFunction(coeffs, lmax, label="random_odd(seed=%s)" % seed)
 
 
 def resolve_recipe(recipe, grid):

@@ -38,7 +38,6 @@ from .body import (
     odd_part, require_convex, _padded,
 )
 from .brightness import cosine_transform
-from .generators import require_variable_degrees
 
 _MIN_EIG_FLOOR = 0.01
 _NORM_TOL = 1e-3
@@ -107,8 +106,32 @@ class OptimizerTrace:
     final_coeffs: np.ndarray  # variable-space odd coefficients
 
 
+def require_variable_degrees(degrees):
+    """The probe's variable degrees as a tuple of ints, or ValueError unless
+    they are distinct, odd and at least 3 (degree 1 is a translation)."""
+    degrees = tuple(int(d) for d in degrees)
+    if any(d % 2 == 0 or d < 3 for d in degrees):
+        raise ValueError("variable degrees must be odd and >= 3")
+    if len(set(degrees)) != len(degrees):
+        raise ValueError("variable degrees must not repeat")
+    return degrees
+
+
 def _variable_indices(degrees):
     return np.concatenate([np.arange(l * l, (l + 1) ** 2) for l in degrees])
+
+
+def random_odd(seed, degrees=(3, 5, 7), scale=1.0):
+    """Seeded odd coefficient field, unit L2 norm times scale, on the given
+    degrees, which require_variable_degrees checks: one standard normal per
+    variable, drawn in _variable_indices order."""
+    degrees = require_variable_degrees(degrees)
+    lmax = max(degrees)
+    idx = _variable_indices(degrees)
+    coeffs = np.zeros((lmax + 1) ** 2)
+    coeffs[idx] = np.random.default_rng(seed).standard_normal(idx.size)
+    coeffs *= scale / np.linalg.norm(coeffs)
+    return SupportFunction(coeffs, lmax, label="random_odd(seed=%s)" % seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +258,8 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     """Descend F(c) = weighted variance of brightness(gauge + p_c)/brightness(gauge).
 
     Variables are the odd coefficients of the given degrees (degree 1 is
-    excluded: it is a pure translation). F is a homogeneous quartic in c,
+    excluded: it is a pure translation); init_odd is the start p_c, a
+    SupportFunction supported on them. F is a homogeneous quartic in c,
     evaluated with its exact gradient on the gauge's Gram matrix
     (_quadratic_model); Barzilai-Borwein step seeding, monotone
     backtracking, and projection to the convexity region by step halving
@@ -245,7 +269,7 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
     region). A gauge whose margin is not above the floor raises
     NotConvexError.
     """
-    degrees = require_variable_degrees(tuple(int(d) for d in degrees))
+    degrees = require_variable_degrees(degrees)
     field = inverse_gauss(gauge, grid)
     if not field.min_eigenvalue > _MIN_EIG_FLOOR:
         raise NotConvexError("gauge margin %.3e is not above the probe's floor %g"
@@ -255,17 +279,11 @@ def minimize_brightness_variance(gauge, init_odd, grid, degrees=(3, 5),
 
     model = _quadratic_model(field, degrees)
 
-    if isinstance(init_odd, SupportFunction):
-        full = _padded(init_odd.coeffs, init_odd.lmax,
-                       max(init_odd.lmax, model.basis.lmax))
-        c = full[model.idx]
-        full[model.idx] = 0.0
-        if np.any(full != 0.0):
-            raise ValueError("init_odd has support outside the variable degrees")
-    else:
-        c = np.asarray(init_odd, float).copy()
-        if c.shape != (model.idx.size,):
-            raise ValueError("init_odd length does not match the variable count")
+    full = _padded(init_odd.coeffs, init_odd.lmax,
+                   max(init_odd.lmax, model.basis.lmax))
+    c = full[model.idx]
+    if np.count_nonzero(full) > np.count_nonzero(c):
+        raise ValueError("init_odd has support outside the variable degrees")
 
     trace = []
     eig = model.min_eig(c)

@@ -929,6 +929,47 @@ def test_closed_form_tag_with_a_nan_parameter_is_input_error(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["tag.json"]
 
 
+@pytest.mark.parametrize("tag, want", [
+    ("ellipsoid:1,2", "ellipsoid needs 3 parameter(s), got 2"),
+    ("ball:1,2", "ball needs 1 parameter(s), got 2"),
+    ("foo:1", "unknown closed form tag: 'foo:1'"),
+], ids=["ellipsoid-too-few", "ball-too-many", "unknown"])
+def test_malformed_closed_form_tag_is_named(tmp_path, capsys, tag, want):
+    # the wrong parameter counts exited 2 with "not enough values to unpack"
+    # and "too many values to unpack"
+    body = write_json(tmp_path / "tag.json", dict(ball_spec(), closed_form=tag))
+    assert main(["analyze", body, "--grid", "8,16", "--lmax", "7"]) == EXIT_INPUT
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: "), lines
+    assert repr(tag) in lines[0] and want in lines[0], lines
+    assert os.listdir(tmp_path) == ["tag.json"]
+
+
+def test_body_spec_that_is_a_list_is_input_error(tmp_path, capsys):
+    body = write_json(tmp_path / "list.json", [ball_spec()])
+    assert main(["analyze", body, "--grid", "8,16", "--lmax", "7"]) == EXIT_INPUT
+    _one_error_line(capsys, "input error: body spec must be a JSON object")
+    assert os.listdir(tmp_path) == ["list.json"]
+
+
+@pytest.mark.parametrize("command, builder", [
+    ("verify-theorem", "widthbright.lab._quadratic_model"),
+    ("analyze", "widthbright.brightness._cosine_operator"),
+], ids=["verify-theorem", "analyze"])
+def test_out_of_memory_exits_4_with_one_line(tmp_path, capsys, monkeypatch,
+                                             command, builder):
+    # numpy's _ArrayMemoryError, a MemoryError, ended the run in a traceback
+    # with exit 1 when a table did not fit the process's address space
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.33 GiB for an array")
+    monkeypatch.setattr(builder, fail)
+    body = write_json(tmp_path / "ball.json", ball_spec())
+    assert main([command, body, *_FAST[command]]) == EXIT_NUMERICAL
+    _one_error_line(capsys, "numerical failure: out of memory: Unable to "
+                    "allocate 7.33 GiB")
+    assert os.listdir(tmp_path) == ["ball.json"]
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -235,6 +235,18 @@ def test_random_convex_refuses_a_boolean_seed(grid16):
             random_convex(seed, 6, grid16)
 
 
+def looped_random_odd(seed, degrees, scale=1.0):
+    """The reference draw order of random_odd's start: one standard normal
+    per (l, m), degrees as given, m from -l to l."""
+    basis = make_basis(max(degrees))
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(basis.size)
+    for l in degrees:
+        for m in range(-l, l + 1):
+            coeffs[basis_index(l, m)] = rng.standard_normal()
+    return coeffs * (scale / np.linalg.norm(coeffs))
+
+
 def test_random_odd_is_deterministic_unit_norm():
     a = random_odd(7)
     b = random_odd(7)
@@ -251,6 +263,16 @@ def test_random_odd_is_deterministic_unit_norm():
     # degree 1 is a translation: the probe's degree rule refuses it here too
     with pytest.raises(ValueError, match="odd and >= 3"):
         random_odd(7, degrees=(1, 3))
+    # seeded starts keep their bits: one draw per variable, in the order
+    # of the reference loop, unsorted degree sets included
+    for seed in (0, 1, 7, 2 ** 40):
+        for degrees in ((3, 5, 7), (3,), (5, 3), (9, 3, 7), (11, 5)):
+            for scale in (1.0, 0.25):
+                got = random_odd(seed, degrees, scale)
+                assert got.lmax == max(degrees)
+                assert np.array_equal(
+                    got.coeffs, looped_random_odd(seed, degrees, scale)), \
+                    (seed, degrees, scale)
 
 
 def test_every_generator_clears_the_convexity_floor(grid32):

@@ -150,9 +150,14 @@ def test_odd_dets_cannot_be_negative_everywhere(grid32):
 # ---------------------------------------------------------------------------
 # brightness-variance descent
 
+def zero_start(lmax=5):
+    """The start at the gauge itself: a support function with no odd part."""
+    return SupportFunction(np.zeros((lmax + 1) ** 2), lmax)
+
+
 def test_optimizer_accepts_gauge_itself(grid32):
     trace = minimize_brightness_variance(
-        ball(1.0), np.zeros(18), grid32, degrees=(3, 5))
+        ball(1.0), zero_start(), grid32, degrees=(3, 5))
     assert trace.terminal_status == "converged_to_gauge"
     assert len(trace.iterations) == 1
     cn, var, eig, step = trace.iterations[0]
@@ -192,26 +197,29 @@ def test_optimizer_reports_infeasible_start(grid32):
 
 def test_optimizer_input_validation(grid32):
     with pytest.raises(ValueError):
-        minimize_brightness_variance(ball(1.0), np.zeros(18), grid32,
+        minimize_brightness_variance(ball(1.0), zero_start(), grid32,
                                      degrees=(2, 4))
     with pytest.raises(ValueError):
-        minimize_brightness_variance(ball(1.0), np.zeros(18), grid32,
+        minimize_brightness_variance(ball(1.0), zero_start(), grid32,
                                      degrees=(1, 3))
     asym = SupportFunction(
         2.0 * math.sqrt(math.pi) * np.eye(16)[0]
         + 0.01 * np.eye(16)[basis_index(3, 0)], 3)
     with pytest.raises(ValueError):
-        minimize_brightness_variance(asym, np.zeros(18), grid32)
-    with pytest.raises(ValueError):
-        minimize_brightness_variance(ball(1.0), np.zeros(7), grid32)
+        minimize_brightness_variance(asym, zero_start(), grid32)
     with pytest.raises(ValueError, match="init_odd has support outside "
                        "the variable degrees"):
         minimize_brightness_variance(ball(1.0), random_odd(3, degrees=(7,)),
                                      grid32, degrees=(3, 5))
     # a repeated degree counted each of its coefficients twice in MJ @ c
     with pytest.raises(ValueError, match="must not repeat"):
-        minimize_brightness_variance(ball(1.0), np.zeros(14), grid32,
+        minimize_brightness_variance(ball(1.0), zero_start(3), grid32,
                                      degrees=(3, 3))
+
+
+def test_variable_degrees_read_as_a_tuple_of_ints():
+    got = lab.require_variable_degrees([5.0, np.int64(3)])
+    assert got == (5, 3) and all(type(d) is int for d in got)
 
 
 def relative_brightness_table(gauge, grid, degrees=(3, 5)):
@@ -422,10 +430,12 @@ def test_optimizer_stalls_safely_on_an_under_resolved_grid():
 @pytest.mark.parametrize("value", [np.nan, 1e160])
 def test_optimizer_reports_a_far_or_nan_start_infeasible(grid32, value):
     # 1e160 squares past the double range: under the commands' errstate
-    # that is a start outside the convexity region, not an overflow
+    # that is a start outside the convexity region, not an overflow. The
+    # value is written after the start is built, which refuses a NaN
+    init = zero_start()
+    init.coeffs[lab._variable_indices((3, 5))] = value
     with np.errstate(all="raise", under="ignore"):
-        trace = minimize_brightness_variance(ball(1.0), np.full(18, value),
-                                             grid32)
+        trace = minimize_brightness_variance(ball(1.0), init, grid32)
     assert trace.terminal_status == "infeasible"
     assert trace.iterations == []
 
@@ -499,6 +509,6 @@ def test_one_cosine_operator_per_grid():
     _cosine_operator.cache_clear()
     lab._quadratic_model.cache_clear()
     brightness_profile(ball(1.0), grid)
-    minimize_brightness_variance(ball(1.0), np.zeros(18), grid)
+    minimize_brightness_variance(ball(1.0), zero_start(), grid)
     info = _cosine_operator.cache_info()
     assert info.hits >= 1 and info.currsize == 1

@@ -1,18 +1,18 @@
 """Grid, quadrature, harmonic basis, and jet tests.
 
 Reference values come from closed-form integrals, the spherical-harmonic
-addition theorem, a sympy zonal-reduction oracle, and finite differences of
-the degree-1 homogeneous extension. None of the reference paths reuse the
-package's derivative tables.
+addition theorem, and finite differences of the degree-1 homogeneous
+extension, taken exactly in rationals for a zonal harmonic at the pole.
+None of the reference paths reuse the package's derivative tables.
 """
 
 import math
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from widthbright import make_grid, make_basis, basis_index, integrate
 from widthbright import sphere
@@ -21,7 +21,8 @@ from widthbright.sphere import (
     entries_eigmin, sigma_entries, _solid_jets,
     _PAIRS,
 )
-from widthbright.generators import random_convex, random_odd
+from widthbright.generators import random_convex
+from widthbright.lab import random_odd
 from widthbright.body import central_symmetral, inverse_gauss
 from conftest import unit_vectors
 
@@ -360,30 +361,33 @@ def test_jet_tables_match_finite_differences(grid32):
 def test_jet_zonal_harmonic_at_pole_high_precision():
     # high-precision finite differences of the extension of Y_30,
     # p~(x) = sqrt(7/(4 pi))/2 * (5 z^3 - 3 z |x|^2) / |x|^2, at the north
-    # pole, evaluated with sympy at 40 digits so the only error is the
-    # O(step^2) truncation
-    x, y, z = sp.symbols("x y z")
-    r2 = x**2 + y**2 + z**2
-    ext = sp.sqrt(sp.Rational(7) / (4 * sp.pi)) / 2 * (5 * z**3 - 3 * z * r2) / r2
-    step = sp.Rational(1, 100000)
-    u = (sp.Integer(0), sp.Integer(0), sp.Integer(1))
+    # pole: the rational part is differenced exactly in Fractions, so the
+    # only error is the O(step^2) truncation, and its constant factor is
+    # applied in floating point afterwards
+    scale = math.sqrt(7.0 / (4.0 * math.pi)) / 2.0
+    step = Fraction(1, 100000)
 
     def at(dx, dy, dz):
-        return ext.subs({x: u[0] + dx, y: u[1] + dy, z: u[2] + dz}).evalf(40)
+        x, y, z = Fraction(dx), Fraction(dy), 1 + Fraction(dz)
+        r2 = x * x + y * y + z * z
+        return (5 * z ** 3 - 3 * z * r2) / r2
+
+    def shifted(*moves):
+        return at(*map(sum, zip(*moves)))
 
     val = at(0, 0, 0)
     axes = [(step, 0, 0), (0, step, 0), (0, 0, step)]
-    grad3 = [(at(*d) - at(*[-c for c in d])) / (2 * step) for d in axes]
-    hess3 = sp.zeros(3, 3)
+    neg = [tuple(-c for c in d) for d in axes]
+    grad3 = [(at(*d) - at(*n)) / (2 * step) for d, n in zip(axes, neg)]
+    hess3 = [[None] * 3 for _ in range(3)]
     for a in range(3):
-        d = axes[a]
-        hess3[a, a] = (at(*d) - 2 * val + at(*[-c for c in d])) / step**2
+        hess3[a][a] = (at(*axes[a]) - 2 * val + at(*neg[a])) / step ** 2
     for a in range(3):
         for b in range(a):
-            da, db = sp.Matrix(axes[a]), sp.Matrix(axes[b])
-            hess3[a, b] = hess3[b, a] = (
-                at(*(da + db)) - at(*(da - db)) - at(*(-da + db)) + at(*(-da - db))
-            ) / (4 * step**2)
+            hess3[a][b] = hess3[b][a] = (
+                shifted(axes[a], axes[b]) - shifted(axes[a], neg[b])
+                - shifted(neg[a], axes[b]) + shifted(neg[a], neg[b])
+            ) / (4 * step ** 2)
 
     basis = make_basis(3)
     coeffs = np.zeros(basis.size)
@@ -391,11 +395,11 @@ def test_jet_zonal_harmonic_at_pole_high_precision():
     frame = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     j = jet(basis, coeffs, np.array([0.0, 0.0, 1.0]), frame)
 
-    assert abs(j.value - float(val)) < 1e-12
+    assert abs(j.value - scale * float(val)) < 1e-12
     for a in range(2):
-        assert abs(j.grad[a] - float(grad3[a])) < 1e-6
+        assert abs(j.grad[a] - scale * float(grad3[a])) < 1e-6
         for b in range(2):
-            want = float(hess3[a, b]) - (float(val) if a == b else 0.0)
+            want = scale * (float(hess3[a][b]) - (float(val) if a == b else 0.0))
             assert abs(j.hess[a, b] - want) < 1e-6
 
 
