@@ -12,7 +12,9 @@ inverse_gauss is the one place a body is evaluated on a grid: it returns a
 read-only BoundaryField (h, the support matrix, its least eigenvalue and
 determinant, and phi = h u + grad h at the nodes, with the grid and lmax),
 cached per (grid, lmax, coefficient values). Every result on a grid reads
-that record, and the mesh and the probe model are keyed by it alone.
+that record, and the mesh and the probe model are keyed by it alone; only
+the perturbation bound of constant_width_body, read once, synthesizes the
+record's entries alone, to the same bits.
 """
 
 import math

@@ -11,11 +11,13 @@ meridian harmonics (sphere.basis_values) and the multipliers alone. The
 table holds the output rings of one half sphere, since a-perp is the same
 for a and -a, so the on-grid transform is even bitwise by construction. Off
 the grid the kernel |<a,u>| enters as its Legendre series in the dot
-product, evaluated as a Chebyshev series in 2 t^2 - 1 (_kernel_chebyshev).
-The multipliers would serve there too, via quadrature coefficients and
-basis_values at the directions (agreeing to 1.5e-15), but at 20 directions
-and degree 16 basis_values alone takes 0.43 ms, the kernel route 0.30 ms in
-all, and a prototype cut oracle_check from 30 to 24 jobs per reference.
+product, summed as a Chebyshev series in 2 t^2 - 1 (_kernel_chebyshev) by
+Clenshaw's recurrence in a few buffers made once. The multipliers would
+serve there too, via quadrature coefficients and basis_values at the
+directions (agreeing to 1.5e-15), but at 20 directions and degree 16 on
+32x64 (one BLAS thread, a shared 2-core Xeon) basis_values alone takes
+0.74 ms, the kernel route 0.55 ms in all (0.83 ms with three new arrays
+per step), and a prototype cut oracle_check from 30 to 24 jobs per reference.
 Both routes are exact to roundoff for bandlimited f; naive quadrature of
 the kinked kernel would stall at O(n^-2), and only the tests keep it.
 
@@ -25,8 +27,9 @@ outward-oriented boundary mesh it sums Cauchy's projection formula, a
 quarter of sum_T |((v1 - v0) x (v2 - v0)) . a| over the triangles. The
 mesh, built once per field record (export_mesh), keeps its cross products
 as a (3, T) table. Every product is 4 directions, the last group padded
-with zero rows, against at most 16,384 triangles: it stays in cache, and
-an area has the same bits in any batch.
+with zero rows, against at most 16,384 triangles, and its |n . a| rows are
+summed by a product with a ones vector: both stay in cache and keep one
+shape, so an area has the same bits in any batch.
 """
 
 import math
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import legval
 
 from .body import TOL_PSD, inverse_gauss, require_convex
@@ -43,6 +45,7 @@ from .sphere import basis_values, make_basis, make_grid, _freeze
 
 _UNIT_TOL = 1e-12
 _BLOCK = 16384  # triangles per block of mesh_shadow's (4, 3) @ (3, block)
+_ONES = _freeze(np.ones(_BLOCK))  # sums a block's rows of |n . a|
 
 
 @dataclass(eq=False)
@@ -88,11 +91,34 @@ def _kernel_chebyshev(lmax):
 
 def _kernel_from_dots(dots, lmax):
     """The cosine kernel |t| at t = dots as its Legendre series to degree
-    lmax, scaled so that its quadrature against f gives (Cf): chebval
-    evaluates _kernel_chebyshev's series in y = 2 t^2 - 1 by Clenshaw's
-    recurrence (Clenshaw 1955), lmax // 2 steps.
+    lmax, scaled so that its quadrature against f gives (Cf): the
+    _kernel_chebyshev series in y = 2 t^2 - 1 summed by Clenshaw's
+    recurrence (Clenshaw 1955), lmax // 2 steps. These are the operations of
+    numpy's chebval in its order, so the rows have its bits, but each step
+    writes into buffers made once instead of three new arrays. y is a new
+    array; dots is left as it is.
     """
-    return chebval(2.0 * dots * dots - 1.0, _kernel_chebyshev(lmax))
+    c = _kernel_chebyshev(lmax)
+    y = np.multiply(dots, 2.0)
+    y *= dots
+    y -= 1.0
+    if len(c) < 3:  # c0 + c1 y, c1 = 0 for a constant
+        y *= c[1] if len(c) == 2 else 0.0
+        y += c[0]
+        return y
+    y2 = 2.0 * y
+    c1 = c[-1] * y2
+    c1 += c[-2]
+    c0 = np.full_like(y, c[-3] - c[-1])
+    step = np.empty_like(y)
+    for ck in c[-4::-1]:  # c0, c1 = ck - c1, c0 + c1 y2
+        np.multiply(c1, y2, out=step)
+        step += c0
+        np.subtract(ck, c1, out=c0)
+        c1, step = step, c1
+    y *= c1
+    y += c0
+    return y
 
 
 def _offgrid_transform(f, grid, directions, lmax):
@@ -107,7 +133,8 @@ def _offgrid_transform(f, grid, directions, lmax):
     g = (grid.weights if f.ndim == 1 else grid.weights[:, None]) * f
     half = grid.half
     g = g[half] + g[grid.antipode_index[half]]
-    dots = np.clip(directions @ grid.nodes[half].T, -1.0, 1.0)
+    dots = directions @ grid.half_nodes.T
+    np.clip(dots, -1.0, 1.0, out=dots)
     return _kernel_from_dots(dots, lmax) @ g
 
 
@@ -190,11 +217,15 @@ def brightness_profile(h, grid, directions=None, method="support_formula",
     built once per body and reused by later calls (inverse_gauss,
     export_mesh). Directions default to the grid nodes, where the formula's
     profile is even bitwise by construction (cosine_transform); given
-    directions must be finite unit vectors. A NaN area, like a non-positive
+    directions must be finite unit vectors, which mesh_shadow checks itself
+    for the oracle, once its mesh is built. A NaN area, like a non-positive
     one, raises ArithmeticError.
     """
     on_grid = directions is None
-    directions = grid.nodes if on_grid else _unit_directions(directions)
+    if on_grid:
+        directions = grid.nodes
+    elif method != "mesh_shadow":
+        directions = _unit_directions(directions)
     field = require_convex(inverse_gauss(h, grid), "brightness", tol_psd)
     if method == "support_formula" and on_grid:
         areas = 0.5 * cosine_transform(field.detfield, grid, directions)
@@ -231,7 +262,10 @@ def mesh_shadow(mesh, directions):
     zero rows) against at most _BLOCK triangles of the mesh's (3, T)
     cross-product table, which stays in cache; BLAS gives a lone row (gemv)
     other bits than a row of a product (gemm), so an area's bits do not
-    depend on its batch. A zero area raises ValueError.
+    depend on its batch. A group's rows of |n . a| are summed by one more
+    fixed-shape product, (4, block) @ ones(block), which sums its four rows
+    alike and is faster than numpy's pairwise sum(1). A zero area raises
+    ValueError.
     """
     directions = _unit_directions(directions)
     groups = np.vstack([directions, np.zeros((-len(directions) % 4, 3))])
@@ -240,7 +274,8 @@ def mesh_shadow(mesh, directions):
         block = mesh.cross[start:start + _BLOCK].T  # rows of the table
         out = np.empty((4, block.shape[1]))
         for group, total in zip(groups.reshape(-1, 4, 3), sums):
-            total += np.abs(np.matmul(group, block, out=out), out=out).sum(1)
+            np.abs(np.matmul(group, block, out=out), out=out)
+            total += out @ _ONES[:block.shape[1]]
     areas = 0.25 * sums.ravel()[:len(directions)]
     if np.any(areas <= 0.0):
         raise ValueError("degenerate shadow: zero projected area")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphere import make_grid, make_basis, basis_index, basis_values, \
-    require_resolvable
+    entries_eigmin, node_tables, require_resolvable, synthesize_entries
 from .body import NotConvexError, SupportFunction, body_from_spec, \
     central_symmetral, closed_form_values, inverse_gauss, minkowski_sum, \
     odd_part, read_degree, _closed_form_deviation
@@ -76,8 +76,9 @@ def constant_width_body(gauge, p, eps_request, grid):
     gauge must be even and certified convex with margin m > 0; p must be odd
     and nonzero. eps is eps_request with its magnitude capped at 0.9 m / rho,
     where rho is the grid maximum spectral radius of p I + hess p, so the
-    summed support matrix keeps eigenvalues >= 0.1 m for either sign. A
-    gauge without a positive margin raises NotConvexError.
+    summed support matrix keeps eigenvalues >= 0.1 m for either sign; rho
+    has the bits of p's field record, which is not built. A gauge without
+    a positive margin raises NotConvexError.
     """
     if odd_part(gauge).coeffs.any():
         raise ValueError("gauge must be even (odd coefficients zero)")
@@ -90,8 +91,10 @@ def constant_width_body(gauge, p, eps_request, grid):
         raise NotConvexError("gauge must be certified convex with positive "
                              "margin (min eigenvalue %.3e)" % margin)
 
-    # p is odd: the largest eigenvalue at u is minus the least at -u
-    rho = float(np.abs(inverse_gauss(p, grid).eigmin).max())
+    # p is odd: the largest eigenvalue at u is minus the least at -u. Its
+    # field is read once, so its entries alone are synthesized, not recorded
+    entries = synthesize_entries(node_tables(grid, p.basis), p.coeffs)
+    rho = float(np.abs(entries_eigmin(entries)).max())
     if not math.isfinite(rho):
         raise ValueError("perturbation support matrix is not finite")
     if rho == 0.0:

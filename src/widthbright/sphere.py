@@ -40,7 +40,8 @@ class SphericalGrid:
     nodes[antipode_index[i]] == -nodes[i] holds bitwise, and the tangent
     frame at the antipode is (e1, -e2), so the frame change between u and -u
     is the constant matrix diag(1, -1). half indexes one half sphere, the
-    nodes i < antipode_index[i]; with their antipodes they are every node once.
+    nodes i < antipode_index[i]; with their antipodes they are every node
+    once. half_nodes is nodes[half], the nodes of the off-grid kernel rows.
     """
 
     n_theta: int
@@ -50,6 +51,7 @@ class SphericalGrid:
     antipode_index: np.ndarray   # (N,) involutive permutation
     frame: np.ndarray            # (N, 2, 3) orthonormal tangent pairs, e1 x e2 = u
     half: np.ndarray             # (N/2,) ascending node indices
+    half_nodes: np.ndarray       # (N/2, 3)
 
     @property
     def n_nodes(self):
@@ -110,16 +112,18 @@ def make_grid(n_theta, n_phi):
     ii, jj = np.meshgrid(np.arange(n_theta), np.arange(n_phi), indexing="ij")
     anti = ((n_theta - 1 - ii) * n_phi + (jj + half) % n_phi).reshape(-1)
 
-    grid = SphericalGrid(
+    nodes = nodes.reshape(-1, 3)
+    half = np.flatnonzero(np.arange(anti.size) < anti)
+    return SphericalGrid(
         n_theta=n_theta,
         n_phi=n_phi,
-        nodes=_freeze(nodes.reshape(-1, 3)),
+        nodes=_freeze(nodes),
         weights=_freeze(np.ascontiguousarray(weights.reshape(-1))),
         antipode_index=_freeze(anti),
         frame=_freeze(frame.reshape(-1, 2, 3)),
-        half=_freeze(np.flatnonzero(np.arange(anti.size) < anti)),
+        half=_freeze(half),
+        half_nodes=_freeze(nodes[half]),
     )
-    return grid
 
 
 def require_resolvable(n_theta, lmax):
@@ -378,13 +382,29 @@ def synthesize(tab, c):
     azimuth. Each sum runs over q in one order at every node, and node and
     antipode scale their terms by signs only, so an even or odd field keeps
     its antipodal parity bitwise."""
-    n_theta, n_phi = tab.ODD.shape[0] // 2, tab.A.shape[1]
-    value, m11, m22, px, pz = ((tab.EVEN * c) @ tab.A).reshape(5, n_theta, n_phi)
-    m12, py = ((tab.ODD * c) @ tab.B).reshape(2, n_theta, n_phi)
+    even, odd = _meridian_products(tab, c)
+    value, _, _, px, pz = even
     cp, sp = tab.AZIMUTH
-    phi = np.stack((cp * px - sp * py, sp * px + cp * py, pz), axis=-1)
-    return (value.flatten(), np.stack((m11, m12, m22), axis=-1).reshape(-1, 3),
-            phi.reshape(-1, 3))
+    phi = np.stack((cp * px - sp * odd[1], sp * px + cp * odd[1], pz), axis=-1)
+    return value.flatten(), _entries(even, odd), phi.reshape(-1, 3)
+
+
+def synthesize_entries(tab, c):
+    """synthesize's support-matrix entries alone, bitwise: the same two
+    products, without the values and phi. Products of the entry rows alone
+    would be cheaper, but BLAS may sum a row of a smaller product in
+    another order (rho of degree-19 fields on 20x40 moved by an ulp)."""
+    return _entries(*_meridian_products(tab, c))
+
+
+def _meridian_products(tab, c):
+    n_theta, n_phi = tab.ODD.shape[0] // 2, tab.A.shape[1]
+    return (((tab.EVEN * c) @ tab.A).reshape(5, n_theta, n_phi),
+            ((tab.ODD * c) @ tab.B).reshape(2, n_theta, n_phi))
+
+
+def _entries(even, odd):
+    return np.stack((even[1], odd[0], even[2]), axis=-1).reshape(-1, 3)
 
 
 def node_columns(tab, idx):

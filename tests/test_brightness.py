@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from conftest import pure_harmonic, unit_vectors
 from widthbright import (
@@ -23,7 +24,9 @@ from widthbright import (
     mesh_shadow,
     constant_width_body, central_symmetral, random_odd,
 )
-from widthbright.brightness import _cosine_operator, _kernel_from_dots
+from widthbright.brightness import (
+    _cosine_operator, _kernel_chebyshev, _kernel_from_dots,
+)
 from widthbright.boundary import BodyMesh, inverse_gauss, export_mesh
 from widthbright.sphere import make_basis, make_grid, basis_values
 
@@ -86,6 +89,21 @@ def test_kernel_matches_exact_series_for_every_ring_count():
         got = _kernel_from_dots(dots, n_theta - 1)
         err = np.abs(got - exact[:, n_theta - 1]).max()
         assert err <= 1e-14, (n_theta, err)
+
+
+def test_kernel_rows_have_chebval_bits_and_leave_the_dots_as_given():
+    # the in-place Clenshaw steps are chebval's operations in its order, at
+    # seeded dots with 0 and +-1, in 1-D and 2-D, and the dots stay as given
+    rng = np.random.default_rng(0)
+    flat = np.concatenate([[0.0, 1.0, -1.0], rng.uniform(-1.0, 1.0, 61)])
+    for dots in (flat, flat.reshape(8, 8)):
+        kept = dots.copy()
+        for lmax in range(128):
+            ref = chebval(2.0 * dots * dots - 1.0, _kernel_chebyshev(lmax))
+            got = _kernel_from_dots(dots, lmax)
+            assert got.shape == dots.shape
+            assert got.tobytes() == ref.tobytes(), lmax
+            assert dots.tobytes() == kept.tobytes(), lmax
 
 
 def test_transform_of_constant_is_two_pi(grid32):
@@ -506,6 +524,18 @@ def test_mesh_shadow_blocks_agree_with_one_product_per_direction():
     dirs = unit_vectors(1006, 10)
     ref = np.array([0.25 * np.abs(mesh.cross @ a).sum() for a in dirs])
     assert np.abs(mesh_shadow(mesh, dirs) / ref - 1.0).max() <= 1e-15
+
+
+def test_mesh_shadow_equals_a_plain_cross_product_sum_at_64x128(grid32):
+    # the fixed-shape row sums against a quarter of sum |cross . a| summed
+    # by numpy, on one whole block of 16,384 triangles
+    fine = make_grid(64, 128)
+    dirs = unit_vectors(1008, 20)
+    for h in (ball(1.0), ellipsoid(1, 1, 2),
+              random_convex(3, 8, grid32, roughness=0.35)):
+        mesh = export_mesh(inverse_gauss(h, fine))
+        ref = 0.25 * np.abs(mesh.cross @ dirs.T).sum(axis=0)
+        assert np.abs(mesh_shadow(mesh, dirs) / ref - 1.0).max() <= 1e-14
 
 
 def test_mesh_shadow_of_no_directions_is_empty(grid16):

@@ -14,7 +14,8 @@ from widthbright import (
     certify_convex, width, constant_width_body, random_convex, random_odd,
     resolve_recipe, central_symmetral, brightness_profile,
 )
-from widthbright.body import body_from_spec, body_to_spec, closed_form_values
+from widthbright.body import body_from_spec, body_to_spec, closed_form_values, \
+    _field
 from widthbright.boundary import inverse_gauss
 from widthbright.sphere import make_basis, make_grid, node_tables, basis_values
 
@@ -116,6 +117,26 @@ def test_negative_eps_is_bounded_in_magnitude(grid32):
         assert rec.params["eps"] == -bound
         assert certify_convex(rec.resolved, grid32).min_eigenvalue >= 0.1 - 1e-12
     assert constant_width_body(ball(1.0), p, -0.01, grid32).params["eps"] == -0.01
+
+
+@pytest.mark.parametrize("shape,degrees", [
+    ((32, 64), (3, 5)), ((16, 32), (3,)), ((48, 96), (3, 5, 7)),
+    ((11, 22), (5,)), ((13, 26), (3, 5, 7)),
+    ((20, 40), tuple(range(3, 20, 2))), ((22, 44), tuple(range(3, 22, 2)))],
+    ids=lambda v: "x".join(map(str, v)))
+def test_constant_width_bound_has_the_record_bits_without_the_record(shape, degrees):
+    # rho comes from p's support-matrix entries alone, not from a field
+    # record of p, and has the record's bits; with OpenBLAS 0.3.31, products
+    # of the entry rows alone moved it by an ulp on the last two grids
+    grid = make_grid(*shape)
+    gauge = ball(1.0)
+    inverse_gauss(gauge, grid)
+    for seed, scale in ((0, 1e-3), (1, 1.0), (2, 10.0)):
+        p = random_odd(seed, degrees, scale=scale)
+        misses = _field.cache_info().misses
+        rho = constant_width_body(gauge, p, math.inf, grid).params["rho"]
+        assert _field.cache_info().misses == misses
+        assert rho == float(np.abs(inverse_gauss(p, grid).eigmin).max())
 
 
 def test_constant_width_refuses_a_perturbation_that_overflows(grid32):
