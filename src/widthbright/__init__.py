@@ -30,7 +30,7 @@ _apply_thread_cap()
 
 from .sphere import (
     SphericalGrid, HarmonicBasis,
-    make_grid, make_basis, basis_index, integrate,
+    make_grid, make_basis, basis_index,
 )
 from .body import (
     SupportFunction, ConvexityCertificate, NotConvexError, BoundaryField,

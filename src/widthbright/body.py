@@ -10,11 +10,12 @@ Gauss curvature at the boundary point with outward normal u.
 
 inverse_gauss is the one place a body is evaluated on a grid: it returns a
 read-only BoundaryField (h, the support matrix, its least eigenvalue and
-determinant, and phi = h u + grad h at the nodes, with the grid and lmax),
-cached per (grid, lmax, coefficient values). Every result on a grid reads
-that record, and the mesh and the probe model are keyed by it alone; only
-the perturbation bound of constant_width_body, read once, synthesizes the
-record's entries alone, to the same bits.
+determinant, and phi = h u + grad h at the nodes and the poles, with the
+grid and lmax), cached per (grid, lmax, coefficient values). sphere's
+synthesize gives its values, entries, phi and pole points. Every result
+on a grid reads that record, and the mesh and the probe model are keyed by
+it alone; only the perturbation bound of constant_width_body, read once,
+synthesizes the record's entries alone, to the same bits.
 """
 
 import math
@@ -24,8 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .sphere import (
-    make_basis, make_grid, integrate, node_tables, basis_values,
-    entries_eigmin, sigma_entries, require_resolvable, synthesize, _freeze,
+    make_basis, make_grid, node_tables, basis_values, entries_eigmin,
+    sigma_entries, require_resolvable, synthesize, _freeze,
 )
 
 TOL_PSD = 1e-9
@@ -131,13 +132,13 @@ def inverse_gauss(h, grid):
 
 
 # room for a few bodies on two grids: an oracle pass alternates between a
-# grid and its 2x refinement, and a probe between its gauge and the starts
+# grid and its 2x refinement; a probe records its gauge alone, since a
+# start's perturbation bound synthesizes its entries without a record
 @lru_cache(maxsize=8)
 def _field(grid, lmax, coeff_bytes):
     """inverse_gauss's record: one synthesis from the meridian tables, poles too."""
-    c = np.frombuffer(coeff_bytes)
-    tab = node_tables(grid, make_basis(lmax))
-    values, ent, phi = synthesize(tab, c)
+    values, ent, phi, poles = synthesize(node_tables(grid, make_basis(lmax)),
+                                         np.frombuffer(coeff_bytes))
     eigmin = entries_eigmin(ent)
     return BoundaryField(
         values=_freeze(values),
@@ -145,7 +146,7 @@ def _field(grid, lmax, coeff_bytes):
         eigmin=_freeze(eigmin),
         detfield=_freeze(sigma_entries(ent, ent)),
         phi=_freeze(phi),
-        pole_points=_freeze(tab.POLES @ c),
+        pole_points=_freeze(poles),
         min_eigenvalue=float(eigmin.min()),
         grid=grid,
         lmax=lmax,
@@ -227,7 +228,7 @@ def certify_convex(h, grid, tol_psd=TOL_PSD):
 def volume(h, grid, tol_psd=TOL_PSD):
     """Body volume (1/3) int h det(h I + hess h) dS. Refuses non-convex input."""
     field = require_convex(inverse_gauss(h, grid), "volume", tol_psd)
-    return integrate(grid, field.values * field.detfield) / 3.0
+    return float(grid.weights @ (field.values * field.detfield)) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +257,15 @@ def read_degree(value, name="lmax"):
     return degree
 
 
+def _numbers(value, name):
+    """value, refused when it is or lists a JSON boolean, which float() and
+    numpy read as 1 or 0."""
+    if isinstance(value, bool) or \
+            isinstance(value, list) and any(isinstance(v, bool) for v in value):
+        raise ValueError("%s must be numbers, not booleans" % name)
+    return value
+
+
 def _closed_form_deviation(h):
     """Largest |h - closed form| and |closed form| at the 16x32 nodes where
     body_from_spec checks a spec, from the values alone: no node tables or
@@ -281,8 +291,9 @@ def body_from_spec(spec, n_theta=None):
     if n_theta is not None:
         require_resolvable(n_theta, lmax)
     try:
-        coeffs = np.asarray(spec["coeffs"], float)
-        truncation_tol = float(spec.get("truncation_tol", 0.0))
+        coeffs = np.asarray(_numbers(spec["coeffs"], "coeffs"), float)
+        truncation_tol = float(_numbers(spec.get("truncation_tol", 0.0),
+                                        "truncation_tol"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError("malformed body spec: %s" % exc) from None
     if not (math.isfinite(truncation_tol) and truncation_tol >= 0.0):
@@ -291,8 +302,11 @@ def body_from_spec(spec, n_theta=None):
     closed_form = spec.get("closed_form")
     if not isinstance(closed_form, (str, type(None))):
         raise ValueError("closed_form must be a tag string, got %r" % (closed_form,))
-    h = SupportFunction(coeffs, lmax, closed_form=closed_form,
-                        label=spec.get("label", ""), truncation_tol=truncation_tol)
+    label = spec.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError("label must be a string, got %r" % (label,))
+    h = SupportFunction(coeffs, lmax, closed_form=closed_form, label=label,
+                        truncation_tol=truncation_tol)
     if h.closed_form is not None:
         # the 1e-8 scales with the largest value above 1
         dev, top = _closed_form_deviation(h)

@@ -8,10 +8,13 @@ range), ValueError, OSError and RecursionError exit 2, NotConvexError 3,
 any other ArithmeticError, numpy's LinAlgError and MemoryError 4. argparse
 checks every flag value as it parses it, so a value the commands cannot use
 exits 2 before any file is read, and the parsed namespace is the run's whole
-configuration. Reproducibility is part of the contract: identical flags
-and seed give byte-identical outputs, so every float is printed with 17
-significant digits and all randomness flows through the --seed flag. The
-library only computes: every output file is written here, by _write_lines.
+configuration. A grid is refused only for a degree the input has: the body
+spec's lmax, a recipe's degrees and verify-theorem's --degrees; --lmax
+(default 0) is an optional check on top. Reproducibility is part of the
+contract: identical flags and seed give byte-identical outputs, so every
+float is printed with 17 significant digits and all randomness flows
+through the --seed flag. The library only computes: every output file is
+written here, by _write_lines.
 
 WIDTHBRIGHT_THREADS caps BLAS parallelism; the package's __init__ applies
 it before numpy loads, since every way into this module imports the
@@ -95,7 +98,8 @@ def _build_parser():
         p.add_argument("body", help=body_help)
         p.add_argument("--grid", type=_GRID, default="32,64", metavar="T,P",
                        help="n_theta,n_phi quadrature grid (default %(default)s)")
-        p.add_argument("--lmax", type=_COUNT, default=12)
+        p.add_argument("--lmax", type=_COUNT, default=0,
+                       help="also refuse a grid too coarse for this degree")
         p.add_argument("--out", default=None, help="output path")
         if tol:
             p.add_argument("--tol", type=_PSD_TOL, default=TOL_PSD, dest="tol_psd",
@@ -249,6 +253,10 @@ def cmd_verify_theorem(args):
     trace = minimize_brightness_variance(gauge, init, grid,
                                          degrees=args.degrees,
                                          max_iter=args.max_iter)
+    if len(trace.iterations) == 1 and trace.terminal_status == "converged_to_gauge":
+        raise ValueError("the start (coefficient norm %.3g) already meets the "
+                         "probe's convergence test, so no step was taken: "
+                         "raise --start-scale" % trace.iterations[0][0])
     out = _out_path(args, ".trace.csv")
     _write_lines(out, ["iter,coeff_norm,variance,min_eig,step"] + [
         "%d,%.17g,%.17g,%.17g,%.17g" % (k, cn, var, eig, step)

@@ -18,7 +18,8 @@ which is the tangential part of d2p~(u) minus p(u) I.
 
 node_tables runs the recurrence on one meridian only, and synthesize turns
 its rows to every azimuth and sums a field from them in two small products
-(Driscoll & Healy's semi-naive synthesis); no (N, B) table is built.
+(Driscoll & Healy's semi-naive synthesis), the pole points too; no (N, B)
+table is built. sphere is the one module that reads a NodeTables field.
 """
 
 import math
@@ -132,14 +133,6 @@ def require_resolvable(n_theta, lmax):
     if n_theta < lmax + 1:
         raise ValueError("grid too coarse for lmax %d: need n_theta >= %d"
                          % (lmax, lmax + 1))
-
-
-def integrate(grid, f):
-    """Quadrature sum(weights * f) over the grid nodes."""
-    f = np.asarray(f, float)
-    if f.shape != (grid.n_nodes,):
-        raise ValueError("value sequence length does not match node count")
-    return float(grid.weights @ f)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +287,8 @@ class NodeTables:
     POLES[k, :, q]         = phi of Y_q at the north (k = 0) and south pole
 
     (m11, m12, m22) are the rows of Y_q I + hess Y_q in the node frame and
-    phi_q = dR_q + (1 - l_q) Y_q u; synthesize evaluates fields from them.
+    phi_q = dR_q + (1 - l_q) Y_q u; synthesize evaluates fields from them,
+    the pole points included.
     """
 
     EVEN: np.ndarray     # (5 n_theta, B)
@@ -376,17 +370,17 @@ def node_tables(grid, basis):
 
 
 def synthesize(tab, c):
-    """values (N,), support-matrix entries (N, 3) and phi (N, 3) of the field
-    with coefficients c, from two small products over the meridian,
-    (EVEN * c) @ A and (ODD * c) @ B, whose rows are turned to phi at each
-    azimuth. Each sum runs over q in one order at every node, and node and
-    antipode scale their terms by signs only, so an even or odd field keeps
-    its antipodal parity bitwise."""
+    """values (N,), support-matrix entries (N, 3), phi (N, 3) and the pole
+    points (2, 3) of the field with coefficients c, from two small products
+    over the meridian, (EVEN * c) @ A and (ODD * c) @ B, whose rows are
+    turned to phi at each azimuth, and POLES @ c. Each sum runs over q in one
+    order at every node, and node and antipode scale their terms by signs
+    only, so an even or odd field keeps its antipodal parity bitwise."""
     even, odd = _meridian_products(tab, c)
     value, _, _, px, pz = even
     cp, sp = tab.AZIMUTH
     phi = np.stack((cp * px - sp * odd[1], sp * px + cp * odd[1], pz), axis=-1)
-    return value.flatten(), _entries(even, odd), phi.reshape(-1, 3)
+    return value.flatten(), _entries(even, odd), phi.reshape(-1, 3), tab.POLES @ c
 
 
 def synthesize_entries(tab, c):

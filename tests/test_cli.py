@@ -113,7 +113,7 @@ def test_analyze_ball(tmp_path):
 def test_analyze_brightness_csv(tmp_path):
     # one 17-digit row per grid node, its direction that node bitwise
     body = write_json(tmp_path / "ball.json", ball_spec())
-    argv = ["analyze", body, "--grid", "16,32", "--lmax", "8"]
+    argv = ["analyze", body, "--grid", "16,32"]
     assert main(argv) == EXIT_OK
     path = tmp_path / "ball_brightness.csv"
     first = path.read_bytes()
@@ -245,7 +245,7 @@ def test_verify_theorem_on_ball(tmp_path, capsys):
 
 def test_verify_theorem_trace_csv(tmp_path, capsys):
     body = write_json(tmp_path / "ball.json", ball_spec())
-    argv = ["verify-theorem", body, "--seed", "5", "--grid", "16,32", "--lmax", "8"]
+    argv = ["verify-theorem", body, "--seed", "5", "--grid", "16,32"]
     assert main(argv) == EXIT_OK
     states = re.search(r"\((\d+) accepted states\)", capsys.readouterr().out)
     path = tmp_path / "ball.trace.csv"
@@ -263,7 +263,7 @@ def test_verify_theorem_warns_when_the_grid_cannot_resolve_the_probe(
     # the brightness of ball + p, p of degree 5, is exact from 11 rings on;
     # on 6 the descent stalls and still exits 0, with one warning line
     body = write_json(tmp_path / "ball.json", ball_spec())
-    argv = ["verify-theorem", body, "--degrees", "3,5", "--lmax", "5"]
+    argv = ["verify-theorem", body, "--degrees", "3,5"]
     assert main(argv + ["--grid", "6,12"]) == EXIT_OK
     captured = capsys.readouterr()
     assert "RIGIDITY-UNRESOLVED (stalled)" in captured.out
@@ -286,7 +286,7 @@ def test_verify_theorem_gauge_below_the_floor_is_infeasible(tmp_path, capsys):
     # numerical failure
     body = write_json(tmp_path / "tiny.json",
                       {"basis": "real-sph-harm", "lmax": 0, "coeffs": [0.0177]})
-    assert main(["verify-theorem", body, "--grid", "8,16", "--lmax", "7",
+    assert main(["verify-theorem", body, "--grid", "8,16",
                  "--degrees", "3"]) == EXIT_INFEASIBLE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("infeasible: "), lines
@@ -298,7 +298,7 @@ def test_verify_theorem_non_convex_gauge_is_infeasible(tmp_path, capsys):
     body = write_json(tmp_path / "spiky.json", {
         "basis": "real-sph-harm", "lmax": 2,
         "coeffs": [3.5449, 0, 0, 0, 0, 0, 5.0, 0, 0]})
-    assert main(["verify-theorem", body, "--grid", "8,16", "--lmax", "7",
+    assert main(["verify-theorem", body, "--grid", "8,16",
                  "--degrees", "3"]) == EXIT_INFEASIBLE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("infeasible: "), lines
@@ -333,7 +333,7 @@ def test_export_ball_obj(tmp_path):
 
 def test_export_obj_roundtrip(tmp_path):
     body = write_json(tmp_path / "ball.json", ball_spec())
-    argv = ["export", body, "--grid", "16,32", "--lmax", "8"]
+    argv = ["export", body, "--grid", "16,32"]
     assert main(argv) == EXIT_OK
     path = tmp_path / "ball.obj"
     first = path.read_bytes()
@@ -377,7 +377,7 @@ def test_gen_then_analyze_a_high_degree_ellipsoid(tmp_path):
     # truncation_tol records the larger, so analyze accepts what gen wrote
     recipe = write_json(tmp_path / "e.json", {"kind": "ellipsoid",
                                               "axes": [1, 3, 9], "lmax": 46})
-    flags = ["--grid", "48,96", "--lmax", "46"]
+    flags = ["--grid", "48,96"]
     assert main(["gen", recipe] + flags) == EXIT_OK
     assert main(["analyze", str(tmp_path / "e.body.json")] + flags) == EXIT_OK
 
@@ -406,6 +406,22 @@ def test_grid_flag_validation(tmp_path):
     assert main(["analyze", body, "--grid", "8,16", "--lmax", "12"]) \
         == EXIT_INPUT
     assert main(["analyze", body, "--grid", "banana"]) == EXIT_INPUT
+
+
+def test_lmax_flag_defaults_to_0_so_the_input_sets_the_grid_guard(tmp_path, capsys):
+    # each command refused the unit ball at 8x16 with "grid too coarse for
+    # lmax 12", a degree the ball does not have
+    recipe = write_json(tmp_path / "r.json", {"kind": "ball", "r": 1.0})
+    body = write_json(tmp_path / "ball.json", ball_spec())
+    for argv in (["gen", recipe], ["analyze", body], ["export", body],
+                 ["verify-theorem", body]):
+        assert main(argv + ["--grid", "8,16"]) == EXIT_OK, argv
+    assert "grid too coarse" not in capsys.readouterr().err
+    # a spec of degree 12 is still refused at 8x16, by its own lmax
+    spec = dict(ball_spec(), lmax=12, coeffs=ball_spec()["coeffs"] + [0.0] * 168)
+    high = write_json(tmp_path / "high.json", spec)
+    assert main(["analyze", high, "--grid", "8,16"]) == EXIT_INPUT
+    _one_error_line(capsys, "input error: grid too coarse for lmax 12")
 
 
 def test_grid_guard_reads_the_body_lmax(tmp_path):
@@ -497,7 +513,7 @@ def test_gen_rejects_mistyped_recipe_fields(tmp_path, capsys):
             {"kind": "ball", "r": [1.0]},
             {"kind": "random_convex", "seed": "x"}):
         path = write_json(tmp_path / "bad.json", recipe)
-        assert main(["gen", path, "--grid", "16,32", "--lmax", "8"]) \
+        assert main(["gen", path, "--grid", "16,32"]) \
             == EXIT_INPUT, recipe
         assert "input error" in capsys.readouterr().err
 
@@ -506,7 +522,7 @@ def test_gen_refuses_a_null_seed(tmp_path, capsys):
     # two runs of this recipe wrote two different bodies
     path = write_json(tmp_path / "r.json",
                       {"kind": "random_convex", "lmax": 6, "seed": None})
-    assert main(["gen", path, "--grid", "16,32", "--lmax", "8"]) == EXIT_INPUT
+    assert main(["gen", path, "--grid", "16,32"]) == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
     assert not (tmp_path / "r.body.json").exists()
 
@@ -526,7 +542,7 @@ def test_integer_fields_that_are_booleans_or_fractions_are_input_errors(
             ("gen", dict(odd, odd={"harmonics": [[3, 0.5, 1.0]]}))]
     for command, obj in runs:
         path = write_json(tmp_path / "in.json", obj)
-        assert main([command, path, "--grid", "16,32", "--lmax", "8"]) \
+        assert main([command, path, "--grid", "16,32"]) \
             == EXIT_INPUT, obj
         err = capsys.readouterr().err
         assert "input error" in err and "integer" in err, (obj, err)
@@ -538,17 +554,17 @@ def test_gen_names_an_empty_harmonics_list(tmp_path, capsys):
     path = write_json(tmp_path / "r.json", {
         "kind": "constant_width", "gauge": {"kind": "ball", "r": 1.0},
         "odd": {"harmonics": []}})
-    assert main(["gen", path, "--grid", "16,32", "--lmax", "8"]) == EXIT_INPUT
+    assert main(["gen", path, "--grid", "16,32"]) == EXIT_INPUT
     assert "harmonics must list" in capsys.readouterr().err
 
 
 def assert_recipe_params_resolve_again(tmp_path, recipe):
     path = write_json(tmp_path / "r.json", recipe)
-    assert main(["gen", path, "--grid", "16,32", "--lmax", "8"]) == EXIT_OK
+    assert main(["gen", path, "--grid", "16,32"]) == EXIT_OK
     spec = json.loads((tmp_path / "r.body.json").read_text())
     again = write_json(tmp_path / "again.json",
                        dict(kind=spec["recipe_kind"], **spec["recipe_params"]))
-    assert main(["gen", again, "--grid", "16,32", "--lmax", "8"]) == EXIT_OK
+    assert main(["gen", again, "--grid", "16,32"]) == EXIT_OK
     respec = json.loads((tmp_path / "again.body.json").read_text())
     assert np.array(respec["coeffs"]).tobytes() \
         == np.array(spec["coeffs"]).tobytes(), recipe
@@ -584,7 +600,7 @@ def test_gen_refuses_recipes_that_overflow_with_one_line(tmp_path):
              for k, r in enumerate(recipes)]
     probe = ("import sys\n"
              "from widthbright.cli import main\n"
-             "print(*[main(['gen', p, '--grid', '16,32', '--lmax', '8'])"
+             "print(*[main(['gen', p, '--grid', '16,32'])"
              " for p in sys.argv[1:]])\n")
     proc = subprocess.run([sys.executable, "-c", probe, *paths],
                           capture_output=True, text=True,
@@ -605,7 +621,7 @@ def test_commands_refuse_bodies_that_overflow_with_one_line(tmp_path):
     commands = ("analyze", "export", "verify-theorem")
     probe = ("import sys\n"
              "from widthbright.cli import main\n"
-             "print(*[main([c, sys.argv[1], '--grid', '16,32', '--lmax', '8'])"
+             "print(*[main([c, sys.argv[1], '--grid', '16,32'])"
              " for c in sys.argv[2:]])\n")
     proc = subprocess.run([sys.executable, "-c", probe, body, *commands],
                           capture_output=True, text=True,
@@ -650,7 +666,7 @@ def test_analyze_and_export_exit_with_a_documented_code_on_any_body(
     path = write_json(tmp_path_factory.mktemp("fuzz") / "body.json", spec)
     for command in (["analyze"], ["export"],
                     ["verify-theorem", "--degrees", "3", "--max-iter", "5"]):
-        assert main([*command, path, "--grid", "8,16", "--lmax", "7"]) \
+        assert main([*command, path, "--grid", "8,16"]) \
             in (0, 2, 3, 4)
 
 
@@ -661,7 +677,7 @@ def test_spec_with_a_tolerance_that_is_not_finite_is_input_error(tmp_path, capsy
         body = write_json(tmp_path / "tol.json", {
             "basis": "real-sph-harm", "lmax": 0, "coeffs": [10.0],
             "closed_form": "ball:1.0", "truncation_tol": tol})
-        assert main(["analyze", body, "--grid", "16,32", "--lmax", "8"]) \
+        assert main(["analyze", body, "--grid", "16,32"]) \
             == EXIT_INPUT, tol
         assert "input error: truncation_tol" in capsys.readouterr().err
 
@@ -672,7 +688,7 @@ def test_point_body_is_input_error(tmp_path, capsys):
     body = write_json(tmp_path / "point.json",
                       {"basis": "real-sph-harm", "lmax": 0, "coeffs": [0.0]})
     for command in ("analyze", "export", "verify-theorem"):
-        assert main([command, body, "--grid", "8,16", "--lmax", "7"]) \
+        assert main([command, body, "--grid", "8,16"]) \
             == EXIT_INPUT, command
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error: "), lines
@@ -747,11 +763,10 @@ def recipes(depth):
 @settings(max_examples=200, deadline=None, database=None)
 @given(recipes(2))
 def test_gen_exits_with_a_documented_code_on_any_recipe(tmp_path_factory, recipe):
-    # --lmax 7: 8 rings are too coarse for the default 12, and every run
-    # would exit 2 at that guard before reading the recipe
+    # 8 rings: the resolver refuses a recipe degree above 7 as it reads it
     tmp = tmp_path_factory.mktemp("fuzz")
     path = write_json(tmp / "recipe.json", recipe)
-    argv = ["gen", path, "--grid", "8,16", "--lmax", "7"]
+    argv = ["gen", path, "--grid", "8,16"]
     code = main(argv)
     assert code in (0, 2, 3, 4)
     if code == EXIT_OK:
@@ -780,9 +795,9 @@ def test_tolerance_flag_validation(tmp_path):
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("analyze", ["--grid", "1,2", "--lmax", "0"]),
-    ("analyze", ["--grid", "4,0", "--lmax", "0"]),
-    ("analyze", ["--grid", "2,-2", "--lmax", "0"]),
+    ("analyze", ["--grid", "1,2"]),
+    ("analyze", ["--grid", "4,0"]),
+    ("analyze", ["--grid", "2,-2"]),
     ("analyze", ["--tol", "psd=nan"]),
     ("analyze", ["--tol", "psd=-1"]),
     ("analyze", ["--lmax", "-1"]),
@@ -791,7 +806,7 @@ def test_tolerance_flag_validation(tmp_path):
     ("verify-theorem", ["--seed", "-1"]),
     ("verify-theorem", ["--degrees", "1,3"]),
     # a repeated degree counted each of its coefficients twice in the probe
-    ("verify-theorem", ["--degrees", "3,3", "--grid", "16,32", "--lmax", "5"]),
+    ("verify-theorem", ["--degrees", "3,3", "--grid", "16,32"]),
 ])
 def test_flag_values_the_commands_cannot_use_are_input_errors(
         tmp_path, capsys, command, flags):
@@ -842,8 +857,8 @@ def test_degrees_are_guarded_before_any_basis(tmp_path):
     # guard refused it, (l + 1)^2 entries for any l the flag accepts
     body = write_json(tmp_path / "ball.json", ball_spec())
     before = make_basis.cache_info()
-    assert main(["verify-theorem", body, "--degrees", "3,41", "--grid", "16,32",
-                 "--lmax", "8"]) == EXIT_INPUT
+    assert main(["verify-theorem", body, "--degrees", "3,41", "--grid", "16,32"]) \
+        == EXIT_INPUT
     assert make_basis.cache_info() == before
 
 
@@ -866,7 +881,7 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, command):
     source = {"kind": "ball", "r": 1.0} if command == "gen" else ball_spec()
     body = write_json(tmp_path / "in.json", source)
     out = str(tmp_path / "no-such-dir" / "out")
-    assert main([command, body, "--out", out, "--grid", "8,16", "--lmax", "7",
+    assert main([command, body, "--out", out, "--grid", "8,16",
                  *_FAST[command]]) == EXIT_INPUT
     _one_error_line(capsys, "input error: ")
     assert os.listdir(tmp_path) == ["in.json"]
@@ -875,10 +890,66 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", sorted(_FAST))
 def test_directory_as_body_is_input_error(tmp_path, capsys, command):
     # IsADirectoryError traceback from the open of the body
-    assert main([command, str(tmp_path), "--grid", "8,16", "--lmax", "7",
+    assert main([command, str(tmp_path), "--grid", "8,16",
                  *_FAST[command]]) == EXIT_INPUT
     _one_error_line(capsys, "input error: ")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", sorted(_FAST))
+@pytest.mark.parametrize("key, value", [
+    ("label", 5), ("label", ["a"]), ("coeffs", [True]), ("truncation_tol", True),
+], ids=["label-number", "label-list", "coeffs-boolean", "tolerance-boolean"])
+def test_spec_fields_of_the_wrong_json_type_are_input_errors(
+        tmp_path, capsys, command, key, value):
+    # a label that is not a string ended verify-theorem in a TypeError
+    # traceback from the label join of the Minkowski sum, gen's constant-width
+    # recipe exited 2 with that TypeError's text, and analyze and export wrote
+    # the number into their outputs; a boolean coefficient or tolerance
+    # loaded as 1.0
+    spec = dict({"basis": "real-sph-harm", "lmax": 0, "coeffs": [3.5]},
+                **{key: value})
+    if key == "truncation_tol":
+        spec.update(coeffs=ball_spec()["coeffs"], closed_form="ball:1.0")
+    source = {"kind": "constant_width", "gauge": spec,
+              "odd": {"harmonics": [[3, 0, 1.0]]}} if command == "gen" else spec
+    path = write_json(tmp_path / "in.json", source)
+    assert main([command, path, *_FAST[command]]) == EXIT_INPUT
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: "), lines
+    assert key in lines[0], lines
+    assert os.listdir(tmp_path) == ["in.json"]
+
+
+def test_a_start_that_already_meets_the_convergence_test_is_input_error(
+        tmp_path, capsys):
+    # both starts (norm 0 and 6.9e-4) met the probe's convergence test, and
+    # the run printed RIGIDITY-CONSISTENT after one accepted state
+    body = write_json(tmp_path / "ball.json", ball_spec())
+    for scale in ("0", "0.01"):
+        assert main(["verify-theorem", body, "--start-scale", scale]) \
+            == EXIT_INPUT, scale
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: "), lines
+        assert "--start-scale" in lines[0], lines
+        assert os.listdir(tmp_path) == ["ball.json"]
+    assert main(["verify-theorem", body, "--start-scale", "0.02"]) == EXIT_OK
+    assert "RIGIDITY-CONSISTENT" in capsys.readouterr().out
+    assert len((tmp_path / "ball.trace.csv").read_text().splitlines()) == 1 + 5
+
+
+@pytest.mark.parametrize("recipe, want", [
+    ({"kind": "ellipsoid", "axes": [1, 1, 2], "lmax": -1}, "lmax must be nonnegative"),
+    ({"kind": "random_convex", "seed": 0, "lmax": -1}, "lmax must be nonnegative"),
+    ({"kind": "constant_width", "gauge": {"kind": "ball", "r": 1.0},
+      "odd": {"harmonics": [[3, 5, 1.0]]}}, "|m| must not exceed l"),
+], ids=["ellipsoid", "random_convex", "harmonics"])
+def test_gen_names_a_negative_lmax_and_an_order_above_its_degree(
+        tmp_path, capsys, recipe, want):
+    path = write_json(tmp_path / "r.json", recipe)
+    assert main(["gen", path]) == EXIT_INPUT
+    _one_error_line(capsys, "input error: " + want)
+    assert os.listdir(tmp_path) == ["r.json"]
 
 
 def test_body_that_is_not_utf8_is_input_error(tmp_path, capsys):
@@ -898,7 +969,7 @@ def test_deeply_nested_recipe_is_input_error(tmp_path, capsys):
              '"gauge": ')
     recipe = tmp_path / "deep.json"
     recipe.write_text(layer * 3000 + '{"kind": "ball", "r": 1.0}' + "}" * 3000)
-    assert main(["gen", str(recipe), "--grid", "8,16", "--lmax", "7"]) \
+    assert main(["gen", str(recipe), "--grid", "8,16"]) \
         == EXIT_INPUT
     _one_error_line(capsys, "input error: ")
     assert os.listdir(tmp_path) == ["deep.json"]
@@ -912,7 +983,7 @@ def test_gen_with_a_non_convex_gauge_is_infeasible(tmp_path, capsys):
         "gauge": {"basis": "real-sph-harm", "lmax": 2,
                   "coeffs": [3.5449, 0, 0, 0, 0, 0, 5.0, 0, 0]},
         "odd": {"harmonics": [[3, 0, 1.0]]}})
-    assert main(["gen", recipe, "--grid", "8,16", "--lmax", "7"]) \
+    assert main(["gen", recipe, "--grid", "8,16"]) \
         == EXIT_INFEASIBLE
     _one_error_line(capsys, "infeasible: ")
     assert os.listdir(tmp_path) == ["cw.json"]
@@ -923,7 +994,7 @@ def test_closed_form_tag_with_a_nan_parameter_is_input_error(tmp_path, capsys):
     # both runs exited 0
     for command, tag in (("analyze", "ball:nan"), ("export", "ellipsoid:1,nan,1")):
         body = write_json(tmp_path / "tag.json", dict(ball_spec(), closed_form=tag))
-        assert main([command, body, "--grid", "8,16", "--lmax", "7"]) \
+        assert main([command, body, "--grid", "8,16"]) \
             == EXIT_INPUT, tag
         _one_error_line(capsys, "input error: closed_form")
     assert os.listdir(tmp_path) == ["tag.json"]
@@ -938,7 +1009,7 @@ def test_malformed_closed_form_tag_is_named(tmp_path, capsys, tag, want):
     # the wrong parameter counts exited 2 with "not enough values to unpack"
     # and "too many values to unpack"
     body = write_json(tmp_path / "tag.json", dict(ball_spec(), closed_form=tag))
-    assert main(["analyze", body, "--grid", "8,16", "--lmax", "7"]) == EXIT_INPUT
+    assert main(["analyze", body, "--grid", "8,16"]) == EXIT_INPUT
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("input error: "), lines
     assert repr(tag) in lines[0] and want in lines[0], lines
@@ -947,7 +1018,7 @@ def test_malformed_closed_form_tag_is_named(tmp_path, capsys, tag, want):
 
 def test_body_spec_that_is_a_list_is_input_error(tmp_path, capsys):
     body = write_json(tmp_path / "list.json", [ball_spec()])
-    assert main(["analyze", body, "--grid", "8,16", "--lmax", "7"]) == EXIT_INPUT
+    assert main(["analyze", body, "--grid", "8,16"]) == EXIT_INPUT
     _one_error_line(capsys, "input error: body spec must be a JSON object")
     assert os.listdir(tmp_path) == ["list.json"]
 
@@ -1004,7 +1075,7 @@ def test_module_entry_point(tmp_path):
     env = child_env(WIDTHBRIGHT_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "widthbright.cli", "analyze", body,
-         "--grid", "16,32", "--lmax", "8"],
+         "--grid", "16,32"],
         capture_output=True, text=True, env=env, cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "ball.report.json").exists()
@@ -1041,7 +1112,7 @@ def test_commands_run_without_sympy(tmp_path):
         "assert 'sympy' not in sys.modules, 'import'\n"
         "for argv in (['gen', %r], ['analyze', %r], ['export', %r],\n"
         "             ['verify-theorem', %r, '--max-iter', '5']):\n"
-        "    assert main(argv + ['--grid', '16,32', '--lmax', '8']) == 0, argv\n"
+        "    assert main(argv + ['--grid', '16,32']) == 0, argv\n"
         "    assert 'sympy' not in sys.modules, argv[0]\n"
         % (recipe, ball, ball, ball))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,

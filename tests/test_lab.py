@@ -91,6 +91,18 @@ def test_parity_decomposition_refuses_non_convex(grid32):
         parity_decomposition_check(h, grid32)
 
 
+def test_parity_report_refuses_fields_that_are_not_finite_and_nonnegative():
+    ok = dict(max_odd_violation_sigma=0.0, max_even_violation_det_p=0.0,
+              identity_residual=np.zeros(4))
+    lab.ParityReport(**ok)
+    for key, bad in (("max_odd_violation_sigma", math.nan),
+                     ("max_odd_violation_sigma", -1.0),
+                     ("max_even_violation_det_p", math.inf),
+                     ("identity_residual", np.array([0.0, math.nan]))):
+        with pytest.raises(ArithmeticError):
+            lab.ParityReport(**dict(ok, **{key: bad}))
+
+
 # R(u) = det M_p + (1 - beta) det M_h0 per node, on the records of the odd
 # part p and the symmetral h0: constant brightness relative to the symmetral
 # would force R to vanish, and the sign obstruction forbids it off the ball

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from widthbright import make_grid, make_basis, basis_index, integrate
+from widthbright import make_grid, make_basis, basis_index
 from widthbright import sphere
 from widthbright.sphere import (
     basis_values, node_tables, node_columns, synthesize,
@@ -99,18 +99,13 @@ def test_make_grid_rejects_bad_shapes():
 def test_polynomial_exactness(grid16):
     # int cos^2(theta) over S^2 = 4 pi / 3
     f = grid16.nodes[:, 2] ** 2
-    assert abs(integrate(grid16, f) - FOUR_PI / 3.0) < 1e-12
+    assert abs(grid16.weights @ f - FOUR_PI / 3.0) < 1e-12
 
 
 def test_integrate_constant_and_odd(grid16):
-    assert abs(integrate(grid16, np.ones(grid16.n_nodes)) - FOUR_PI) < 1e-10
+    assert abs(grid16.weights @ np.ones(grid16.n_nodes) - FOUR_PI) < 1e-10
     a = unit_vectors(3, 1)[0]
-    assert abs(integrate(grid16, grid16.nodes @ a)) < 1e-10
-
-
-def test_integrate_length_mismatch(grid16):
-    with pytest.raises(ValueError):
-        integrate(grid16, np.ones(grid16.n_nodes - 1))
+    assert abs(grid16.weights @ (grid16.nodes @ a)) < 1e-10
 
 
 def test_kinked_integrand_converges_quadratically():
@@ -120,7 +115,7 @@ def test_kinked_integrand_converges_quadratically():
     errs = {}
     for n in (16, 32):
         g = make_grid(n, 2 * n)
-        errs[n] = abs(integrate(g, np.abs(g.nodes[:, 2])) - 2.0 * math.pi)
+        errs[n] = abs(g.weights @ np.abs(g.nodes[:, 2]) - 2.0 * math.pi)
     assert errs[16] < 0.05
     assert errs[32] < 0.01
     assert 3.0 < errs[16] / errs[32] < 5.0
@@ -144,8 +139,8 @@ def unit_fields(grid, basis):
     """V (N, B), PHI (N, 3, B) and M (N, 3, B): the synthesized values, phi
     and support-matrix entries of each basis function alone."""
     tab = node_tables(grid, basis)
-    V, M, PHI = (np.stack(t, axis=-1) for t in
-                 zip(*(synthesize(tab, e) for e in np.eye(basis.size))))
+    V, M, PHI, _ = (np.stack(t, axis=-1) for t in
+                    zip(*(synthesize(tab, e) for e in np.eye(basis.size))))
     return V, PHI, M
 
 
