@@ -12,10 +12,10 @@ inverse_gauss is the one place a body is evaluated on a grid: it returns a
 read-only BoundaryField (h, the support matrix, its least eigenvalue and
 determinant, and phi = h u + grad h at the nodes and the poles, with the
 grid and lmax), cached per (grid, lmax, coefficient values). sphere's
-synthesize gives its values, entries, phi and pole points. Every result
-on a grid reads that record, and the mesh and the probe model are keyed by
-it alone; only the perturbation bound of constant_width_body, read once,
-synthesizes the record's entries alone, to the same bits.
+synthesize, called here alone, gives its values, entries, phi and pole
+points. Every result on a grid reads that record, and the mesh and the probe
+model are keyed by it alone; reads of entries alone (constant_width_body's
+bound, lab's parity check) take them from synthesize_entries, bitwise.
 """
 
 import math
@@ -262,7 +262,7 @@ def _numbers(value, name):
     numpy read as 1 or 0."""
     if isinstance(value, bool) or \
             isinstance(value, list) and any(isinstance(v, bool) for v in value):
-        raise ValueError("%s must be numbers, not booleans" % name)
+        raise ValueError("%s: a JSON boolean is not a number" % name)
     return value
 
 

@@ -17,7 +17,7 @@ from .sphere import make_grid, make_basis, basis_index, basis_values, \
     entries_eigmin, node_tables, require_resolvable, synthesize_entries
 from .body import NotConvexError, SupportFunction, body_from_spec, \
     central_symmetral, closed_form_values, inverse_gauss, minkowski_sum, \
-    odd_part, read_degree, _closed_form_deviation
+    odd_part, read_degree, _closed_form_deviation, _numbers
 
 _MIN_EIG_TARGET = 0.1
 _MAX_HALVINGS = 60
@@ -160,16 +160,18 @@ def resolve_recipe(recipe, grid):
     "eps": "auto" or number}. Each degree is refused as it is read, before
     anything is built at it, when grid's rings cannot resolve it: an lmax,
     default included, the largest l of harmonics terms and a nested body
-    spec's lmax.
+    spec's lmax. A JSON boolean, which float() reads as 1 or 0, is refused
+    as r, an axis, eps, roughness or a harmonics coefficient.
     """
     if not isinstance(recipe, dict) or "kind" not in recipe:
         raise ValueError("recipe must be an object with a 'kind' field")
     kind = recipe["kind"]
     try:
         if kind == "ball":
-            return BodyRecipe("ball", {"r": recipe["r"]}, ball(recipe["r"]))
+            r = _numbers(recipe["r"], "r")
+            return BodyRecipe("ball", {"r": r}, ball(r))
         if kind == "ellipsoid":
-            a, b, c = recipe["axes"]
+            a, b, c = _numbers(recipe["axes"], "axes")
             lmax = read_degree(recipe.get("lmax", 12))
             require_resolvable(grid.n_theta, lmax)
             return BodyRecipe("ellipsoid", {"axes": [a, b, c], "lmax": lmax},
@@ -177,14 +179,14 @@ def resolve_recipe(recipe, grid):
         if kind == "random_convex":
             lmax = read_degree(recipe.get("lmax", 8))
             require_resolvable(grid.n_theta, lmax)
-            roughness = float(recipe.get("roughness", 0.3))
+            roughness = float(_numbers(recipe.get("roughness", 0.3), "roughness"))
             h = random_convex(recipe["seed"], lmax, grid, roughness=roughness)
             return BodyRecipe("random_convex", {"seed": recipe["seed"],
                               "lmax": h.lmax, "roughness": roughness}, h)
         if kind == "constant_width":
             gauge = _resolve_part(recipe["gauge"], grid)
             p = _resolve_part(recipe["odd"], grid)
-            eps = recipe.get("eps", "auto")
+            eps = _numbers(recipe.get("eps", "auto"), "eps")
             eps_request = math.inf if eps == "auto" else float(eps)
             return constant_width_body(gauge, p, eps_request, grid)
     except KeyError as exc:
@@ -209,6 +211,7 @@ def _resolve_part(part, grid):
         require_resolvable(grid.n_theta, lmax)
         coeffs = np.zeros((lmax + 1) ** 2)
         for l, (_, m, c) in zip(degrees, terms):
-            coeffs[basis_index(l, read_degree(m, "harmonics m"))] += float(c)
+            coeffs[basis_index(l, read_degree(m, "harmonics m"))] += \
+                float(_numbers(c, "harmonics coefficients"))
         return SupportFunction(coeffs, lmax, label="harmonics")
     return body_from_spec(part, grid.n_theta)

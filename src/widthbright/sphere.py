@@ -16,10 +16,11 @@ of p at |u| = 1 comes from R alone:
 
 which is the tangential part of d2p~(u) minus p(u) I.
 
-node_tables runs the recurrence on one meridian only, and synthesize turns
-its rows to every azimuth and sums a field from them in two small products
-(Driscoll & Healy's semi-naive synthesis), the pole points too; no (N, B)
-table is built. sphere is the one module that reads a NodeTables field.
+node_tables runs the recurrence on one meridian only, builds no (N, B) table,
+and no module but sphere reads its fields. One reader per need: synthesize
+(Driscoll & Healy's semi-naive synthesis) gives body's record, pole points
+too; synthesize_entries its entries alone, bitwise; node_columns single basis
+columns. eigen_rows is the one eigen form of 2x2 entry rows.
 """
 
 import math
@@ -419,8 +420,12 @@ def sigma_entries(a, b):
         - a[..., 1] * b[..., 1]
 
 
+def eigen_rows(e):
+    """Entry rows (m11, m12, m22) -> (mean, half-difference, off-diagonal)."""
+    return 0.5 * (e[..., 0] + e[..., 2]), 0.5 * (e[..., 0] - e[..., 2]), e[..., 1]
+
+
 def entries_eigmin(e):
     """Least eigenvalue of symmetric 2x2 matrices given as entry rows."""
-    mean = 0.5 * (e[..., 0] + e[..., 2])
-    rad = np.hypot(0.5 * (e[..., 0] - e[..., 2]), e[..., 1])
-    return mean - rad
+    mean, d, o = eigen_rows(e)
+    return mean - np.hypot(d, o)

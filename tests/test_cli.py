@@ -549,6 +549,33 @@ def test_integer_fields_that_are_booleans_or_fractions_are_input_errors(
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"], obj
 
 
+_CW = {"kind": "constant_width", "gauge": {"kind": "ball", "r": 1.0},
+       "odd": {"harmonics": [[3, 0, 1.0]]}}
+
+
+@pytest.mark.parametrize("recipe", [
+    {"kind": "ball", "r": True},
+    {"kind": "ellipsoid", "axes": [1, True, 2]},
+    {"kind": "random_convex", "seed": 1, "lmax": 4, "roughness": True},
+    dict(_CW, odd={"harmonics": [[3, 0, True]]}),
+    dict(_CW, eps=True),
+    dict(_CW, eps=False),
+    dict(_CW, gauge={"kind": "ball", "r": True}),
+], ids=["ball-r", "ellipsoid-axis", "roughness", "harmonics-coeff", "eps-true",
+        "eps-false", "nested-gauge-r"])
+def test_recipe_numbers_that_are_booleans_are_input_errors(tmp_path, capsys,
+                                                           recipe):
+    # float() read each as 1 or 0: gen wrote a radius-1 ball with "r": true
+    # in its recipe_params, an axis or coefficient of 1, or eps 1 or 0 (the
+    # gauge itself); a boolean roughness was refused as out of range
+    path = write_json(tmp_path / "in.json", recipe)
+    assert main(["gen", path, "--grid", "16,32"]) == EXIT_INPUT
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: "), lines
+    assert "boolean" in lines[0], lines
+    assert os.listdir(tmp_path) == ["in.json"]
+
+
 def test_gen_names_an_empty_harmonics_list(tmp_path, capsys):
     # the message was "max() arg is an empty sequence"
     path = write_json(tmp_path / "r.json", {
@@ -703,11 +730,12 @@ def test_negative_lmax_spec_is_input_error(tmp_path, capsys):
 
 
 # A recipe field holds a usable value, a junk JSON value (a number that is
-# infinite or NaN, which json writes and reads back, a numeric or other
-# string, None, a short list), or nothing; a field is usable often enough
+# infinite or NaN, which json writes and reads back, a boolean, a numeric or
+# other string, None, a short list), or nothing; a field is usable often enough
 # that runs reach every stage of gen, not only its first check
 _SCALARS = st.one_of(
-    st.none(), st.integers(-3, 9), st.floats(allow_nan=True, allow_infinity=True),
+    st.none(), st.booleans(), st.integers(-3, 9),
+    st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(["2", "0.5", "-1", "40", "inf", "nan", "auto", "x"]))
 _JUNK = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4))
 _MISSING = object()

@@ -19,7 +19,7 @@ from widthbright.body import _padded
 from widthbright.brightness import _cosine_operator, cosine_transform
 from widthbright.sphere import (
     entries_eigmin, make_basis, make_grid, node_columns, node_tables,
-    sigma_entries, synthesize,
+    sigma_entries, synthesize, synthesize_entries,
 )
 
 
@@ -504,9 +504,9 @@ def test_gauge_model_reads_the_gauge_record(grid32, monkeypatch):
 
     def spy(tab, c):
         calls.append(c.shape)
-        return synthesize(tab, c)
+        return synthesize_entries(tab, c)
 
-    monkeypatch.setattr(lab, "synthesize", spy)
+    monkeypatch.setattr(lab, "synthesize_entries", spy)
     model = lab._quadratic_model.__wrapped__(inverse_gauss(gauge, grid32),
                                              (3, 5))
     assert calls == []

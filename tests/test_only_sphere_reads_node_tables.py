@@ -1,10 +1,13 @@
 """Only sphere reads the meridian record.
 
-node_tables builds a NodeTables record and synthesize, synthesize_entries and
-node_columns read it, all inside sphere; every other module passes the record
-to them and takes fields, pole points included, from what they return. This
-reads every module of the package with ast and checks that no module but
-sphere reads a NodeTables field as an attribute.
+node_tables builds a NodeTables record, and one reader in sphere serves each
+need: synthesize the body's record (body._field alone calls it, which
+test_only_field_calls_synthesize checks), synthesize_entries reads of the
+support-matrix entries alone, and node_columns one basis column at a time.
+Every other module passes the record to them and takes fields, pole points
+included, from what they return. This reads every module of the package with
+ast and checks that no module but sphere reads a NodeTables field as an
+attribute.
 """
 
 import ast

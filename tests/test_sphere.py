@@ -18,7 +18,7 @@ from widthbright import make_grid, make_basis, basis_index
 from widthbright import sphere
 from widthbright.sphere import (
     basis_values, node_tables, node_columns, synthesize,
-    entries_eigmin, sigma_entries, _solid_jets,
+    eigen_rows, entries_eigmin, sigma_entries, _solid_jets,
     _PAIRS,
 )
 from widthbright.generators import random_convex
@@ -437,6 +437,8 @@ def test_entry_row_eigen_helpers_match_eigvalsh():
     mats[:, 0, 1] = mats[:, 1, 0] = rows[:, 1]
     mats[:, 1, 1] = rows[:, 2]
     eigs = np.linalg.eigvalsh(mats)
+    mean, d, o = eigen_rows(rows)
+    np.testing.assert_allclose(mean + np.hypot(d, o), eigs[:, 1], atol=1e-12)
     np.testing.assert_allclose(entries_eigmin(rows), eigs[:, 0], atol=1e-12)
     np.testing.assert_allclose(sigma_entries(rows, rows), np.linalg.det(mats),
                                atol=1e-12)
