@@ -14,8 +14,9 @@ determinant, and phi = h u + grad h at the nodes and the poles, with the
 grid and lmax), cached per (grid, lmax, coefficient values). sphere's
 synthesize, called here alone, gives its values, entries, phi and pole
 points. Every result on a grid reads that record, and the mesh and the probe
-model are keyed by it alone; reads of entries alone (constant_width_body's
-bound, lab's parity check) take them from synthesize_entries, bitwise.
+model are keyed by it alone. Four reads need the entries alone and build no
+record: constant_width_body's bound, random_convex's halvings, and lab's
+parity check and sign obstruction take them from synthesize_entries, bitwise.
 """
 
 import math
@@ -232,7 +233,7 @@ def volume(h, grid, tol_psd=TOL_PSD):
 
 
 # ---------------------------------------------------------------------------
-# body-spec JSON
+# body-spec JSON: read_degree reads every integer field, read_number every number
 
 def body_to_spec(h):
     spec = {
@@ -249,21 +250,26 @@ def body_to_spec(h):
 
 def read_degree(value, name="lmax"):
     """An integer field as JSON gives it: 40, 40.0 and "40" all read as 40.
-    A boolean or a fractional number is refused with ValueError rather than
-    truncated; a value int() cannot read raises what int() raises."""
-    degree = int(value)
-    if isinstance(value, bool) or (degree != value and not isinstance(value, str)):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    return degree
+    Anything else, a boolean, null, a list, other text, a fraction or an
+    infinity, is refused with a ValueError naming the field."""
+    try:
+        if isinstance(value, str) or int(value) == value and not isinstance(value, bool):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
-def _numbers(value, name):
-    """value, refused when it is or lists a JSON boolean, which float() and
-    numpy read as 1 or 0."""
-    if isinstance(value, bool) or \
-            isinstance(value, list) and any(isinstance(v, bool) for v in value):
+def read_number(value, name):
+    """A number field as JSON gives it: 1.5 and "1.5" both read as 1.5.
+    Anything else, a boolean (which float() reads as 1 or 0), null, a list or
+    other text, is refused with a ValueError naming the field."""
+    if isinstance(value, bool):
         raise ValueError("%s: a JSON boolean is not a number" % name)
-    return value
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("%s must be a number, got %r" % (name, value)) from None
 
 
 def _closed_form_deviation(h):
@@ -284,18 +290,14 @@ def body_from_spec(spec, n_theta=None):
         raise ValueError("body spec must be a JSON object")
     if spec.get("basis") != "real-sph-harm":
         raise ValueError("unsupported basis tag: %r" % spec.get("basis"))
-    try:
-        lmax = read_degree(spec["lmax"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError("malformed body spec: %s" % exc) from None
+    lmax = read_degree(spec.get("lmax"))
     if n_theta is not None:
         require_resolvable(n_theta, lmax)
-    try:
-        coeffs = np.asarray(_numbers(spec["coeffs"], "coeffs"), float)
-        truncation_tol = float(_numbers(spec.get("truncation_tol", 0.0),
-                                        "truncation_tol"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError("malformed body spec: %s" % exc) from None
+    coeffs = spec.get("coeffs")
+    if not isinstance(coeffs, list):
+        raise ValueError("coeffs must be a list of numbers, got %r" % (coeffs,))
+    coeffs = [read_number(c, "coeffs") for c in coeffs]
+    truncation_tol = read_number(spec.get("truncation_tol", 0.0), "truncation_tol")
     if not (math.isfinite(truncation_tol) and truncation_tol >= 0.0):
         raise ValueError("truncation_tol must be finite and >= 0, got %r"
                          % truncation_tol)

@@ -17,7 +17,7 @@ from .sphere import make_grid, make_basis, basis_index, basis_values, \
     entries_eigmin, node_tables, require_resolvable, synthesize_entries
 from .body import NotConvexError, SupportFunction, body_from_spec, \
     central_symmetral, closed_form_values, inverse_gauss, minkowski_sum, \
-    odd_part, read_degree, _closed_form_deviation, _numbers
+    odd_part, read_degree, read_number, _closed_form_deviation
 
 _MIN_EIG_TARGET = 0.1
 _MAX_HALVINGS = 60
@@ -127,11 +127,9 @@ def random_convex(seed, lmax, grid, roughness=0.3):
     Steiner point at the origin) with per-degree decay roughness / l^2,
     halved until the convexity certificate's min eigenvalue reaches 0.1.
     """
-    if seed is None:
-        raise ValueError("random_convex needs an integer seed: None draws "
-                         "fresh entropy on every run")
-    if isinstance(seed, bool):
-        raise ValueError("random_convex needs an integer seed, got %r" % seed)
+    if seed is None or isinstance(seed, bool):
+        raise ValueError("random_convex needs an integer seed (None draws fresh "
+                         "entropy on every run), got %r" % seed)
     if not 0.0 < roughness < 1.0:
         raise ValueError("roughness must be in (0, 1)")
     basis = make_basis(lmax)
@@ -141,11 +139,11 @@ def random_convex(seed, lmax, grid, roughness=0.3):
     pert *= np.where(basis.degrees >= 2, roughness / decay, 0.0)
     base = np.zeros(basis.size)
     base[0] = 2.0 * math.sqrt(math.pi)
+    tab = node_tables(grid, basis)
     for _ in range(_MAX_HALVINGS):
-        h = SupportFunction(base + pert, lmax,
-                            label="random_convex(seed=%s)" % seed)
-        if inverse_gauss(h, grid).min_eigenvalue >= _MIN_EIG_TARGET:
-            return h
+        if entries_eigmin(synthesize_entries(tab, base + pert)).min() >= _MIN_EIG_TARGET:
+            return SupportFunction(base + pert, lmax,
+                                   label="random_convex(seed=%s)" % seed)
         pert *= 0.5
     raise ArithmeticError("random_convex failed to certify after %d halvings"
                           % _MAX_HALVINGS)
@@ -160,18 +158,21 @@ def resolve_recipe(recipe, grid):
     "eps": "auto" or number}. Each degree is refused as it is read, before
     anything is built at it, when grid's rings cannot resolve it: an lmax,
     default included, the largest l of harmonics terms and a nested body
-    spec's lmax. A JSON boolean, which float() reads as 1 or 0, is refused
-    as r, an axis, eps, roughness or a harmonics coefficient.
+    spec's lmax. Numbers are read by body.read_number and integers (lmax,
+    seed, harmonics l and m) by read_degree, so "1.5" reads as 1.5 and a
+    boolean is refused; params hold the values as read.
     """
     if not isinstance(recipe, dict) or "kind" not in recipe:
         raise ValueError("recipe must be an object with a 'kind' field")
     kind = recipe["kind"]
     try:
         if kind == "ball":
-            r = _numbers(recipe["r"], "r")
+            r = read_number(recipe["r"], "r")
             return BodyRecipe("ball", {"r": r}, ball(r))
         if kind == "ellipsoid":
-            a, b, c = _numbers(recipe["axes"], "axes")
+            if not isinstance(recipe["axes"], list) or len(recipe["axes"]) != 3:
+                raise ValueError("axes must list 3 numbers, got %r" % (recipe["axes"],))
+            a, b, c = (read_number(v, "axes") for v in recipe["axes"])
             lmax = read_degree(recipe.get("lmax", 12))
             require_resolvable(grid.n_theta, lmax)
             return BodyRecipe("ellipsoid", {"axes": [a, b, c], "lmax": lmax},
@@ -179,15 +180,16 @@ def resolve_recipe(recipe, grid):
         if kind == "random_convex":
             lmax = read_degree(recipe.get("lmax", 8))
             require_resolvable(grid.n_theta, lmax)
-            roughness = float(_numbers(recipe.get("roughness", 0.3), "roughness"))
-            h = random_convex(recipe["seed"], lmax, grid, roughness=roughness)
-            return BodyRecipe("random_convex", {"seed": recipe["seed"],
-                              "lmax": h.lmax, "roughness": roughness}, h)
+            roughness = read_number(recipe.get("roughness", 0.3), "roughness")
+            seed = read_degree(recipe["seed"], "seed")
+            h = random_convex(seed, lmax, grid, roughness=roughness)
+            return BodyRecipe("random_convex", {"seed": seed, "lmax": lmax,
+                                                "roughness": roughness}, h)
         if kind == "constant_width":
             gauge = _resolve_part(recipe["gauge"], grid)
             p = _resolve_part(recipe["odd"], grid)
-            eps = _numbers(recipe.get("eps", "auto"), "eps")
-            eps_request = math.inf if eps == "auto" else float(eps)
+            eps = recipe.get("eps", "auto")
+            eps_request = math.inf if eps == "auto" else read_number(eps, "eps")
             return constant_width_body(gauge, p, eps_request, grid)
     except KeyError as exc:
         raise ValueError("recipe is missing field %s" % exc) from None
@@ -212,6 +214,6 @@ def _resolve_part(part, grid):
         coeffs = np.zeros((lmax + 1) ** 2)
         for l, (_, m, c) in zip(degrees, terms):
             coeffs[basis_index(l, read_degree(m, "harmonics m"))] += \
-                float(_numbers(c, "harmonics coefficients"))
+                read_number(c, "harmonics coefficients")
         return SupportFunction(coeffs, lmax, label="harmonics")
     return body_from_spec(part, grid.n_theta)

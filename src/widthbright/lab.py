@@ -91,7 +91,8 @@ def odd_sign_obstruction(p, grid):
     """
     if central_symmetral(p).coeffs.any():
         raise ValueError("odd_sign_obstruction needs an odd support function")
-    dets = inverse_gauss(p, grid).detfield
+    e = synthesize_entries(node_tables(grid, p.basis), p.coeffs)
+    dets = sigma_entries(e, e)
     return float(dets.max()), float(dets.min())
 
 

@@ -374,9 +374,10 @@ def synthesize(tab, c):
     """values (N,), support-matrix entries (N, 3), phi (N, 3) and the pole
     points (2, 3) of the field with coefficients c, from two small products
     over the meridian, (EVEN * c) @ A and (ODD * c) @ B, whose rows are
-    turned to phi at each azimuth, and POLES @ c. Each sum runs over q in one
-    order at every node, and node and antipode scale their terms by signs
-    only, so an even or odd field keeps its antipodal parity bitwise."""
+    turned to phi at each azimuth, and POLES @ c. Node and antipode scale
+    their terms by signs only, so an even or odd field keeps its antipodal
+    parity bitwise where BLAS sums their rows in one order: on the tested
+    grids, but with OpenBLAS 0.3.31 not in m12 and phi at 42x84, degree 11."""
     even, odd = _meridian_products(tab, c)
     value, _, _, px, pz = even
     cp, sp = tab.AZIMUTH

@@ -1,7 +1,10 @@
+import ast
+import os
 import re
 
 # widthbright first: importing it applies WIDTHBRIGHT_THREADS, which has to
 # reach the environment before numpy loads BLAS.
+import widthbright
 from widthbright import SupportFunction, basis_index, make_grid
 
 import numpy as np
@@ -22,6 +25,19 @@ def pure_harmonic(l, m, coeff=1.0):
     coeffs = np.zeros((l + 1) ** 2)
     coeffs[basis_index(l, m)] = coeff
     return SupportFunction(coeffs, l)
+
+
+def package_trees():
+    """{module name: ast tree} of every module of the package, in file order,
+    for the tests that read the source instead of running it."""
+    package = os.path.dirname(os.path.abspath(widthbright.__file__))
+    trees = {}
+    for filename in sorted(os.listdir(package)):
+        module, ext = os.path.splitext(filename)
+        if ext == ".py":
+            with open(os.path.join(package, filename)) as f:
+                trees[module] = ast.parse(f.read())
+    return trees
 
 
 def unit_vectors(seed, n):

@@ -22,7 +22,7 @@ from widthbright import (
     minkowski_sum, certify_convex, volume,
 )
 from widthbright.body import (
-    _field, body_to_spec, body_from_spec, inverse_gauss, read_degree,
+    _field, body_to_spec, body_from_spec, inverse_gauss, read_degree, read_number,
 )
 from widthbright.sphere import (
     basis_values, make_grid, node_tables, _solid_jets,
@@ -376,7 +376,34 @@ def test_read_degree_takes_whole_numbers_and_refuses_booleans_and_fractions():
     for value in (True, False, 6.7, 0.9, -0.5):
         with pytest.raises(ValueError, match="lmax must be an integer"):
             read_degree(value)
-    with pytest.raises(TypeError):
-        read_degree(None)
-    with pytest.raises(OverflowError):
-        read_degree(float("inf"))
+    for value in (None, float("inf")):
+        with pytest.raises(ValueError, match="lmax must be an integer"):
+            read_degree(value)
+
+
+def test_read_number_takes_numbers_and_numeric_strings_as_floats():
+    for value, want in ((1, 1.0), (1.5, 1.5), ("1.5", 1.5), ("-2e3", -2000.0),
+                        (10 ** 20, 1e20), ("inf", math.inf)):
+        got = read_number(value, "r")
+        assert type(got) is float and got == want, value
+
+
+_OTHER_JSON = {"true": True, "false": False, "null": None, "list": [1.0],
+               "object": {"r": 1.0}, "text": "one", "empty-text": ""}
+
+
+@pytest.mark.parametrize("reader, value", [
+    *((read_degree, v) for v in _OTHER_JSON.values()),
+    (read_degree, float("inf")), (read_degree, float("nan")), (read_degree, 6.5),
+    *((read_number, v) for v in _OTHER_JSON.values()),
+    (read_number, 10 ** 400),
+], ids=[*("degree-" + k for k in _OTHER_JSON), "degree-infinity", "degree-nan",
+        "degree-fraction", *("number-" + k for k in _OTHER_JSON),
+        "number-huge-integer"])
+def test_readers_refuse_every_other_json_value_naming_the_field(reader, value):
+    # a null lmax raised TypeError and an infinite one OverflowError; "seed":
+    # "1" reached numpy, which refused it as entropy; "axes": ["1", "1", "2"]
+    # reached a comparison with a float
+    with pytest.raises(ValueError) as info:
+        reader(value, "seed")
+    assert str(info.value).startswith("seed"), info.value

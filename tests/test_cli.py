@@ -606,6 +606,42 @@ def test_gen_recipe_params_resolve_to_the_same_body(tmp_path):
         assert_recipe_params_resolve_again(tmp_path, recipe)
 
 
+def spelled(value):
+    """value with every JSON number in it written as a numeric string."""
+    if isinstance(value, dict):
+        return {k: v if k == "kind" else spelled(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [spelled(v) for v in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return repr(value)
+    return value
+
+
+@pytest.mark.parametrize("recipe", [
+    {"kind": "ball", "r": 1.5},
+    {"kind": "ball", "r": 2},
+    {"kind": "ellipsoid", "axes": [1, 1, 2], "lmax": 6},
+    {"kind": "random_convex", "seed": 3, "lmax": 6, "roughness": 0.2},
+    dict(_CW, gauge={"kind": "ellipsoid", "axes": [1, 1.2, 1.5], "lmax": 4},
+         odd={"harmonics": [[3, 0, 1.0], [5, -2, 0.3]]}, eps=0.01),
+    dict(_CW, gauge=ball_spec(1.5)),
+], ids=["ball", "ball-integer-radius", "ellipsoid", "random-convex",
+        "constant-width", "constant-width-spec-gauge"])
+def test_gen_reads_numeric_strings_as_their_numbers(tmp_path, recipe):
+    # "r": "1.5" was written back as a string, "axes": ["1", "1", "2"] met a
+    # float comparison and "seed": "3" numpy's entropy check (both exit 2)
+    outputs = []
+    for name, source in (("number", recipe), ("string", spelled(recipe))):
+        (tmp_path / name).mkdir()
+        path = write_json(tmp_path / name / "r.json", source)
+        assert main(["gen", path, "--grid", "16,32"]) == EXIT_OK, source
+        outputs.append((tmp_path / name / "r.body.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    # a constant-width body's params are the bound it met, not its inputs
+    if recipe["kind"] != "constant_width":
+        assert_recipe_params_resolve_again(tmp_path, spelled(recipe))
+
+
 def test_gen_recipe_params_keep_the_roughness(tmp_path):
     # the params left the roughness out, so a rough body came back at the
     # default roughness 0.3

@@ -235,6 +235,32 @@ def test_random_convex_is_strictly_convex(grid32):
         assert cert.min_eigenvalue >= 0.1
 
 
+def recorded_random_convex(seed, lmax, grid, roughness=0.3):
+    """The reference loop: each halving certified by its field record."""
+    basis = make_basis(lmax)
+    pert = np.random.default_rng(seed).standard_normal(basis.size)
+    pert *= np.where(basis.degrees >= 2,
+                     roughness / np.maximum(basis.degrees, 2) ** 2, 0.0)
+    base = np.zeros(basis.size)
+    base[0] = 2.0 * math.sqrt(math.pi)
+    while inverse_gauss(SupportFunction(base + pert, lmax), grid).min_eigenvalue < 0.1:
+        pert *= 0.5
+    return base + pert
+
+
+def test_random_convex_builds_no_record_and_keeps_the_record_bits(grid32):
+    # each halving built and cached a field record only to read its least
+    # eigenvalue, and 2-4 records per call pushed other bodies out of the
+    # 8-entry cache
+    cases = [(seed, 6 + seed % 7) for seed in range(20)]
+    misses = _field.cache_info().misses
+    bodies = [random_convex(seed, lmax, grid32) for seed, lmax in cases]
+    assert _field.cache_info().misses == misses
+    for (seed, lmax), h in zip(cases, bodies):
+        assert h.coeffs.tobytes() \
+            == recorded_random_convex(seed, lmax, grid32).tobytes(), seed
+
+
 def test_random_convex_rejects_bad_roughness(grid32):
     with pytest.raises(ValueError):
         random_convex(0, 6, grid32, roughness=1.5)

@@ -15,7 +15,7 @@ from widthbright import (
     minimize_brightness_variance,
 )
 from widthbright import lab
-from widthbright.body import _padded
+from widthbright.body import _field, _padded
 from widthbright.brightness import _cosine_operator, cosine_transform
 from widthbright.sphere import (
     entries_eigmin, make_basis, make_grid, node_columns, node_tables,
@@ -149,6 +149,18 @@ def test_odd_sign_obstruction_of_translations(grid32):
 def test_odd_sign_obstruction_rejects_even_input(grid32):
     with pytest.raises(ValueError):
         odd_sign_obstruction(ball(1.0), grid32)
+
+
+def test_odd_sign_obstruction_builds_no_record_and_keeps_the_record_bits(grid32):
+    # it built and cached a whole field record to read its determinants
+    for grid in (grid32, make_grid(20, 40)):
+        for seed in range(5):
+            p = random_odd(seed, degrees=(3, 5, 7, 9))
+            misses = _field.cache_info().misses
+            mx, mn = odd_sign_obstruction(p, grid)
+            assert _field.cache_info().misses == misses
+            dets = inverse_gauss(p, grid).detfield
+            assert (mx, mn) == (float(dets.max()), float(dets.min()))
 
 
 def test_odd_dets_cannot_be_negative_everywhere(grid32):

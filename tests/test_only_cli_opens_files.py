@@ -8,11 +8,8 @@ package with ast and checks that no module but cli calls open, by name
 """
 
 import ast
-import os
 
-import widthbright
-
-PACKAGE = os.path.dirname(os.path.abspath(widthbright.__file__))
+from conftest import package_trees
 
 
 def open_calls(tree):
@@ -24,12 +21,8 @@ def open_calls(tree):
 
 
 def test_no_module_but_cli_opens_a_file():
-    found = []
-    for filename in sorted(os.listdir(PACKAGE)):
-        module, ext = os.path.splitext(filename)
-        if ext == ".py" and module != "cli":
-            with open(os.path.join(PACKAGE, filename)) as f:
-                found += [(module, line) for line in open_calls(ast.parse(f.read()))]
+    found = [(module, line) for module, tree in package_trees().items()
+             if module != "cli" for line in open_calls(tree)]
     assert not found
 
 

@@ -10,11 +10,9 @@ import.
 """
 
 import ast
-import os
 
-import widthbright
+from conftest import package_trees
 
-PACKAGE = os.path.dirname(os.path.abspath(widthbright.__file__))
 ALLOWED = ("body", "_field")
 
 
@@ -41,14 +39,10 @@ def synthesize_uses(tree):
 
 
 def test_only_field_calls_synthesize():
-    found = []
-    for filename in sorted(os.listdir(PACKAGE)):
-        module, ext = os.path.splitext(filename)
-        if ext == ".py":
-            with open(os.path.join(PACKAGE, filename)) as f:
-                uses = synthesize_uses(ast.parse(f.read()))
-            found += [(module, function, line) for function, line in uses
-                      if (module, function) != ALLOWED]
+    found = [(module, function, line)
+             for module, tree in package_trees().items()
+             for function, line in synthesize_uses(tree)
+             if (module, function) != ALLOWED]
     assert not found
 
 

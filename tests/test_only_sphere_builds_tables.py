@@ -8,11 +8,8 @@ name, an attribute or an import.
 """
 
 import ast
-import os
 
-import widthbright
-
-PACKAGE = os.path.dirname(os.path.abspath(widthbright.__file__))
+from conftest import package_trees
 
 
 def jet_names(tree):
@@ -25,12 +22,8 @@ def jet_names(tree):
 
 
 def test_no_module_but_sphere_names_the_recurrence():
-    found = []
-    for filename in sorted(os.listdir(PACKAGE)):
-        module, ext = os.path.splitext(filename)
-        if ext == ".py" and module != "sphere":
-            with open(os.path.join(PACKAGE, filename)) as f:
-                found += [(module, line) for line in jet_names(ast.parse(f.read()))]
+    found = [(module, line) for module, tree in package_trees().items()
+             if module != "sphere" for line in jet_names(tree)]
     assert not found
 
 

@@ -12,12 +12,10 @@ attribute.
 
 import ast
 import dataclasses
-import os
 
-import widthbright
+from conftest import package_trees
 from widthbright.sphere import NodeTables
 
-PACKAGE = os.path.dirname(os.path.abspath(widthbright.__file__))
 FIELDS = frozenset(f.name for f in dataclasses.fields(NodeTables))
 
 
@@ -28,12 +26,8 @@ def field_reads(tree):
 
 
 def test_no_module_but_sphere_reads_a_node_tables_field():
-    found = []
-    for filename in sorted(os.listdir(PACKAGE)):
-        module, ext = os.path.splitext(filename)
-        if ext == ".py" and module != "sphere":
-            with open(os.path.join(PACKAGE, filename)) as f:
-                found += [(module, line) for line in field_reads(ast.parse(f.read()))]
+    found = [(module, line) for module, tree in package_trees().items()
+             if module != "sphere" for line in field_reads(tree)]
     assert not found
 
 

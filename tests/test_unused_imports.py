@@ -6,11 +6,8 @@ import statement is read somewhere in that module.
 """
 
 import ast
-import os
 
-import widthbright
-
-PACKAGE = os.path.dirname(os.path.abspath(widthbright.__file__))
+from conftest import package_trees
 
 # (module, name) pairs bound on purpose without a use in the module
 EXEMPT = {
@@ -20,9 +17,7 @@ EXEMPT = {
 }
 
 
-def unused_imports(path):
-    with open(path) as f:
-        tree = ast.parse(f.read())
+def unused_imports(tree):
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -35,13 +30,8 @@ def unused_imports(path):
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    unused = []
-    for filename in sorted(os.listdir(PACKAGE)):
-        module, ext = os.path.splitext(filename)
-        # __init__ imports to re-export
-        if ext != ".py" or module == "__init__":
-            continue
-        unused += ["%s:%d %s" % (filename, line, name)
-                   for line, name in unused_imports(os.path.join(PACKAGE, filename))
-                   if (module, name) not in EXEMPT]
+    # __init__ imports to re-export
+    unused = ["%s.py:%d %s" % (module, line, name)
+              for module, tree in package_trees().items() if module != "__init__"
+              for line, name in unused_imports(tree) if (module, name) not in EXEMPT]
     assert not unused

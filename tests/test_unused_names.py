@@ -9,11 +9,8 @@ checks that every imported name is used), or as an attribute of the module.
 """
 
 import ast
-import os
 
-import widthbright
-
-PACKAGE = os.path.dirname(os.path.abspath(widthbright.__file__))
+from conftest import package_trees
 
 
 def defined_names(stmt):
@@ -47,13 +44,7 @@ def unread_names(trees):
 
 
 def test_every_module_level_name_is_read():
-    trees = {}
-    for filename in sorted(os.listdir(PACKAGE)):
-        module, ext = os.path.splitext(filename)
-        if ext == ".py":
-            with open(os.path.join(PACKAGE, filename)) as f:
-                trees[module] = ast.parse(f.read())
-    assert not unread_names(trees)
+    assert not unread_names(package_trees())
 
 
 def test_a_name_read_only_by_its_own_definition_is_unread():
